@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wordcam.errors import ConfigError, DataError
-from wordcam.model import ForwardTrace, ModelParams
+from wordcam.model import ForwardTrace, ModelParams, gather
 
 
 def score_vector(fmap: np.ndarray, class_weights: np.ndarray) -> np.ndarray:
@@ -41,16 +41,13 @@ def score_vector(fmap: np.ndarray, class_weights: np.ndarray) -> np.ndarray:
 def word_scores(v: np.ndarray, h: int, d: int) -> np.ndarray:
     """Redistribute a length d+h-1 score vector onto the d word positions.
 
-    s[p] is the mean of v[p : p+h], which are exactly the h convolution
-    windows whose receptive field contains word p.
+    s[p] is the mean of v over the h convolution windows whose receptive
+    field contains word p, as listed by the model's ``gather``.
     """
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (d + h - 1,):
         raise ValueError(f"score vector must have length d+h-1={d + h - 1}, got {v.shape}")
-    out = np.zeros(d)
-    for t in range(h):
-        out += v[t : t + d]
-    return out / h
+    return gather(v.reshape(1, -1, 1), h)[0, :, :, 0].mean(axis=1)
 
 
 def word_attention(

@@ -191,14 +191,35 @@ def save_channel(channel: EmbeddingChannel, path: Path | str) -> None:
         fh.write(body)
 
 
-def load_channel(path: Path | str) -> EmbeddingChannel:
+def read_container(path: Path | str, magic: bytes, what: str) -> tuple[dict, bytes]:
+    """Split a magic + u32 length + JSON header file into (header, payload).
+
+    A wrong magic, a header cut short, or a header that is not JSON raises
+    DataError; the caller checks the payload length against the header.
+    """
     with open(path, "rb") as fh:
-        magic = fh.read(len(_MAGIC))
-        if magic != _MAGIC:
-            raise DataError(f"{path}: not an embedding channel file")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(hlen).decode("utf-8"))
-        body = fh.read()
+        if fh.read(len(magic)) != magic:
+            raise DataError(f"{path}: not {what}")
+        raw_len = fh.read(4)
+        if len(raw_len) != 4:
+            raise DataError(f"{path}: truncated header")
+        (hlen,) = struct.unpack("<I", raw_len)
+        blob = fh.read(hlen)
+        if len(blob) != hlen:
+            raise DataError(f"{path}: truncated header")
+        payload = fh.read()
+    try:
+        return json.loads(blob.decode("utf-8")), payload
+    except ValueError as exc:  # bad UTF-8 or bad JSON
+        raise DataError(f"{path}: unreadable header ({exc})") from exc
+
+
+def load_channel(path: Path | str) -> EmbeddingChannel:
+    meta, body = read_container(path, _MAGIC, "an embedding channel file")
+    if len(body) != 4 * meta["v"] * meta["k"]:
+        raise DataError(
+            f"{path}: {len(body)} payload bytes for a {meta['v']}x{meta['k']} table"
+        )
     table = np.frombuffer(body, dtype="<f4").reshape(meta["v"], meta["k"]).copy()
     return EmbeddingChannel(table, bool(meta["trainable"]), Source(meta["source"]))
 

@@ -10,7 +10,11 @@ Conventions used throughout:
   row of a table never influences the loss and receives zero gradient.
 * for filter height h the input is framed by h-1 zero rows on each side,
   giving feature maps of length I = d + h - 1 and placing every word in
-  exactly h convolution windows.
+  exactly h convolution windows: word p fills row t of window p+h-1-t.
+  The frame is never built. Each height is one GEMM of the (B*d, C*k)
+  word matrix with the (C*k, h*n) filter bank, and ``spread`` and its
+  transpose ``gather`` are the only code that knows the window rule; the
+  backward pass and attention reuse them.
 * the pooled feature vector z concatenates heights in ascending order,
   filter index ascending within a height; the fully connected layer and the
   attention scores both index it that way.
@@ -29,7 +33,13 @@ from typing import Sequence
 import numpy as np
 
 from wordcam.corpus import PAD_ID
-from wordcam.embed.channels import ChannelConfig, EmbeddingChannel, InputMode, Source
+from wordcam.embed.channels import (
+    ChannelConfig,
+    EmbeddingChannel,
+    InputMode,
+    Source,
+    read_container,
+)
 from wordcam.errors import ConfigError, DataError
 
 _CKPT_MAGIC = b"WCAMCKPT1\n"
@@ -184,7 +194,7 @@ class ForwardTrace:
 
 
 # ---------------------------------------------------------------------------
-# Elementary operations (single-example views used by tests and attention)
+# Id padding and the convolution lowering (one GEMM per height plus shifts)
 # ---------------------------------------------------------------------------
 
 
@@ -197,61 +207,34 @@ def pad_ids(ids: Sequence[int], d: int) -> np.ndarray:
     return out
 
 
-def pad_input(ids: Sequence[int], channel: EmbeddingChannel, h: int, d: int) -> np.ndarray:
-    """Embed one sentence and frame it with h-1 zero rows on each side.
+def spread(y: np.ndarray) -> np.ndarray:
+    """Place per-word filter-row responses into their convolution windows.
 
-    Sequences shorter than d are right-padded with the pad id first, so the
-    result always has d + 2(h-1) rows.
+    y is (B, d, h, n): y[:, p, t] is word p's response to row t of each
+    filter. Word p sits in row t of window p+h-1-t, so the result is the
+    (B, d+h-1, n) pre-activation with pre[:, p+h-1-t] += y[:, p, t].
     """
-    padded = pad_ids(ids, d)
-    if padded.max(initial=0) >= channel.vocab_size or padded.min(initial=0) < 0:
-        raise DataError("token id out of range for the embedding table")
-    emb = channel.table[padded].astype(channel.table.dtype, copy=True)
-    emb[padded == PAD_ID] = 0.0
-    frame = np.zeros((h - 1, channel.dim), dtype=emb.dtype)
-    return np.concatenate([frame, emb, frame], axis=0)
+    batch, d, h, n = y.shape
+    out = np.zeros((batch, d + h - 1, n), dtype=y.dtype)
+    for t in range(h):
+        out[:, h - 1 - t : h - 1 - t + d] += y[:, :, t]
+    return out
 
 
-def _windows(x: np.ndarray, h: int) -> np.ndarray:
-    """Sliding windows over the row axis, flattened to rows of length h*k.
-
-    x has shape (..., L, k); the result is (..., L-h+1, h*k) with window rows
-    laid out position-major (row j holds x[j] .. x[j+h-1] concatenated).
-    """
-    length = x.shape[-2] - h + 1
-    return np.concatenate([x[..., t : t + length, :] for t in range(h)], axis=-1)
+def gather(g: np.ndarray, h: int) -> np.ndarray:
+    """Transpose of ``spread``: (B, d+h-1, n) -> (B, d, h, n) with
+    out[:, p, t] = g[:, p+h-1-t], the window holding word p in row t."""
+    d = g.shape[1] - h + 1
+    return np.stack([g[:, h - 1 - t : h - 1 - t + d] for t in range(h)], axis=2)
 
 
-def conv_relu(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """ReLU convolution responses: F[j, i] = relu(<w_i, window_j> + b_i).
-
-    Accepts a single padded input (L, k) with filters (n_filters, h*k) or a
-    channel stack (C, L, k) with filters (C, n_filters, h*k); channel inner
-    products are summed before the bias and the ReLU.
-    """
-    x = np.asarray(x)
-    w = np.asarray(w)
-    if x.ndim == 2 and w.ndim == 2:
-        x = x[None]
-        w = w[None]
-    if x.ndim != 3 or w.ndim != 3 or x.shape[0] != w.shape[0]:
-        raise ValueError(f"inconsistent shapes: x {x.shape}, w {w.shape}")
-    k = x.shape[-1]
-    hk = w.shape[-1]
-    if hk % k != 0:
-        raise ValueError(f"filter width {hk} is not a multiple of k={k}")
+def _filter_bank(w: np.ndarray, k: int) -> np.ndarray:
+    """(C, n, h*k) filters as the (C*k, h*n) matrix that multiplies words."""
+    n_channels, n_filters, hk = w.shape
     h = hk // k
-    if x.shape[-2] < h:
-        raise ValueError(f"input of {x.shape[-2]} rows is shorter than h={h}")
-    wins = _windows(x, h)  # (C, I, h*k)
-    pre = np.tensordot(wins, w, axes=([0, 2], [0, 2])) + b
-    return np.maximum(pre, 0.0)
-
-
-def avg_pool(fmap: np.ndarray) -> np.ndarray:
-    """Mean over feature-map positions (axis -2), accumulated in float64."""
-    out = np.asarray(fmap).mean(axis=-2, dtype=np.float64)
-    return out.astype(fmap.dtype)
+    return w.reshape(n_channels, n_filters, h, k).transpose(0, 3, 2, 1).reshape(
+        n_channels * k, h * n_filters
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +292,18 @@ def forward(
 
     dtype = params.dtype
     batch = ids_mat.shape[0]
-    zero_mask = ids_mat == PAD_ID  # (B, d)
-    embedded = np.empty((batch, hyper.n_channels, hyper.d, hyper.k), dtype=dtype)
+    # words in (B, d, C, k) order, so the GEMM operand is a free reshape
+    words = np.empty((batch, hyper.d, hyper.n_channels, hyper.k), dtype=dtype)
     for c, ch in enumerate(channels.channels):
-        e = ch.table[ids_mat].astype(dtype, copy=True)
-        e[zero_mask] = 0.0
-        embedded[:, c] = e
+        words[:, :, c] = ch.table[ids_mat]
+    words[ids_mat == PAD_ID] = 0.0
+    x = words.reshape(batch * hyper.d, hyper.n_channels * hyper.k)
 
     fmaps: dict[int, np.ndarray] = {}
     pooled_parts = []
     for h in hyper.heights:
-        pad = ((0, 0), (0, 0), (h - 1, h - 1), (0, 0))
-        x = np.pad(embedded, pad)
-        wins = _windows(x, h)  # (B, C, I, h*k)
-        pre = np.tensordot(wins, params.conv_w[h], axes=([1, 3], [0, 2]))
+        y = x @ _filter_bank(params.conv_w[h], hyper.k)
+        pre = spread(y.reshape(batch, hyper.d, h, hyper.n_filters))
         pre += params.conv_b[h]
         f = np.maximum(pre, 0.0)
         fmaps[h] = f
@@ -344,7 +325,7 @@ def forward(
     return ForwardTrace(
         ids=ids_mat,
         n_words=lengths,
-        embedded=embedded,
+        embedded=words.transpose(0, 2, 1, 3),
         fmaps=fmaps,
         pooled=pooled,
         dropout_mask=mask,
@@ -415,36 +396,30 @@ def backward(
 
     g_conv_w: dict[int, np.ndarray] = {}
     g_conv_b: dict[int, np.ndarray] = {}
-    d_embedded = np.zeros_like(trace.embedded)  # (B, C, d, k)
+    n_rows = batch * hyper.d
+    x = trace.embedded.transpose(0, 2, 1, 3).reshape(n_rows, -1)  # (B*d, C*k)
+    dx = np.zeros_like(x)
     for h in hyper.heights:
-        fmap = trace.fmaps[h]
-        length = hyper.fmap_len(h)
         dzh = dz[:, hyper.feature_slice(h)]  # (B, nf)
-        dpre = (dzh[:, None, :] / dtype.type(length)) * (fmap > 0.0)
-        pad = ((0, 0), (0, 0), (h - 1, h - 1), (0, 0))
-        wins = _windows(np.pad(trace.embedded, pad), h)  # (B, C, I, h*k)
+        length = dtype.type(hyper.fmap_len(h))
+        dpre = (dzh[:, None, :] / length) * (trace.fmaps[h] > 0.0)
+        dy = gather(dpre, h).reshape(n_rows, h * hyper.n_filters)
+        g_bank = (x.T @ dy).reshape(hyper.n_channels, hyper.k, h, hyper.n_filters)
         g_conv_w[h] = (
-            np.einsum("bin,bciw->cnw", dpre, wins).astype(dtype)
+            g_bank.transpose(0, 3, 2, 1).reshape(params.conv_w[h].shape)
             + dtype.type(lam) * params.conv_w[h]
         )
         g_conv_b[h] = dpre.sum(axis=(0, 1)).astype(dtype)
-
-        dwins = np.einsum("bin,cnw->bciw", dpre, params.conv_w[h])
-        dwins = dwins.reshape(batch, hyper.n_channels, length, h, hyper.k)
-        dx = np.zeros(
-            (batch, hyper.n_channels, hyper.d + 2 * (h - 1), hyper.k), dtype=dtype
-        )
-        for t in range(h):
-            dx[:, :, t : t + length, :] += dwins[:, :, :, t, :]
-        d_embedded += dx[:, :, h - 1 : h - 1 + hyper.d, :]
+        dx += dy @ _filter_bank(params.conv_w[h], hyper.k).T
 
     emb_grads: dict[int, np.ndarray] = {}
     flat_ids = trace.ids.reshape(-1)
+    d_words = dx.reshape(n_rows, hyper.n_channels, hyper.k)
     for c, ch in enumerate(channels.channels):
         if not ch.trainable:
             continue
         g = np.zeros_like(ch.table, dtype=dtype)
-        np.add.at(g, flat_ids, d_embedded[:, c].reshape(-1, hyper.k))
+        np.add.at(g, flat_ids, d_words[:, c])
         g[PAD_ID] = 0.0
         emb_grads[c] = g
 
@@ -508,13 +483,15 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ChannelConfig, dict]:
-    with open(path, "rb") as fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
-            raise DataError(f"{path}: not a model checkpoint")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        payload = fh.read()
+    header, payload = read_container(path, _CKPT_MAGIC, "a model checkpoint")
+    sizes = [
+        np.dtype(e["dtype"]).itemsize * int(np.prod(e["shape"], dtype=np.int64))
+        for e in header["manifest"]
+    ]
+    if sum(sizes) != len(payload):
+        raise DataError(
+            f"{path}: {len(payload)} payload bytes, manifest lists {sum(sizes)}"
+        )
 
     hyper = ModelHyper(
         k=header["hyper"]["k"],
@@ -526,15 +503,10 @@ def load_checkpoint(path) -> tuple[ModelParams, ChannelConfig, dict]:
     )
     loaded: dict[str, np.ndarray] = {}
     offset = 0
-    for entry in header["manifest"]:
-        dt = np.dtype(entry["dtype"])
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        nbytes = count * dt.itemsize
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype=dt)
+    for entry, nbytes in zip(header["manifest"], sizes):
+        arr = np.frombuffer(payload[offset : offset + nbytes], dtype=entry["dtype"])
         loaded[entry["name"]] = arr.reshape(entry["shape"]).copy()
         offset += nbytes
-    if offset != len(payload):
-        raise DataError(f"{path}: trailing bytes in checkpoint payload")
 
     params = ModelParams(
         hyper,

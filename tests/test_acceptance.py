@@ -44,10 +44,8 @@ from wordcam.model import (
     ModelHyper,
     ModelParams,
     backward,
-    conv_relu,
     forward,
     loss_value,
-    pad_input,
 )
 from wordcam.synthetic import planted_corpus
 from wordcam.train import OptimizerConfig, TrainConfig, batch_arrays, evaluate, train_epochs
@@ -205,17 +203,20 @@ def test_criterion_4_padding_coverage_law():
     for d in range(1, 21):
         for h in range(1, 7):
             assert coverage_counts(d, h) == [h] * d, f"arithmetic d={d} h={h}"
-            # and through the real input/convolution path: a filter that
-            # sums one word's one-hot dimension fires once per window
-            # containing it
+            # and through the real forward pass: a filter that sums one
+            # word's one-hot dimension fires once per window containing it
             table = np.zeros((d + 1, d))
             table[1:] = np.eye(d)
-            channel = EmbeddingChannel(table, True, Source.RAND)
-            x = pad_input(list(range(1, d + 1)), channel, h=h, d=d)
+            config = assemble(
+                InputMode.RAND, rand=EmbeddingChannel(table, True, Source.RAND)
+            )
+            params = ModelParams.zeros(
+                ModelHyper(k=d, d=d, heights=(h,), n_filters=1), dtype=np.float64
+            )
             for word in range(d):
-                w = np.zeros((1, h * d))
-                w[0, word::d] = 1.0
-                fmap = conv_relu(x, w, np.zeros(1))
+                params.conv_w[h][:] = 0.0
+                params.conv_w[h][0, 0, word::d] = 1.0
+                fmap = forward(list(range(1, d + 1)), params, config).fmaps[h][0]
                 assert fmap.shape[0] == d + h - 1
                 assert fmap.sum() == h, f"conv path d={d} h={h} word={word}"
             checked += 1

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from wordcam.cli import RunConfig, build_parser, main, read_config_file
-from wordcam.model import load_checkpoint
+from wordcam.embed import InputMode, assemble, init_random, load_channel, save_channel
+from wordcam.errors import DataError
+from wordcam.model import ModelHyper, ModelParams, load_checkpoint, save_checkpoint
 
 
 def make_csv(path: Path, n_per_class=12, seed=0):
@@ -304,3 +306,31 @@ def test_topwords_empty_test_split_exits_3(pipeline_dirs):
         "--out", dirs["reports"],
     ])
     assert rc == 3
+
+
+@pytest.mark.parametrize("damage", ["cut-12", "cut-header", "cut-payload", "bad-header"])
+@pytest.mark.parametrize("fmt", ["ckpt", "emb"])
+def test_damaged_artifact_is_a_data_error(tmp_path, fmt, damage):
+    path = tmp_path / f"artifact.{fmt}"
+    channel = init_random(9, 4, seed=0)
+    if fmt == "ckpt":
+        params = ModelParams.init(ModelHyper(k=4, d=5, heights=(2,), n_filters=3))
+        config = assemble(InputMode.RAND, rand=channel)
+        save_checkpoint(path, params, config, vocab_hash="abc")
+        load = load_checkpoint
+    else:
+        save_channel(channel, path)
+        load = load_channel
+    blob = path.read_bytes()
+    header_at = blob.index(b"\n") + 1 + 4  # magic line, then a u32 length
+    header_end = header_at + int.from_bytes(blob[header_at - 4 : header_at], "little")
+    if damage == "bad-header":
+        blob = blob[:header_at] + b"\xff" + blob[header_at + 1 :]
+    else:
+        blob = blob[: {"cut-12": 12, "cut-header": header_end - 3,
+                       "cut-payload": len(blob) - 3}[damage]]
+    path.write_bytes(blob)
+    with pytest.raises(DataError):
+        load(path)
+    if fmt == "ckpt":
+        assert run(["evaluate", "--checkpoint", path, "--corpus", tmp_path]) == 3

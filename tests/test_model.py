@@ -16,50 +16,59 @@ from wordcam.errors import ConfigError, DataError
 from wordcam.model import (
     ModelHyper,
     ModelParams,
-    avg_pool,
     backward,
-    conv_relu,
     forward,
+    gather,
     load_checkpoint,
     loss_value,
-    pad_input,
     save_checkpoint,
+    spread,
 )
 
 
+def framed(trace, h, item=0):
+    """The (C, d+2(h-1), k) input the oracles expect: the trace's embedded
+    words with h-1 zero rows on each side."""
+    x = np.asarray(trace.embedded[item], dtype=np.float64)
+    frame = np.zeros((x.shape[0], h - 1, x.shape[2]))
+    return np.concatenate([frame, x, frame], axis=1)
+
+
+def one_hot_model(d, h, n_filters):
+    """Zero parameters over a table where word id j+1 embeds as e_j (k=d)."""
+    table = np.zeros((d + 1, d))
+    table[1:] = np.eye(d)
+    config = assemble(InputMode.RAND, rand=EmbeddingChannel(table, True, Source.RAND))
+    hyper = ModelHyper(k=d, d=d, heights=(h,), n_filters=n_filters)
+    return ModelParams.zeros(hyper, dtype=np.float64), config
+
+
 # ---------------------------------------------------------------------------
-# pad_input
+# the convolution lowering
 # ---------------------------------------------------------------------------
 
 
-def test_pad_input_frame_rows():
-    ch = init_random(20, 4, seed=0, dtype=np.float64)
-    x = pad_input([1, 2, 3, 4, 5], ch, h=3, d=5)
-    assert x.shape == (9, 4)
-    assert np.all(x[:2] == 0.0) and np.all(x[-2:] == 0.0)
-    assert np.array_equal(x[2:7], ch.table[[1, 2, 3, 4, 5]])
+@given(
+    st.integers(min_value=1, max_value=20),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=2**31),
+)
+def test_spread_gather_are_adjoint(d, h, seed):
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=(2, d, h, 3))
+    g = rng.normal(size=(2, d + h - 1, 3))
+    lhs = float(np.sum(spread(y) * g))
+    rhs = float(np.sum(y * gather(g, h)))
+    assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
 
-def test_pad_input_h1_no_frame():
-    ch = init_random(20, 4, seed=0, dtype=np.float64)
-    x = pad_input([1, 2], ch, h=1, d=2)
-    assert x.shape == (2, 4)
-
-
-def test_pad_input_short_sentence_right_padded():
-    ch = init_random(20, 4, seed=0, dtype=np.float64)
-    x = pad_input([7], ch, h=2, d=4)
-    assert x.shape == (4 + 2, 4)
-    assert np.array_equal(x[1], ch.table[7])
-    assert np.all(x[2:] == 0.0)  # pad-id rows are zero
-
-
-def test_pad_input_rejects_long_or_bad_ids():
-    ch = init_random(5, 4, seed=0)
-    with pytest.raises(DataError):
-        pad_input([1, 2, 3], ch, h=2, d=2)
-    with pytest.raises(DataError):
-        pad_input([9], ch, h=2, d=2)
+def test_forward_embeds_and_right_pads(tiny_setup):
+    hyper, params, config = tiny_setup(d=4)
+    ch = config.channels[0]
+    trace = forward([7], params, config, mode="infer")
+    assert trace.embedded.shape == (1, 1, 4, hyper.k)
+    assert np.array_equal(trace.embedded[0, 0, 0], ch.table[7])
+    assert np.all(trace.embedded[0, 0, 1:] == 0.0)  # pad-id rows are zero
 
 
 def test_word_coverage_is_h_for_every_position():
@@ -67,92 +76,84 @@ def test_word_coverage_is_h_for_every_position():
     # can see its one-hot row: count via a filter that sums that row
     d = 5
     for h in (1, 2, 3, 4):
-        table = np.zeros((d + 1, d), dtype=np.float64)
-        table[1:] = np.eye(d)  # word j -> e_j
-        ch = EmbeddingChannel(table, True, Source.RAND)
+        params, config = one_hot_model(d, h, n_filters=1)
         for word in range(d):
-            x = pad_input(list(range(1, d + 1)), ch, h=h, d=d)
-            w = np.zeros((1, h * d))
-            w[0, word :: d] = 1.0  # every row slot of dimension `word`
-            fmap = conv_relu(x, w, np.zeros(1))
+            params.conv_w[h][:] = 0.0
+            params.conv_w[h][0, 0, word::d] = 1.0  # every row slot of dimension `word`
+            fmap = forward(list(range(1, d + 1)), params, config).fmaps[h][0]
             assert fmap.shape == (d + h - 1, 1)
             assert fmap.sum() == h  # appears in exactly h windows
         assert coverage_counts(d, h) == [h] * d
 
 
-# ---------------------------------------------------------------------------
-# conv_relu / avg_pool
-# ---------------------------------------------------------------------------
+def test_conv_output_length(tiny_setup):
+    hyper, params, config = tiny_setup(d=5, heights=(1, 2, 3))
+    trace = forward([1, 2], params, config, mode="infer")
+    for h in hyper.heights:
+        assert trace.fmaps[h].shape == (1, 5 + h - 1, hyper.n_filters)  # h=1: no frame
 
 
-def test_conv_zero_weights_zero_bias():
-    x = np.ones((7, 3))
-    f = conv_relu(x, np.zeros((4, 6)), np.zeros(4))
-    assert f.shape == (6, 4)
-    assert np.all(f == 0.0)
+def test_conv_zero_weights_zero_bias(tiny_setup):
+    hyper, _, config = tiny_setup()
+    zero = ModelParams.zeros(hyper, dtype=np.float64)
+    trace = forward([3, 4, 5, 6, 7], zero, config, mode="infer")
+    for h in hyper.heights:
+        assert np.all(trace.fmaps[h] == 0.0)
 
 
-def test_conv_output_length():
-    x = np.zeros((5 + 2 * 2, 3))  # d=5, h=3 padded
-    f = conv_relu(x, np.zeros((2, 9)), np.zeros(2))
-    assert f.shape == (7, 2)  # I = d + h - 1
-
-
-def test_conv_matches_scalar_oracle():
-    rng = np.random.default_rng(0)
-    x = rng.normal(size=(5, 4))
-    w = rng.normal(size=(3, 8))  # h=2
-    b = rng.normal(size=3)
-    got = conv_relu(x, w, b)
-    want = conv_relu_scalar(x, w, b)
+def test_conv_matches_scalar_oracle(tiny_setup):
+    hyper, params, config = tiny_setup(d=5, k=4, heights=(2,), n_filters=3)
+    params.conv_b[2][:] = np.random.default_rng(0).normal(size=3)
+    trace = forward([1, 2, 0, 4], params, config, mode="infer")
+    got = trace.fmaps[2][0]
+    want = conv_relu_scalar(framed(trace, 2), params.conv_w[2], params.conv_b[2])
     assert np.allclose(got, want, atol=1e-6)
     assert np.all(got >= 0.0)
 
 
 def test_conv_multichannel_sums_before_relu():
-    rng = np.random.default_rng(1)
-    x = rng.normal(size=(3, 6, 4))  # 3 channels
-    w = rng.normal(size=(3, 5, 12))  # h=3
-    b = rng.normal(size=5)
-    got = conv_relu(x, w, b)
-    want = conv_relu_scalar(x, w, b)
-    assert np.allclose(got, want, atol=1e-6)
+    hyper = ModelHyper(k=4, d=4, heights=(3,), n_filters=5, n_channels=2)
+    sg = EmbeddingChannel(init_random(12, 4, seed=1, dtype=np.float64).table,
+                          True, Source.SKIPGRAM)
+    config = assemble(InputMode.TWO_CH, skipgram=sg)
+    config.channels[1].table[1:] = np.random.default_rng(1).normal(size=(11, 4))
+    params = ModelParams.init(hyper, seed=1, w_scale=1.0, dtype=np.float64)
+    params.conv_b[3][:] = np.random.default_rng(2).normal(size=5)
+    trace = forward([1, 2, 3, 4], params, config, mode="infer")
+    x = framed(trace, 3)
+    w, b = params.conv_w[3], params.conv_b[3]
+    got = trace.fmaps[3][0]
+    assert np.allclose(got, conv_relu_scalar(x, w, b), atol=1e-6)
     # summing inside the ReLU differs from relu-then-sum; make sure we do
     # the former
-    per_channel = sum(
-        np.maximum(conv_relu(x[c], w[c], b * 0) - 0, 0) for c in range(3)
-    )
+    per_channel = sum(conv_relu_scalar(x[c], w[c], b * 0) for c in range(2))
     assert not np.allclose(got, per_channel + b, atol=1e-6)
 
 
-def test_conv_shape_mismatch():
-    with pytest.raises(ValueError):
-        conv_relu(np.zeros((5, 4)), np.zeros((2, 7)), np.zeros(2))
+def test_conv_shape_mismatch(tiny_setup):
+    _, _, config = tiny_setup()
+    params = ModelParams.init(ModelHyper(k=6, d=10, n_channels=2), seed=0)
+    with pytest.raises(ConfigError):
+        forward([1, 2], params, config)
 
 
 def test_avg_pool_constant_and_single_entry():
-    f = np.full((8, 3), 2.5)
-    assert np.allclose(avg_pool(f), [2.5, 2.5, 2.5])
-    f = np.zeros((10, 2))
-    f[4, 1] = 7.0
-    assert np.allclose(avg_pool(f), [0.0, 0.7])
+    d, h = 5, 3
+    params, config = one_hot_model(d, h, n_filters=2)
+    params.conv_b[h][:] = 2.5
+    assert np.allclose(forward([1, 2], params, config).pooled, [[2.5, 2.5]])
+    # one word seen by one filter: h windows of d+h-1 hold a 1
+    params.conv_b[h][:] = 0.0
+    params.conv_w[h][0, 1, 2::d] = 1.0
+    assert np.allclose(forward([1, 2, 3], params, config).pooled, [[0.0, h / (d + h - 1)]])
 
 
-def test_avg_pool_matches_summation_oracle():
-    rng = np.random.default_rng(2)
-    f = rng.normal(size=(13, 6))
-    assert np.allclose(avg_pool(f), avg_pool_scalar(f), atol=1e-9)
-
-
-@given(
-    st.floats(-3, 3), st.floats(-3, 3), st.integers(min_value=1, max_value=6),
-)
-def test_avg_pool_linearity(a, b, cols):
-    rng = np.random.default_rng(cols)
-    f1 = rng.normal(size=(9, cols))
-    f2 = rng.normal(size=(9, cols))
-    combined = avg_pool(a * f1 + b * f2)
-    assert np.allclose(combined, a * avg_pool(f1) + b * avg_pool(f2), atol=1e-9)
+def test_avg_pool_matches_summation_oracle(tiny_setup):
+    hyper, params, config = tiny_setup(d=13)
+    trace = forward([2, 5, 7, 1, 9, 3], params, config, mode="infer")
+    for h in hyper.heights:
+        block = trace.pooled[0, hyper.feature_slice(h)]
+        assert np.allclose(block, avg_pool_scalar(trace.fmaps[h][0]), atol=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +199,9 @@ def test_forward_pooled_is_mean_of_feature_maps(tiny_setup):
 
 def test_forward_rejects_bad_ids(tiny_setup):
     hyper, params, config = tiny_setup(vocab_size=10)
-    with pytest.raises(DataError):
-        forward([55], params, config, mode="infer")
+    for ids in ([55], [1] * (hyper.d + 1)):
+        with pytest.raises(DataError):
+            forward(ids, params, config, mode="infer")
 
 
 def test_forward_train_needs_rng(tiny_setup):
