@@ -32,6 +32,7 @@ from wordcam.embed import (
     train_skipgram,
     train_subword,
 )
+from wordcam.embed.channels import malformed
 from wordcam.errors import ConfigError, DataError, DivergenceError
 from wordcam.model import (
     ModelHyper,
@@ -310,9 +311,10 @@ def load_channels_dir(path: str) -> tuple[ChannelConfig, dict]:
     meta_path = Path(path) / "channels.json"
     if not meta_path.is_file():
         raise DataError(f"no channels at {path} (missing channels.json)")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
-    chans = tuple(load_channel(Path(path) / name) for name in meta["files"])
-    return ChannelConfig(InputMode(meta["mode"]), chans), meta
+    with malformed(meta_path, "channel metadata"):
+        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        chans = tuple(load_channel(Path(path) / name) for name in meta["files"])
+        return ChannelConfig(InputMode(meta["mode"]), chans), meta
 
 
 # ---------------------------------------------------------------------------

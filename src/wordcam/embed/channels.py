@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -214,14 +215,27 @@ def read_container(path: Path | str, magic: bytes, what: str) -> tuple[dict, byt
         raise DataError(f"{path}: unreadable header ({exc})") from exc
 
 
+@contextmanager
+def malformed(path: Path | str, what: str = "header"):
+    """Raise DataError for a field of ``path`` that the block finds missing,
+    mistyped or out of range. A ConfigError raised here comes from the
+    artifact's contents, not from the configuration, so it is one too."""
+    try:
+        yield
+    except DataError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: malformed {what} ({exc!r})") from exc
+
+
 def load_channel(path: Path | str) -> EmbeddingChannel:
     meta, body = read_container(path, _MAGIC, "an embedding channel file")
-    if len(body) != 4 * meta["v"] * meta["k"]:
-        raise DataError(
-            f"{path}: {len(body)} payload bytes for a {meta['v']}x{meta['k']} table"
-        )
-    table = np.frombuffer(body, dtype="<f4").reshape(meta["v"], meta["k"]).copy()
-    return EmbeddingChannel(table, bool(meta["trainable"]), Source(meta["source"]))
+    with malformed(path):
+        v, k = meta["v"], meta["k"]
+        if len(body) != 4 * v * k:
+            raise DataError(f"{path}: {len(body)} payload bytes for a {v}x{k} table")
+        table = np.frombuffer(body, dtype="<f4").reshape(v, k).copy()
+        return EmbeddingChannel(table, bool(meta["trainable"]), Source(meta["source"]))
 
 
 def export_text(channel: EmbeddingChannel, vocab: Vocabulary, path: Path | str) -> None:

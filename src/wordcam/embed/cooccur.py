@@ -15,36 +15,29 @@ import numpy as np
 
 from wordcam.corpus import PAD_ID
 from wordcam.embed.channels import EmbeddingChannel, Source
-from wordcam.errors import ConfigError, DataError
+from wordcam.embed.skipgram import context_pairs
+from wordcam.errors import ConfigError
 
 _CHUNK = 4096
 
 
 def build_cooc(
     sentences: Sequence[Sequence[int]], window: int
-) -> dict[tuple[int, int], int]:
-    """Symmetric co-occurrence counts keyed by (min_id, max_id).
+) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetric co-occurrence counts: sorted (min_id, max_id) keys (n, 2)
+    and their counts (n,).
 
     Each ordered co-occurrence event inside +-window adds one count to its
     unordered pair; a token co-occurring with itself produces a diagonal
-    entry.
+    entry. ``context_pairs`` lists every event once from each end, so the
+    counts of its id-sorted pairs are twice the event counts.
     """
-    if window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
-    counts: dict[tuple[int, int], int] = {}
-    for sent in sentences:
-        n = len(sent)
-        for t in range(n):
-            a = sent[t]
-            if a == PAD_ID:
-                raise DataError("padding id in training sentences")
-            for u in range(t + 1, min(n, t + window + 1)):
-                b = sent[u]
-                key = (a, b) if a <= b else (b, a)
-                counts[key] = counts.get(key, 0) + 1
-    if not counts:
-        raise DataError("no co-occurrences: every sentence has fewer than 2 tokens")
-    return counts
+    pairs = np.sort(context_pairs(sentences, window), axis=1)
+    # one integer per pair, ordered as the pairs are: far faster to unique
+    # than the rows themselves
+    base = pairs.max() + 1
+    codes, counts = np.unique(pairs[:, 0] * base + pairs[:, 1], return_counts=True)
+    return np.stack(np.divmod(codes, base), axis=1), counts // 2
 
 
 @dataclass
@@ -61,7 +54,7 @@ class CoocFit:
 
 
 def fit_cooc(
-    cooc: dict[tuple[int, int], int],
+    cooc: tuple[np.ndarray, np.ndarray],
     vocab_size: int,
     k: int = 100,
     x_max: float = 100.0,
@@ -83,29 +76,24 @@ def fit_cooc(
     gb = np.ones_like(b)
     gc = np.ones_like(c)
 
-    # train both orientations of off-diagonal pairs, diagonal once
-    rows, cols, xs = [], [], []
-    for (i, j), x in sorted(cooc.items()):
-        rows.append(i)
-        cols.append(j)
-        xs.append(x)
-        if i != j:
-            rows.append(j)
-            cols.append(i)
-            xs.append(x)
-    rows_a = np.asarray(rows)
-    cols_a = np.asarray(cols)
-    logx = np.log(np.asarray(xs, dtype=np.float64))
-    weight = np.minimum(1.0, (np.asarray(xs, dtype=np.float64) / x_max) ** alpha)
+    # train both orientations of off-diagonal pairs, each right after the
+    # other, and diagonal pairs once
+    keys, counts = cooc
+    mirrored = keys[:, 0] != keys[:, 1]
+    keep = np.stack([np.ones_like(mirrored), mirrored], axis=1)
+    rows, cols = np.stack([keys, keys[:, ::-1]], axis=1)[keep].T
+    xs = np.repeat(counts, 1 + mirrored).astype(np.float64)
+    logx = np.log(xs)
+    weight = np.minimum(1.0, (xs / x_max) ** alpha)
 
     fit = CoocFit(w, u, b, c)
-    n = len(rows_a)
+    n = len(rows)
     for _ in range(epochs):
         order = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, _CHUNK):
             sel = order[start : start + _CHUNK]
-            i, j = rows_a[sel], cols_a[sel]
+            i, j = rows[sel], cols[sel]
             f = weight[sel]
             diff = np.einsum("nk,nk->n", w[i], u[j]) + b[i] + c[j] - logx[sel]
             loss_sum += float((f * diff**2).sum())

@@ -1,14 +1,17 @@
-"""Skip-gram embeddings trained with negative sampling.
+"""Skip-gram embeddings trained with negative sampling, and the pieces the
+subword and co-occurrence trainers share: ``context_pairs``, the one window
+enumeration, and ``sgns_step``, the one negative-sampling step.
 
-Pure-numpy SGD over (center, context) pairs. Pairs are processed in chunks
-so the update arithmetic is vectorized; within a chunk, repeated rows
-accumulate through ``np.add.at``. Deterministic given (sentence order, seed).
+Pairs are processed in chunks (``sgns_chunks``) so the update arithmetic is
+vectorized; within a chunk, repeated rows accumulate through ``np.add.at``.
+Deterministic given (sentence order, seed).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -19,36 +22,36 @@ from wordcam.errors import ConfigError, DataError
 _CHUNK = 2048
 
 
+def _flat_tokens(sentences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """All token ids end to end, and each sentence's length."""
+    tokens = np.fromiter(itertools.chain.from_iterable(sentences), dtype=np.int64)
+    if np.any(tokens == PAD_ID):
+        raise DataError("padding id in training sentences")
+    return tokens, np.fromiter(map(len, sentences), dtype=np.int64)
+
+
 def context_pairs(sentences: Sequence[Sequence[int]], window: int) -> np.ndarray:
-    """All (center, context) id pairs within +-window, in corpus order."""
+    """All (center, context) id pairs within +-window, in corpus order: by
+    center position, then by context position."""
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
-    pairs: list[tuple[int, int]] = []
-    for sent in sentences:
-        n = len(sent)
-        for t in range(n):
-            lo = max(0, t - window)
-            hi = min(n, t + window + 1)
-            for u in range(lo, hi):
-                if u != t:
-                    pairs.append((sent[t], sent[u]))
-    if not pairs:
+    tokens, lengths = _flat_tokens(sentences)
+    end = np.repeat(np.cumsum(lengths), lengths)  # one past each token's sentence
+    start = end - np.repeat(lengths, lengths)
+    ctx = np.arange(len(tokens))[:, None] + np.r_[-window:0, 1 : window + 1]
+    same_sentence = (ctx >= start[:, None]) & (ctx < end[:, None])
+    if not same_sentence.any():
         raise DataError("no context pairs: every sentence has fewer than 2 tokens")
-    return np.asarray(pairs, dtype=np.int64)
+    centers = np.repeat(tokens, same_sentence.sum(axis=1))
+    return np.stack([centers, tokens[ctx[same_sentence]]], axis=1)
 
 
 class NoiseTable:
     """Unigram^0.75 negative-sampling distribution over real token ids."""
 
     def __init__(self, sentences: Sequence[Sequence[int]], vocab_size: int):
-        counts = np.zeros(vocab_size, dtype=np.float64)
-        for sent in sentences:
-            for i in sent:
-                if i == PAD_ID:
-                    raise DataError("padding id in training sentences")
-                counts[i] += 1
-        weights = counts**0.75
-        weights[PAD_ID] = 0.0
+        counts = np.bincount(_flat_tokens(sentences)[0], minlength=vocab_size)
+        weights = counts.astype(np.float64) ** 0.75
         total = weights.sum()
         if total <= 0:
             raise DataError("empty corpus: no tokens to sample negatives from")
@@ -71,6 +74,64 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
     return -np.logaddexp(0.0, -x)
 
 
+def check_sgns(k: int, negatives: int, chunk: int) -> None:
+    """Reject settings a negative-sampling trainer cannot run with."""
+    if k < 1:
+        raise ConfigError(f"embedding dimension must be >= 1, got {k}")
+    if negatives < 1:
+        raise ConfigError(f"need at least one negative sample, got {negatives}")
+    if chunk < 1:
+        raise ConfigError(f"chunk must be >= 1, got {chunk}")
+
+
+def sgns_chunks(
+    pairs: np.ndarray, epochs: int, lr: float, chunk: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, float]]:
+    """(epoch, centers, contexts, step_lr) for each chunk of ``pairs`` in
+    each epoch, with the rate decaying linearly over all pairs seen.
+
+    Pairs inside a chunk update against the same stale parameters, so the
+    chunk size should stay well below the typical per-token pair count.
+    """
+    total_steps = epochs * len(pairs)
+    done = 0
+    for epoch in range(epochs):
+        for start in range(0, len(pairs), chunk):
+            centers, contexts = pairs[start : start + chunk].T
+            yield epoch, centers, contexts, lr * max(1e-4, 1.0 - done / total_steps)
+            done += len(centers)
+
+
+def sgns_step(
+    h: np.ndarray, contexts: np.ndarray, w_out: np.ndarray, noise: NoiseTable,
+    rng: np.random.Generator, negatives: int, step_lr: float,
+) -> tuple[np.ndarray, float]:
+    """One negative-sampling step for center vectors h (n, k) and their true
+    contexts (n,): updates ``w_out`` in place and returns the gradient of the
+    summed loss with respect to h, and that loss."""
+    u_pos = w_out[contexts]  # (n, k)
+    negs = noise.sample(rng, (len(h), negatives))
+    u_neg = w_out[negs]  # (n, neg, k)
+
+    pos_score = np.einsum("nk,nk->n", h, u_pos)
+    neg_score = np.einsum("nk,njk->nj", h, u_neg)
+    # a negative that collides with the true context is skipped
+    live = negs != contexts[:, None]
+
+    g_pos = _sigmoid(pos_score) - 1.0  # (n,)
+    g_neg = _sigmoid(neg_score) * live  # (n, neg)
+    loss = -(_log_sigmoid(pos_score).sum() + (_log_sigmoid(-neg_score) * live).sum())
+
+    grad_h = g_pos[:, None] * u_pos + np.einsum("nj,njk->nk", g_neg, u_neg)
+    np.add.at(w_out, contexts, -step_lr * g_pos[:, None] * h)
+    np.add.at(
+        w_out,
+        negs.reshape(-1),
+        (-step_lr * g_neg[..., None] * h[:, None, :]).reshape(-1, h.shape[1]),
+    )
+    return grad_h, loss
+
+
 @dataclass
 class SkipGramFit:
     """Trained input/output tables plus the per-epoch mean pair loss."""
@@ -91,67 +152,24 @@ def fit_skipgram(
     seed: int = 0,
     chunk: int = _CHUNK,
 ) -> SkipGramFit:
-    """Pairs inside a chunk update against the same stale parameters, so the
-    chunk size should stay well below the typical per-token pair count;
-    the default suits vocabularies in the thousands, tiny corpora should
-    pass something like 32."""
-    if k < 1:
-        raise ConfigError(f"embedding dimension must be >= 1, got {k}")
-    if negatives < 1:
-        raise ConfigError(f"need at least one negative sample, got {negatives}")
-    if chunk < 1:
-        raise ConfigError(f"chunk must be >= 1, got {chunk}")
+    """The default chunk suits vocabularies in the thousands; tiny corpora
+    should pass something like 32 (see ``sgns_chunks``)."""
+    check_sgns(k, negatives, chunk)
     rng = np.random.default_rng(seed)
     w_in = rng.uniform(-0.5 / k, 0.5 / k, size=(vocab_size, k))
     w_in[PAD_ID] = 0.0
     w_out = np.zeros((vocab_size, k))
-    fit = SkipGramFit(w_in, w_out)
-    if epochs == 0:
-        # still validates the corpus so a pairless corpus fails fast
-        context_pairs(sentences, window)
-        return fit
-
     pairs = context_pairs(sentences, window)
     noise = NoiseTable(sentences, vocab_size)
-    total_steps = epochs * len(pairs)
-    done = 0
-    for _ in range(epochs):
-        loss_sum = 0.0
-        for start in range(0, len(pairs), chunk):
-            block = pairs[start : start + chunk]
-            centers, contexts = block[:, 0], block[:, 1]
-            step_lr = lr * max(1e-4, 1.0 - done / total_steps)
-            done += len(block)
-
-            v = w_in[centers]  # (n, k)
-            u_pos = w_out[contexts]  # (n, k)
-            negs = noise.sample(rng, (len(block), negatives))
-            u_neg = w_out[negs]  # (n, neg, k)
-
-            pos_score = np.einsum("nk,nk->n", v, u_pos)
-            neg_score = np.einsum("nk,njk->nj", v, u_neg)
-            # a negative that collides with the true context is skipped
-            live = negs != contexts[:, None]
-
-            g_pos = _sigmoid(pos_score) - 1.0  # (n,)
-            g_neg = _sigmoid(neg_score) * live  # (n, neg)
-
-            loss_sum += -(
-                _log_sigmoid(pos_score).sum()
-                + (_log_sigmoid(-neg_score) * live).sum()
-            )
-
-            grad_v = g_pos[:, None] * u_pos + np.einsum("nj,njk->nk", g_neg, u_neg)
-            np.add.at(w_in, centers, -step_lr * grad_v)
-            np.add.at(w_out, contexts, -step_lr * g_pos[:, None] * v)
-            np.add.at(
-                w_out,
-                negs.reshape(-1),
-                (-step_lr * g_neg[..., None] * v[:, None, :]).reshape(-1, k),
-            )
-        fit.epoch_losses.append(loss_sum / len(pairs))
+    losses = [0.0] * epochs
+    for epoch, centers, contexts, step_lr in sgns_chunks(pairs, epochs, lr, chunk):
+        grad_v, loss = sgns_step(
+            w_in[centers], contexts, w_out, noise, rng, negatives, step_lr
+        )
+        np.add.at(w_in, centers, -step_lr * grad_v)
+        losses[epoch] += loss
     w_in[PAD_ID] = 0.0
-    return fit
+    return SkipGramFit(w_in, w_out, [s / len(pairs) for s in losses])
 
 
 def train_skipgram(

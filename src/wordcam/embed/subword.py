@@ -15,7 +15,13 @@ import numpy as np
 
 from wordcam.corpus import PAD_ID
 from wordcam.embed.channels import EmbeddingChannel, Source
-from wordcam.embed.skipgram import NoiseTable, _log_sigmoid, _sigmoid, context_pairs
+from wordcam.embed.skipgram import (
+    NoiseTable,
+    check_sgns,
+    context_pairs,
+    sgns_chunks,
+    sgns_step,
+)
 from wordcam.errors import ConfigError
 
 _CHUNK = 1024
@@ -82,10 +88,9 @@ def fit_subword(
     seed: int = 0,
     chunk: int = _CHUNK,
 ) -> SubwordFit:
+    check_sgns(k, negatives, chunk)
     if bucket < 1:
         raise ConfigError(f"bucket count must be >= 1, got {bucket}")
-    if chunk < 1:
-        raise ConfigError(f"chunk must be >= 1, got {chunk}")
     vocab_size = len(id_to_token)
     rng = np.random.default_rng(seed)
     word_vecs = rng.uniform(-0.5 / k, 0.5 / k, size=(vocab_size, k))
@@ -93,64 +98,29 @@ def fit_subword(
     gram_vecs = rng.uniform(-0.5 / k, 0.5 / k, size=(bucket, k))
     w_out = np.zeros((vocab_size, k))
     fit = SubwordFit(word_vecs, gram_vecs, w_out, ngram_min, ngram_max, bucket)
-    if epochs == 0:
-        context_pairs(sentences, window)
-        return fit
-
-    # CSR-style n-gram index per vocabulary word (pad has none)
-    grams_per_word: list[list[int]] = [[]]
-    for tok in id_to_token[1:]:
-        grams_per_word.append(fit.gram_ids(tok))
-    offsets = np.zeros(vocab_size + 1, dtype=np.int64)
-    for i, g in enumerate(grams_per_word):
-        offsets[i + 1] = offsets[i] + len(g)
-    flat_grams = np.asarray(
-        [g for gs in grams_per_word for g in gs], dtype=np.int64
-    )
-
     pairs = context_pairs(sentences, window)
     noise = NoiseTable(sentences, vocab_size)
-    total_steps = epochs * len(pairs)
-    done = 0
-    for _ in range(epochs):
-        loss_sum = 0.0
-        for start in range(0, len(pairs), chunk):
-            block = pairs[start : start + chunk]
-            centers, contexts = block[:, 0], block[:, 1]
-            step_lr = lr * max(1e-4, 1.0 - done / total_steps)
-            done += len(block)
 
-            counts = offsets[centers + 1] - offsets[centers]
-            gram_rows = np.concatenate(
-                [flat_grams[offsets[c] : offsets[c + 1]] for c in centers]
-            )
-            seg = np.repeat(np.arange(len(block)), counts)
-            h = word_vecs[centers].copy()
-            np.add.at(h, seg, gram_vecs[gram_rows])
+    # CSR-style n-gram index per vocabulary word (pad has none)
+    grams_per_word = [[]] + [fit.gram_ids(tok) for tok in id_to_token[1:]]
+    offsets = np.cumsum([0] + [len(g) for g in grams_per_word])
+    flat_grams = np.asarray([g for gs in grams_per_word for g in gs], dtype=np.int64)
 
-            u_pos = w_out[contexts]
-            negs = noise.sample(rng, (len(block), negatives))
-            u_neg = w_out[negs]
-            pos_score = np.einsum("nk,nk->n", h, u_pos)
-            neg_score = np.einsum("nk,njk->nj", h, u_neg)
-            live = negs != contexts[:, None]
-            g_pos = _sigmoid(pos_score) - 1.0
-            g_neg = _sigmoid(neg_score) * live
-            loss_sum += -(
-                _log_sigmoid(pos_score).sum()
-                + (_log_sigmoid(-neg_score) * live).sum()
-            )
+    losses = [0.0] * epochs
+    for epoch, centers, contexts, step_lr in sgns_chunks(pairs, epochs, lr, chunk):
+        counts = offsets[centers + 1] - offsets[centers]
+        gram_rows = np.concatenate(
+            [flat_grams[offsets[c] : offsets[c + 1]] for c in centers]
+        )
+        seg = np.repeat(np.arange(len(centers)), counts)
+        h = word_vecs[centers]
+        np.add.at(h, seg, gram_vecs[gram_rows])
 
-            grad_h = g_pos[:, None] * u_pos + np.einsum("nj,njk->nk", g_neg, u_neg)
-            np.add.at(word_vecs, centers, -step_lr * grad_h)
-            np.add.at(gram_vecs, gram_rows, -step_lr * grad_h[seg])
-            np.add.at(w_out, contexts, -step_lr * g_pos[:, None] * h)
-            np.add.at(
-                w_out,
-                negs.reshape(-1),
-                (-step_lr * g_neg[..., None] * h[:, None, :]).reshape(-1, k),
-            )
-        fit.epoch_losses.append(loss_sum / len(pairs))
+        grad_h, loss = sgns_step(h, contexts, w_out, noise, rng, negatives, step_lr)
+        np.add.at(word_vecs, centers, -step_lr * grad_h)
+        np.add.at(gram_vecs, gram_rows, -step_lr * grad_h[seg])
+        losses[epoch] += loss
+    fit.epoch_losses = [s / len(pairs) for s in losses]
     word_vecs[PAD_ID] = 0.0
     return fit
 

@@ -38,6 +38,7 @@ from wordcam.embed.channels import (
     EmbeddingChannel,
     InputMode,
     Source,
+    malformed,
     read_container,
 )
 from wordcam.errors import ConfigError, DataError
@@ -484,48 +485,49 @@ def save_checkpoint(
 
 def load_checkpoint(path) -> tuple[ModelParams, ChannelConfig, dict]:
     header, payload = read_container(path, _CKPT_MAGIC, "a model checkpoint")
-    sizes = [
-        np.dtype(e["dtype"]).itemsize * int(np.prod(e["shape"], dtype=np.int64))
-        for e in header["manifest"]
-    ]
-    if sum(sizes) != len(payload):
-        raise DataError(
-            f"{path}: {len(payload)} payload bytes, manifest lists {sum(sizes)}"
-        )
+    with malformed(path):
+        sizes = [
+            np.dtype(e["dtype"]).itemsize * int(np.prod(e["shape"], dtype=np.int64))
+            for e in header["manifest"]
+        ]
+        if sum(sizes) != len(payload):
+            raise DataError(
+                f"{path}: {len(payload)} payload bytes, manifest lists {sum(sizes)}"
+            )
 
-    hyper = ModelHyper(
-        k=header["hyper"]["k"],
-        d=header["hyper"]["d"],
-        heights=tuple(header["hyper"]["heights"]),
-        n_filters=header["hyper"]["n_filters"],
-        n_classes=header["hyper"]["n_classes"],
-        n_channels=header["hyper"]["n_channels"],
-    )
-    loaded: dict[str, np.ndarray] = {}
-    offset = 0
-    for entry, nbytes in zip(header["manifest"], sizes):
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype=entry["dtype"])
-        loaded[entry["name"]] = arr.reshape(entry["shape"]).copy()
-        offset += nbytes
-
-    params = ModelParams(
-        hyper,
-        {h: loaded[f"conv_w[{h}]"] for h in hyper.heights},
-        {h: loaded[f"conv_b[{h}]"] for h in hyper.heights},
-        loaded["fc_w"],
-        loaded["fc_b"],
-    )
-    chans = tuple(
-        EmbeddingChannel(
-            loaded[f"channel[{i}]"],
-            trainable=meta["trainable"],
-            source=Source(meta["source"]),
+        hyper = ModelHyper(
+            k=header["hyper"]["k"],
+            d=header["hyper"]["d"],
+            heights=tuple(header["hyper"]["heights"]),
+            n_filters=header["hyper"]["n_filters"],
+            n_classes=header["hyper"]["n_classes"],
+            n_channels=header["hyper"]["n_channels"],
         )
-        for i, meta in enumerate(header["channel_meta"])
-    )
-    config = ChannelConfig(InputMode(header["mode"]), chans)
-    meta = {"vocab_sha256": header["vocab_sha256"], "extra": header["extra"]}
-    return params, config, meta
+        loaded: dict[str, np.ndarray] = {}
+        offset = 0
+        for entry, nbytes in zip(header["manifest"], sizes):
+            arr = np.frombuffer(payload[offset : offset + nbytes], dtype=entry["dtype"])
+            loaded[entry["name"]] = arr.reshape(entry["shape"]).copy()
+            offset += nbytes
+
+        params = ModelParams(
+            hyper,
+            {h: loaded[f"conv_w[{h}]"] for h in hyper.heights},
+            {h: loaded[f"conv_b[{h}]"] for h in hyper.heights},
+            loaded["fc_w"],
+            loaded["fc_b"],
+        )
+        chans = tuple(
+            EmbeddingChannel(
+                loaded[f"channel[{i}]"],
+                trainable=meta["trainable"],
+                source=Source(meta["source"]),
+            )
+            for i, meta in enumerate(header["channel_meta"])
+        )
+        config = ChannelConfig(InputMode(header["mode"]), chans)
+        meta = {"vocab_sha256": header["vocab_sha256"], "extra": header["extra"]}
+        return params, config, meta
 
 
 def params_digest(params: ModelParams) -> str:

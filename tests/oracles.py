@@ -136,3 +136,30 @@ def min_preactivation_margin(ids, params, channels) -> float:
                     acc += float(window @ np.asarray(params.conv_w[h][c, i], dtype=np.float64))
                 margin = min(margin, abs(acc))
     return float(margin)
+
+
+def context_pairs_loops(sentences, window: int) -> list[tuple[int, int]]:
+    """Every (center, context) pair within +-window, one position at a time:
+    sentences in order, centers in order, contexts left to right."""
+    pairs = []
+    for sent in sentences:
+        n = len(sent)
+        for t in range(n):
+            for u in range(max(0, t - window), min(n, t + window + 1)):
+                if u != t:
+                    pairs.append((sent[t], sent[u]))
+    return pairs
+
+
+def cooc_loops(sentences, window: int) -> dict[tuple[int, int], int]:
+    """Co-occurrence counts keyed by (min_id, max_id): each token paired with
+    each of the next ``window`` tokens of its sentence, one count per event."""
+    counts: dict[tuple[int, int], int] = {}
+    for sent in sentences:
+        n = len(sent)
+        for t in range(n):
+            for u in range(t + 1, min(n, t + window + 1)):
+                a, b = sent[t], sent[u]
+                key = (a, b) if a <= b else (b, a)
+                counts[key] = counts.get(key, 0) + 1
+    return counts

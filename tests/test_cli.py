@@ -308,7 +308,9 @@ def test_topwords_empty_test_split_exits_3(pipeline_dirs):
     assert rc == 3
 
 
-@pytest.mark.parametrize("damage", ["cut-12", "cut-header", "cut-payload", "bad-header"])
+@pytest.mark.parametrize(
+    "damage", ["cut-12", "cut-header", "cut-payload", "bad-header", "renamed-key"]
+)
 @pytest.mark.parametrize("fmt", ["ckpt", "emb"])
 def test_damaged_artifact_is_a_data_error(tmp_path, fmt, damage):
     path = tmp_path / f"artifact.{fmt}"
@@ -326,6 +328,10 @@ def test_damaged_artifact_is_a_data_error(tmp_path, fmt, damage):
     header_end = header_at + int.from_bytes(blob[header_at - 4 : header_at], "little")
     if damage == "bad-header":
         blob = blob[:header_at] + b"\xff" + blob[header_at + 1 :]
+    elif damage == "renamed-key":  # still valid JSON of the same length
+        key = {"ckpt": b'"hyper"', "emb": b'"v"'}[fmt]
+        assert blob.count(key, header_at, header_end) == 1
+        blob = blob.replace(key, key[:-2] + b'x"', 1)
     else:
         blob = blob[: {"cut-12": 12, "cut-header": header_end - 3,
                        "cut-payload": len(blob) - 3}[damage]]
@@ -334,3 +340,15 @@ def test_damaged_artifact_is_a_data_error(tmp_path, fmt, damage):
         load(path)
     if fmt == "ckpt":
         assert run(["evaluate", "--checkpoint", path, "--corpus", tmp_path]) == 3
+
+
+@pytest.mark.parametrize("meta", [
+    "{not json", "{}", '{"mode": "3ch", "files": []}',
+    '{"mode": "2ch", "files": ["channel_0.emb"]}',  # too few files for the mode
+])
+def test_malformed_channel_metadata_exits_3(pipeline_dirs, meta):
+    dirs = pipeline_dirs
+    assert _prepare(dirs) == 0
+    assert _embed(dirs) == 0
+    (dirs["channels"] / "channels.json").write_text(meta, encoding="utf-8")
+    assert _train(dirs, extra=["--epochs", "1"]) == 3

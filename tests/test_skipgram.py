@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from oracles import context_pairs_loops, cooc_loops
+from wordcam.corpus import PAD_ID
+from wordcam.embed.cooccur import build_cooc
 from wordcam.embed.skipgram import (
     NoiseTable,
     context_pairs,
@@ -17,6 +22,35 @@ def cosine(a, b):
 def test_context_pairs_window():
     pairs = context_pairs([[1, 2, 3]], window=1)
     assert sorted(map(tuple, pairs.tolist())) == [(1, 2), (2, 1), (2, 3), (3, 2)]
+
+
+@st.composite
+def _corpora(draw):
+    """Sentences of 0-8 tokens (empty and one-token ones included), and in
+    some corpora one token replaced by the padding id."""
+    sentences = draw(st.lists(
+        st.lists(st.integers(1, 9), max_size=8), max_size=6,
+    ))
+    flat = [(i, j) for i, sent in enumerate(sentences) for j in range(len(sent))]
+    if flat and draw(st.integers(0, 3)) == 0:
+        i, j = flat[draw(st.integers(0, len(flat) - 1))]
+        sentences[i][j] = PAD_ID
+    return sentences
+
+
+@given(_corpora(), st.integers(1, 5))
+def test_pair_builders_match_loop_oracles(sentences, window):
+    pairs = context_pairs_loops(sentences, window)
+    if not pairs or any(PAD_ID in sent for sent in sentences):
+        for build in (context_pairs, build_cooc):
+            with pytest.raises(DataError):
+                build(sentences, window)
+        return
+    assert context_pairs(sentences, window).tolist() == [list(p) for p in pairs]
+    keys, counts = build_cooc(sentences, window)
+    want = sorted(cooc_loops(sentences, window).items())
+    assert keys.tolist() == [list(key) for key, _ in want]
+    assert counts.tolist() == [n for _, n in want]
 
 
 def test_no_pairs_is_an_error():

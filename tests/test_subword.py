@@ -39,6 +39,12 @@ def _toy_fit(**kwargs):
     return tokens, fit_subword(sentences, tokens, **defaults)
 
 
+@pytest.mark.parametrize("bad", [dict(negatives=0), dict(k=0)])
+def test_fit_subword_rejects_bad_settings(bad):
+    with pytest.raises(ConfigError):
+        _toy_fit(**bad)
+
+
 def test_materialized_difference_is_unshared_contribution():
     tokens, fit = _toy_fit()
     i, j = tokens.index("care"), tokens.index("dare")
