@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from wordcam.corpus import PAD_ID
-from wordcam.embed.channels import EmbeddingChannel, Source
+from wordcam.embed.channels import EmbeddingChannel, Source, scatter_add
 from wordcam.embed.skipgram import context_pairs
 from wordcam.errors import ConfigError
 
@@ -101,14 +101,14 @@ def fit_cooc(
 
             grad_wi = g[:, None] * u[j]
             grad_uj = g[:, None] * w[i]
-            np.add.at(gw, i, grad_wi**2)
-            np.add.at(gu, j, grad_uj**2)
-            np.add.at(gb, i, g**2)
-            np.add.at(gc, j, g**2)
-            np.add.at(w, i, -lr * grad_wi / np.sqrt(gw[i]))
-            np.add.at(u, j, -lr * grad_uj / np.sqrt(gu[j]))
-            np.add.at(b, i, -lr * g / np.sqrt(gb[i]))
-            np.add.at(c, j, -lr * g / np.sqrt(gc[j]))
+            scatter_add(gw, i, grad_wi**2)
+            scatter_add(gu, j, grad_uj**2)
+            scatter_add(gb, i, g**2)
+            scatter_add(gc, j, g**2)
+            scatter_add(w, i, -lr * grad_wi / np.sqrt(gw[i]))
+            scatter_add(u, j, -lr * grad_uj / np.sqrt(gu[j]))
+            scatter_add(b, i, -lr * g / np.sqrt(gb[i]))
+            scatter_add(c, j, -lr * g / np.sqrt(gc[j]))
         fit.epoch_losses.append(loss_sum / n)
     w[PAD_ID] = 0.0
     u[PAD_ID] = 0.0

@@ -3,7 +3,8 @@ subword and co-occurrence trainers share: ``context_pairs``, the one window
 enumeration, and ``sgns_step``, the one negative-sampling step.
 
 Pairs are processed in chunks (``sgns_chunks``) so the update arithmetic is
-vectorized; within a chunk, repeated rows accumulate through ``np.add.at``.
+vectorized; within a chunk, repeated rows accumulate through
+``channels.scatter_add``, in pair order.
 Deterministic given (sentence order, seed).
 """
 
@@ -16,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from wordcam.corpus import PAD_ID
-from wordcam.embed.channels import EmbeddingChannel, Source
+from wordcam.embed.channels import EmbeddingChannel, Source, scatter_add
 from wordcam.errors import ConfigError, DataError
 
 _CHUNK = 2048
@@ -123,8 +124,8 @@ def sgns_step(
     loss = -(_log_sigmoid(pos_score).sum() + (_log_sigmoid(-neg_score) * live).sum())
 
     grad_h = g_pos[:, None] * u_pos + np.einsum("nj,njk->nk", g_neg, u_neg)
-    np.add.at(w_out, contexts, -step_lr * g_pos[:, None] * h)
-    np.add.at(
+    scatter_add(w_out, contexts, -step_lr * g_pos[:, None] * h)
+    scatter_add(
         w_out,
         negs.reshape(-1),
         (-step_lr * g_neg[..., None] * h[:, None, :]).reshape(-1, h.shape[1]),
@@ -166,7 +167,7 @@ def fit_skipgram(
         grad_v, loss = sgns_step(
             w_in[centers], contexts, w_out, noise, rng, negatives, step_lr
         )
-        np.add.at(w_in, centers, -step_lr * grad_v)
+        scatter_add(w_in, centers, -step_lr * grad_v)
         losses[epoch] += loss
     w_in[PAD_ID] = 0.0
     return SkipGramFit(w_in, w_out, [s / len(pairs) for s in losses])

@@ -8,13 +8,13 @@ from their n-grams alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from wordcam.corpus import PAD_ID
-from wordcam.embed.channels import EmbeddingChannel, Source
+from wordcam.embed.channels import EmbeddingChannel, Source, scatter_add
 from wordcam.embed.skipgram import (
     NoiseTable,
     check_sgns,
@@ -58,7 +58,17 @@ class SubwordFit:
     ngram_min: int
     ngram_max: int
     bucket: int
+    id_to_token: InitVar[Sequence[str]]
+    # CSR n-gram index of the vocabulary: word i's bucket rows are
+    # grams[offsets[i] : offsets[i + 1]]; pad has none
+    offsets: np.ndarray = field(init=False)
+    grams: np.ndarray = field(init=False)
     epoch_losses: list[float] = field(default_factory=list)
+
+    def __post_init__(self, id_to_token: Sequence[str]):
+        per_word = [[]] + [self.gram_ids(tok) for tok in id_to_token[1:]]
+        self.offsets = np.cumsum([0] + [len(g) for g in per_word])
+        self.grams = np.asarray([g for gs in per_word for g in gs], dtype=np.int64)
 
     def gram_ids(self, word: str) -> list[int]:
         return [
@@ -97,28 +107,26 @@ def fit_subword(
     word_vecs[PAD_ID] = 0.0
     gram_vecs = rng.uniform(-0.5 / k, 0.5 / k, size=(bucket, k))
     w_out = np.zeros((vocab_size, k))
-    fit = SubwordFit(word_vecs, gram_vecs, w_out, ngram_min, ngram_max, bucket)
+    fit = SubwordFit(
+        word_vecs, gram_vecs, w_out, ngram_min, ngram_max, bucket, id_to_token
+    )
     pairs = context_pairs(sentences, window)
     noise = NoiseTable(sentences, vocab_size)
 
-    # CSR-style n-gram index per vocabulary word (pad has none)
-    grams_per_word = [[]] + [fit.gram_ids(tok) for tok in id_to_token[1:]]
-    offsets = np.cumsum([0] + [len(g) for g in grams_per_word])
-    flat_grams = np.asarray([g for gs in grams_per_word for g in gs], dtype=np.int64)
-
     losses = [0.0] * epochs
     for epoch, centers, contexts, step_lr in sgns_chunks(pairs, epochs, lr, chunk):
-        counts = offsets[centers + 1] - offsets[centers]
-        gram_rows = np.concatenate(
-            [flat_grams[offsets[c] : offsets[c + 1]] for c in centers]
-        )
+        # the centers' n-gram rows end to end; seg names each row's center
+        starts = fit.offsets[centers]
+        counts = fit.offsets[centers + 1] - starts
         seg = np.repeat(np.arange(len(centers)), counts)
+        first = np.cumsum(counts) - counts
+        gram_rows = fit.grams[starts[seg] + np.arange(len(seg)) - first[seg]]
         h = word_vecs[centers]
-        np.add.at(h, seg, gram_vecs[gram_rows])
+        scatter_add(h, seg, gram_vecs[gram_rows])
 
         grad_h, loss = sgns_step(h, contexts, w_out, noise, rng, negatives, step_lr)
-        np.add.at(word_vecs, centers, -step_lr * grad_h)
-        np.add.at(gram_vecs, gram_rows, -step_lr * grad_h[seg])
+        scatter_add(word_vecs, centers, -step_lr * grad_h)
+        scatter_add(gram_vecs, gram_rows, -step_lr * grad_h[seg])
         losses[epoch] += loss
     fit.epoch_losses = [s / len(pairs) for s in losses]
     word_vecs[PAD_ID] = 0.0
@@ -147,10 +155,9 @@ def train_subword(
         epochs=epochs, lr=lr, seed=seed, chunk=chunk,
     )
     table = np.zeros((len(id_to_token), k), dtype=np.float64)
-    for i, tok in enumerate(id_to_token):
-        if i == PAD_ID:
-            continue
-        table[i] = fit.materialize(tok, word_id=i)
+    for i in range(1, len(id_to_token)):
+        rows = fit.grams[fit.offsets[i] : fit.offsets[i + 1]]
+        table[i] = fit.gram_vecs[rows].sum(axis=0) + fit.word_vecs[i]
     table = table.astype(dtype)
     table[PAD_ID] = 0.0
     return EmbeddingChannel(table, trainable=True, source=Source.SUBWORD)

@@ -40,6 +40,7 @@ from wordcam.embed.channels import (
     Source,
     malformed,
     read_container,
+    scatter_add,
 )
 from wordcam.errors import ConfigError, DataError
 
@@ -420,7 +421,7 @@ def backward(
         if not ch.trainable:
             continue
         g = np.zeros_like(ch.table, dtype=dtype)
-        np.add.at(g, flat_ids, d_words[:, c])
+        scatter_add(g, flat_ids, d_words[:, c])
         g[PAD_ID] = 0.0
         emb_grads[c] = g
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wordcam.corpus import Vocabulary
 from wordcam.embed import (
@@ -13,6 +15,7 @@ from wordcam.embed import (
     load_channel,
     save_channel,
 )
+from wordcam.embed.channels import scatter_add
 from wordcam.errors import ConfigError, DataError
 
 
@@ -148,3 +151,28 @@ def test_text_export_import(tmp_path):
     got = import_text(partial, vocab)
     assert np.allclose(got.table[vocab.token_to_id["bee"]], [1, 2, 3, 4])
     assert np.all(got.table[vocab.token_to_id["ant"]] == 0.0)
+
+
+@given(
+    st.sampled_from([np.float32, np.float64]),
+    st.sampled_from([None, 1, 5]),  # None: a 1-D table
+    st.integers(1, 4),
+    st.integers(0, 40),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_scatter_add_is_np_add_at(dtype, k, n_table, n_rows, strided, seed):
+    """Same bits as np.add.at, for few table rows hit many times each, no
+    rows at all, and a strided values view like backward's d_words[:, c]."""
+    rng = np.random.default_rng(seed)
+    row_shape = () if k is None else (k,)
+    table = rng.standard_normal((n_table, *row_shape)).astype(dtype)
+    rows = rng.integers(0, n_table, size=n_rows)
+    # magnitudes over 16 decades, so any change in summation order shows
+    scale = 10.0 ** rng.integers(-8, 8, size=(len(rows), 2, *row_shape))
+    values = (rng.standard_normal(scale.shape) * scale).astype(dtype)
+    values = values[:, 1] if strided else np.ascontiguousarray(values[:, 1])
+    want = table.copy()
+    np.add.at(want, rows, values)
+    scatter_add(table, rows, values)
+    assert np.array_equal(table, want)

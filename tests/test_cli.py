@@ -308,9 +308,10 @@ def test_topwords_empty_test_split_exits_3(pipeline_dirs):
     assert rc == 3
 
 
-@pytest.mark.parametrize(
-    "damage", ["cut-12", "cut-header", "cut-payload", "bad-header", "renamed-key"]
-)
+@pytest.mark.parametrize("damage", [
+    "cut-12", "cut-header", "cut-payload", "bad-header", "renamed-key", "missing",
+    "directory",
+])
 @pytest.mark.parametrize("fmt", ["ckpt", "emb"])
 def test_damaged_artifact_is_a_data_error(tmp_path, fmt, damage):
     path = tmp_path / f"artifact.{fmt}"
@@ -332,10 +333,14 @@ def test_damaged_artifact_is_a_data_error(tmp_path, fmt, damage):
         key = {"ckpt": b'"hyper"', "emb": b'"v"'}[fmt]
         assert blob.count(key, header_at, header_end) == 1
         blob = blob.replace(key, key[:-2] + b'x"', 1)
-    else:
+    elif damage.startswith("cut-"):
         blob = blob[: {"cut-12": 12, "cut-header": header_end - 3,
                        "cut-payload": len(blob) - 3}[damage]]
-    path.write_bytes(blob)
+    path.unlink()
+    if damage == "directory":
+        path.mkdir()
+    elif damage != "missing":
+        path.write_bytes(blob)
     with pytest.raises(DataError):
         load(path)
     if fmt == "ckpt":
@@ -345,6 +350,7 @@ def test_damaged_artifact_is_a_data_error(tmp_path, fmt, damage):
 @pytest.mark.parametrize("meta", [
     "{not json", "{}", '{"mode": "3ch", "files": []}',
     '{"mode": "2ch", "files": ["channel_0.emb"]}',  # too few files for the mode
+    '{"mode": "2ch", "files": ["channel_0.emb", "gone.emb"]}',  # no such file
 ])
 def test_malformed_channel_metadata_exits_3(pipeline_dirs, meta):
     dirs = pipeline_dirs
