@@ -378,10 +378,8 @@ def cmd_train(cfg: RunConfig) -> int:
     initial_digest = params_digest(initial_params)
 
     def checkpoint_epoch(epoch: int, state) -> None:
-        tmp = out / "last.ckpt.tmp"
-        save_checkpoint(tmp, state.params, state.channels, vocab_hash,
+        save_checkpoint(out / "last.ckpt", state.params, state.channels, vocab_hash,
                         extra={"epoch": epoch})
-        tmp.replace(out / "last.ckpt")
 
     result = train_epochs(
         prepared.train, prepared.test, channels, hyper, tconfig,

@@ -8,7 +8,7 @@ masks id-0 positions, so the pin is structural, not just an initialization.
 from __future__ import annotations
 
 import json
-import struct
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -19,7 +19,7 @@ import numpy as np
 from wordcam.corpus import Vocabulary
 from wordcam.errors import ConfigError, DataError
 
-_MAGIC = b"WEMB1\n"
+_MAGIC = b"WEMB2\n"
 
 
 class Source(Enum):
@@ -195,31 +195,43 @@ def assemble(
 # ---------------------------------------------------------------------------
 
 
-def save_channel(channel: EmbeddingChannel, path: Path | str) -> None:
-    """Binary container: magic, JSON header, then row-major float32 data."""
-    header = json.dumps(
-        {
-            "v": channel.vocab_size,
-            "k": channel.dim,
-            "source": channel.source.value,
-            "trainable": channel.trainable,
-        },
-        sort_keys=True,
-    ).encode("utf-8")
-    body = np.ascontiguousarray(channel.table, dtype="<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(header)))
-        fh.write(header)
-        fh.write(body)
+def write_container(
+    path: Path | str, magic: bytes, header: dict, arrays: list[tuple[str, np.ndarray]]
+) -> None:
+    """Write the artifact layout shared by channel files and checkpoints.
+
+    ``magic``, a u32 little-endian header length, the sorted-key JSON of
+    ``header`` plus a ``manifest`` (name, shape and dtype of each array, in
+    list order), then each array's row-major bytes in that order. The file
+    is written to ``<path>.tmp`` and renamed onto ``path``, so a write that
+    fails part-way leaves the previous artifact as it was.
+    """
+    manifest = [
+        {"name": name, "shape": list(arr.shape), "dtype": str(arr.dtype)}
+        for name, arr in arrays
+    ]
+    blob = json.dumps({**header, "manifest": manifest}, sort_keys=True).encode("utf-8")
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic)
+            fh.write(len(blob).to_bytes(4, "little"))
+            fh.write(blob)
+            for _, arr in arrays:
+                fh.write(np.ascontiguousarray(arr).tobytes())
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def read_container(path: Path | str, magic: bytes, what: str) -> tuple[dict, bytes]:
-    """Split a magic + u32 length + JSON header file into (header, payload).
+def read_container(path: Path | str, magic: bytes, what: str) -> tuple[dict, dict]:
+    """Read a ``write_container`` file as (header, {name: array}).
 
     A file that cannot be read (missing, a directory, no permission), a
-    wrong magic, a header cut short, or a header that is not JSON raises
-    DataError; the caller checks the payload length against the header.
+    wrong magic, a header cut short or not JSON, a malformed manifest entry,
+    or a payload whose length is not the sum of the manifest's array sizes
+    raises DataError. The header keeps its ``manifest``.
     """
     try:
         fh = open(path, "rb")
@@ -231,15 +243,28 @@ def read_container(path: Path | str, magic: bytes, what: str) -> tuple[dict, byt
         raw_len = fh.read(4)
         if len(raw_len) != 4:
             raise DataError(f"{path}: truncated header")
-        (hlen,) = struct.unpack("<I", raw_len)
+        hlen = int.from_bytes(raw_len, "little")
         blob = fh.read(hlen)
         if len(blob) != hlen:
             raise DataError(f"{path}: truncated header")
         payload = fh.read()
-    try:
-        return json.loads(blob.decode("utf-8")), payload
-    except ValueError as exc:  # bad UTF-8 or bad JSON
-        raise DataError(f"{path}: unreadable header ({exc})") from exc
+    with malformed(path):
+        header = json.loads(blob.decode("utf-8"))
+        entries = []
+        for entry in header["manifest"]:
+            shape = tuple(entry["shape"])
+            if not all(type(n) is int and n >= 0 for n in shape):
+                raise DataError(f"{path}: bad shape {shape} in the manifest")
+            entries.append((entry["name"], np.dtype(entry["dtype"]), shape))
+        sizes = [dtype.itemsize * math.prod(shape) for _, dtype, shape in entries]
+        if sum(sizes) != len(payload):
+            raise DataError(f"{path}: {len(payload)} payload bytes, manifest {sum(sizes)}")
+        arrays, offset = {}, 0
+        for (name, dtype, shape), size in zip(entries, sizes):
+            arr = np.frombuffer(payload, dtype, math.prod(shape), offset)
+            arrays[name] = arr.reshape(shape).copy()
+            offset += size
+        return header, arrays
 
 
 @contextmanager
@@ -255,14 +280,20 @@ def malformed(path: Path | str, what: str = "header"):
         raise DataError(f"{path}: malformed {what} ({exc!r})") from exc
 
 
+def save_channel(channel: EmbeddingChannel, path: Path | str) -> None:
+    """The channel's source and trainable flag, then its table as
+    row-major little-endian float32 (``write_container``)."""
+    header = {"source": channel.source.value, "trainable": channel.trainable}
+    table = np.ascontiguousarray(channel.table, dtype="<f4")
+    write_container(path, _MAGIC, header, [("table", table)])
+
+
 def load_channel(path: Path | str) -> EmbeddingChannel:
-    meta, body = read_container(path, _MAGIC, "an embedding channel file")
+    meta, arrays = read_container(path, _MAGIC, "an embedding channel file")
     with malformed(path):
-        v, k = meta["v"], meta["k"]
-        if len(body) != 4 * v * k:
-            raise DataError(f"{path}: {len(body)} payload bytes for a {v}x{k} table")
-        table = np.frombuffer(body, dtype="<f4").reshape(v, k).copy()
-        return EmbeddingChannel(table, bool(meta["trainable"]), Source(meta["source"]))
+        return EmbeddingChannel(
+            arrays["table"], bool(meta["trainable"]), Source(meta["source"])
+        )
 
 
 def export_text(channel: EmbeddingChannel, vocab: Vocabulary, path: Path | str) -> None:

@@ -25,9 +25,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import hashlib
-import json
-import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -41,6 +39,7 @@ from wordcam.embed.channels import (
     malformed,
     read_container,
     scatter_add,
+    write_container,
 )
 from wordcam.errors import ConfigError, DataError
 
@@ -80,6 +79,15 @@ class ModelHyper:
         i = self.heights.index(h)
         return slice(i * self.n_filters, (i + 1) * self.n_filters)
 
+    def param_shapes(self) -> list[tuple[str, tuple[int, ...]]]:
+        """Name and shape of each parameter array, in ``named_arrays`` order."""
+        out = []
+        for h in self.heights:
+            out.append((f"conv_w[{h}]", (self.n_channels, self.n_filters, h * self.k)))
+            out.append((f"conv_b[{h}]", (self.n_filters,)))
+        return out + [("fc_w", (self.n_classes, self.n_features)),
+                      ("fc_b", (self.n_classes,))]
+
 
 @dataclass
 class ModelParams:
@@ -111,17 +119,18 @@ class ModelParams:
 
     @classmethod
     def zeros(cls, hyper: ModelHyper, dtype=np.float32) -> "ModelParams":
-        conv_w = {
-            h: np.zeros((hyper.n_channels, hyper.n_filters, h * hyper.k), dtype=dtype)
-            for h in hyper.heights
-        }
-        conv_b = {h: np.zeros(hyper.n_filters, dtype=dtype) for h in hyper.heights}
+        arrays = {name: np.zeros(s, dtype=dtype) for name, s in hyper.param_shapes()}
+        return cls.from_named(hyper, arrays)
+
+    @classmethod
+    def from_named(cls, hyper: ModelHyper, arrays: dict) -> "ModelParams":
+        """Parameters from arrays keyed by their ``named_arrays`` names."""
         return cls(
             hyper,
-            conv_w,
-            conv_b,
-            np.zeros((hyper.n_classes, hyper.n_features), dtype=dtype),
-            np.zeros(hyper.n_classes, dtype=dtype),
+            {h: arrays[f"conv_w[{h}]"] for h in hyper.heights},
+            {h: arrays[f"conv_b[{h}]"] for h in hyper.heights},
+            arrays["fc_w"],
+            arrays["fc_b"],
         )
 
     @property
@@ -440,92 +449,53 @@ def save_checkpoint(
     vocab_hash: str,
     extra: dict | None = None,
 ) -> None:
-    """Versioned binary container: hyperparameters, tensors, channel tables."""
-    hyper = params.hyper
-    arrays: list[np.ndarray] = []
-    manifest: list[dict] = []
-
-    def put(name: str, arr: np.ndarray):
-        manifest.append({"name": name, "shape": list(arr.shape), "dtype": str(arr.dtype)})
-        arrays.append(np.ascontiguousarray(arr))
-
-    for h in hyper.heights:
-        put(f"conv_w[{h}]", params.conv_w[h])
-        put(f"conv_b[{h}]", params.conv_b[h])
-    put("fc_w", params.fc_w)
-    put("fc_b", params.fc_b)
-    for i, ch in enumerate(channels.channels):
-        put(f"channel[{i}]", ch.table)
-
+    """Versioned binary container (``write_container``): hyperparameters and
+    channel metadata in the header, then the parameter tensors and the
+    channel tables."""
     header = {
-        "hyper": {
-            "k": hyper.k,
-            "d": hyper.d,
-            "heights": list(hyper.heights),
-            "n_filters": hyper.n_filters,
-            "n_classes": hyper.n_classes,
-            "n_channels": hyper.n_channels,
-        },
+        "hyper": asdict(params.hyper),
         "mode": channels.mode.value,
         "channel_meta": [
             {"source": ch.source.value, "trainable": ch.trainable}
             for ch in channels.channels
         ],
         "vocab_sha256": vocab_hash,
-        "manifest": manifest,
         "extra": extra or {},
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for arr in arrays:
-            fh.write(arr.tobytes())
+    arrays = params.named_arrays() + [
+        (f"channel[{i}]", ch.table) for i, ch in enumerate(channels.channels)
+    ]
+    write_container(path, _CKPT_MAGIC, header, arrays)
 
 
 def load_checkpoint(path) -> tuple[ModelParams, ChannelConfig, dict]:
-    header, payload = read_container(path, _CKPT_MAGIC, "a model checkpoint")
+    """Load a checkpoint, checking its arrays against its hyperparameters:
+    a parameter of another shape, a channel table of another k, a channel
+    count other than ``n_channels``, or a non-finite parameter raises
+    DataError."""
+    header, arrays = read_container(path, _CKPT_MAGIC, "a model checkpoint")
     with malformed(path):
-        sizes = [
-            np.dtype(e["dtype"]).itemsize * int(np.prod(e["shape"], dtype=np.int64))
-            for e in header["manifest"]
-        ]
-        if sum(sizes) != len(payload):
-            raise DataError(
-                f"{path}: {len(payload)} payload bytes, manifest lists {sum(sizes)}"
-            )
-
-        hyper = ModelHyper(
-            k=header["hyper"]["k"],
-            d=header["hyper"]["d"],
-            heights=tuple(header["hyper"]["heights"]),
-            n_filters=header["hyper"]["n_filters"],
-            n_classes=header["hyper"]["n_classes"],
-            n_channels=header["hyper"]["n_channels"],
-        )
-        loaded: dict[str, np.ndarray] = {}
-        offset = 0
-        for entry, nbytes in zip(header["manifest"], sizes):
-            arr = np.frombuffer(payload[offset : offset + nbytes], dtype=entry["dtype"])
-            loaded[entry["name"]] = arr.reshape(entry["shape"]).copy()
-            offset += nbytes
-
-        params = ModelParams(
-            hyper,
-            {h: loaded[f"conv_w[{h}]"] for h in hyper.heights},
-            {h: loaded[f"conv_b[{h}]"] for h in hyper.heights},
-            loaded["fc_w"],
-            loaded["fc_b"],
-        )
+        hyper = ModelHyper(**header["hyper"])
+        channel_meta = header["channel_meta"]
+        if len(channel_meta) != hyper.n_channels:
+            raise DataError(f"{path}: {len(channel_meta)} channels, not {hyper.n_channels}")
         chans = tuple(
             EmbeddingChannel(
-                loaded[f"channel[{i}]"],
+                arrays[f"channel[{i}]"],
                 trainable=meta["trainable"],
                 source=Source(meta["source"]),
             )
-            for i, meta in enumerate(header["channel_meta"])
+            for i, meta in enumerate(channel_meta)
         )
+        for i, ch in enumerate(chans):
+            if ch.dim != hyper.k:
+                raise DataError(f"{path}: channel[{i}] k={ch.dim}, hyper k={hyper.k}")
+        for name, shape in hyper.param_shapes():
+            if arrays[name].shape != shape:
+                raise DataError(f"{path}: {name} is {arrays[name].shape}, not {shape}")
+            if not np.all(np.isfinite(arrays[name])):
+                raise DataError(f"{path}: {name} contains non-finite entries")
+        params = ModelParams.from_named(hyper, arrays)
         config = ChannelConfig(InputMode(header["mode"]), chans)
         meta = {"vocab_sha256": header["vocab_sha256"], "extra": header["extra"]}
         return params, config, meta

@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import hashlib
 import json
 from pathlib import Path
 
@@ -6,9 +8,23 @@ import numpy as np
 import pytest
 
 from wordcam.cli import RunConfig, build_parser, main, read_config_file
-from wordcam.embed import InputMode, assemble, init_random, load_channel, save_channel
+from wordcam.embed import (
+    EmbeddingChannel,
+    InputMode,
+    Source,
+    assemble,
+    load_channel,
+    save_channel,
+)
+from wordcam.embed import channels as channels_module
 from wordcam.errors import DataError
-from wordcam.model import ModelHyper, ModelParams, load_checkpoint, save_checkpoint
+from wordcam.model import (
+    ModelHyper,
+    ModelParams,
+    forward,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def make_csv(path: Path, n_per_class=12, seed=0):
@@ -308,31 +324,59 @@ def test_topwords_empty_test_split_exits_3(pipeline_dirs):
     assert rc == 3
 
 
-@pytest.mark.parametrize("damage", [
-    "cut-12", "cut-header", "cut-payload", "bad-header", "renamed-key", "missing",
-    "directory",
-])
-@pytest.mark.parametrize("fmt", ["ckpt", "emb"])
+def _save_tiny(path, fmt):
+    """Save a tiny checkpoint (k=4, d=5, heights (2,), 3 filters, one 9x4
+    channel) or that channel alone, built from counting arrays so that its
+    bytes do not depend on numpy's random streams; return its loader."""
+    table = np.arange(36, dtype=np.float32).reshape(9, 4) / 8
+    table[0] = 0.0
+    channel = EmbeddingChannel(table, trainable=True, source=Source.RAND)
+    if fmt == "emb":
+        save_channel(channel, path)
+        return load_channel
+    params = ModelParams.zeros(ModelHyper(k=4, d=5, heights=(2,), n_filters=3))
+    for _, arr in params.named_arrays():
+        arr[...] = np.arange(arr.size).reshape(arr.shape) / 16
+    save_checkpoint(path, params, assemble(InputMode.RAND, rand=channel), vocab_hash="abc")
+    return load_checkpoint
+
+
+def _header_span(blob):
+    """Start and end of the JSON header: after the magic line and a u32 length."""
+    at = blob.index(b"\n") + 1 + 4
+    return at, at + int.from_bytes(blob[at - 4 : at], "little")
+
+
+_DAMAGES = ["cut-12", "cut-header", "cut-payload", "bad-header", "renamed-key",
+            "hyper-mismatch", "non-finite", "missing", "directory"]
+
+
+@pytest.mark.parametrize("fmt,damage", [
+    (fmt, damage) for damage in _DAMAGES for fmt in ("ckpt", "emb")
+] + [("emb", "old-magic")])
 def test_damaged_artifact_is_a_data_error(tmp_path, fmt, damage):
     path = tmp_path / f"artifact.{fmt}"
-    channel = init_random(9, 4, seed=0)
-    if fmt == "ckpt":
-        params = ModelParams.init(ModelHyper(k=4, d=5, heights=(2,), n_filters=3))
-        config = assemble(InputMode.RAND, rand=channel)
-        save_checkpoint(path, params, config, vocab_hash="abc")
-        load = load_checkpoint
-    else:
-        save_channel(channel, path)
-        load = load_channel
+    load = _save_tiny(path, fmt)
     blob = path.read_bytes()
-    header_at = blob.index(b"\n") + 1 + 4  # magic line, then a u32 length
-    header_end = header_at + int.from_bytes(blob[header_at - 4 : header_at], "little")
+    header_at, header_end = _header_span(blob)
     if damage == "bad-header":
         blob = blob[:header_at] + b"\xff" + blob[header_at + 1 :]
-    elif damage == "renamed-key":  # still valid JSON of the same length
-        key = {"ckpt": b'"hyper"', "emb": b'"v"'}[fmt]
+    elif damage in ("renamed-key", "hyper-mismatch"):  # valid JSON of the same length
+        key, new = {
+            ("ckpt", "renamed-key"): (b'"hyper"', b'"hypex"'),
+            ("emb", "renamed-key"): (b'"manifest"', b'"manifesx"'),
+            ("ckpt", "hyper-mismatch"): (b'"k": 4', b'"k": 5'),
+            ("emb", "hyper-mismatch"): (b'[9, 4]', b'[9, 5]'),
+        }[fmt, damage]
         assert blob.count(key, header_at, header_end) == 1
-        blob = blob.replace(key, key[:-2] + b'x"', 1)
+        blob = blob.replace(key, new, 1)
+    elif damage == "non-finite":  # the fifth stored value: conv_w[2], or table row 1
+        nan_at = header_end + 16
+        blob = blob[:nan_at] + np.float32(np.nan).tobytes() + blob[nan_at + 4 :]
+    elif damage == "old-magic":  # a channel file in the layout before the manifest
+        old = json.dumps({"k": 4, "source": "rand", "trainable": True, "v": 9},
+                         sort_keys=True).encode("utf-8")
+        blob = b"WEMB1\n" + len(old).to_bytes(4, "little") + old + blob[header_end:]
     elif damage.startswith("cut-"):
         blob = blob[: {"cut-12": 12, "cut-header": header_end - 3,
                        "cut-payload": len(blob) - 3}[damage]]
@@ -345,6 +389,97 @@ def test_damaged_artifact_is_a_data_error(tmp_path, fmt, damage):
         load(path)
     if fmt == "ckpt":
         assert run(["evaluate", "--checkpoint", path, "--corpus", tmp_path]) == 3
+
+
+def _forward_on(fmt, loaded):
+    """Logits of forward on ids 1, 2, 3 (cut to d) with a loaded checkpoint,
+    or with a zero model around a loaded channel."""
+    if fmt == "ckpt":
+        params, config, _ = loaded
+    else:
+        params = ModelParams.zeros(ModelHyper(k=loaded.dim, d=5, heights=(2,), n_filters=3))
+        config = assemble(InputMode.RAND, rand=loaded)
+    return forward([1, 2, 3][: params.hyper.d], params, config).logits
+
+
+@pytest.mark.parametrize("fmt", ["ckpt", "emb"])
+def test_every_cut_and_header_bit_flip_is_caught(tmp_path, fmt):
+    """Every truncation, and every single-bit flip before the payload (a flip
+    inside it only changes a float), either raises DataError or loads into
+    something forward runs on."""
+    path = tmp_path / f"artifact.{fmt}"
+    load = _save_tiny(path, fmt)
+    blob = path.read_bytes()
+    damaged = [(f"cut to {n} bytes", blob[:n]) for n in range(len(blob))]
+    for i in range(_header_span(blob)[1]):
+        for bit in range(8):
+            flipped = bytearray(blob)
+            flipped[i] ^= 1 << bit
+            damaged.append((f"bit {bit} of byte {i} flipped", bytes(flipped)))
+    escaped = []
+    for what, data in damaged:
+        path.write_bytes(data)
+        try:
+            loaded = load(path)
+        except DataError:
+            continue
+        except Exception as exc:
+            escaped.append(f"{what}: load raised {exc!r}")
+            continue
+        try:
+            assert np.all(np.isfinite(_forward_on(fmt, loaded)))
+        except Exception as exc:
+            escaped.append(f"{what}: loaded, then forward raised {exc!r}")
+    assert not escaped
+
+
+@pytest.mark.parametrize("fmt", ["ckpt", "emb"])
+def test_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch, fmt):
+    path = tmp_path / f"artifact.{fmt}"
+    load = _save_tiny(path, fmt)
+    before = path.read_bytes()
+
+    class DiskFull:
+        """A file whose write that would complete the artifact fails."""
+
+        def __init__(self, fh):
+            self.fh, self.written = fh, 0
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.written += memoryview(data).nbytes
+            if self.written >= len(before):
+                raise OSError(errno.ENOSPC, "no space left on device")
+            return self.fh.write(data)
+
+    monkeypatch.setattr(channels_module, "open",
+                        lambda p, mode="r": DiskFull(open(p, mode)), raising=False)
+    with pytest.raises(OSError):
+        _save_tiny(path, fmt)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    load(path)
+    assert list(tmp_path.iterdir()) == [path]  # no temporary file left behind
+
+
+def test_artifact_layout_is_pinned(tmp_path):
+    """The bytes of both artifact kinds for fixed inputs, so that a change to
+    the layout is made on purpose. The checkpoint's digest is also that of
+    the layout before channel files shared it."""
+    digests = {}
+    for fmt in ("ckpt", "emb"):
+        path = tmp_path / f"artifact.{fmt}"
+        _save_tiny(path, fmt)
+        digests[fmt] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == {
+        "ckpt": "c86d0a34258dbe4d0212f88bfcc87a2f846142c12e1d1582507ef40e619b06a3",
+        "emb": "31218846f8fe9680c6c6386f16468fbb808c1145fe193957ad102214ce69f528",
+    }
 
 
 @pytest.mark.parametrize("meta", [
