@@ -18,7 +18,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wordcam.attention import attend
+from wordcam.attention import attend_examples
 from wordcam.corpus import (
     IMDB_SCHEME,
     Vocabulary,
@@ -35,9 +35,9 @@ from wordcam.embed import (
     train_skipgram,
     train_subword,
 )
-from wordcam.model import ModelHyper, forward
+from wordcam.model import ModelHyper
 from wordcam.report import accuracy_table, aggregate_top_words, from_attention, render_highlight
-from wordcam.train import OptimizerConfig, TrainConfig, batch_arrays, train_epochs
+from wordcam.train import OptimizerConfig, TrainConfig, evaluate, train_epochs
 
 
 def main() -> int:
@@ -110,8 +110,6 @@ def main() -> int:
         for rec in result.history:
             acc = "-" if rec.test_accuracy is None else f"{rec.test_accuracy:.4f}"
             print(f"  epoch {rec.epoch}: loss={rec.train_loss:.4f} acc={acc}")
-        from wordcam.train import evaluate
-
         reports[mode.value] = evaluate(result.best_params, result.best_channels,
                                        test_set)
         best[mode.value] = result
@@ -126,13 +124,7 @@ def main() -> int:
     mode = modes[0].value
     params = best[mode].best_params
     channels = best[mode].best_channels
-    results = []
-    for start in range(0, len(test_set), 256):
-        chunk = test_set[start : start + 256]
-        ids, lengths, _ = batch_arrays(chunk, d)
-        trace = forward(ids, params, channels, mode="infer", n_words=lengths)
-        for j, ex in enumerate(chunk):
-            results.append(attend(trace, params, ex.tokens, item=j))
+    results = attend_examples(params, channels, test_set)
     for i, res in enumerate(results[:6]):
         doc = from_attention(res)
         (out / f"{mode}_sample_{i}.html").write_bytes(render_highlight(doc, "html"))

@@ -14,17 +14,15 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wordcam.attention import attend
+from wordcam.attention import attend_examples
 from wordcam.corpus import Vocabulary, encode_example, split
 from wordcam.embed import InputMode, assemble, init_random
-from wordcam.model import ModelHyper, forward, save_checkpoint
+from wordcam.model import ModelHyper, save_checkpoint
 from wordcam.report import aggregate_top_words, from_attention, render_highlight
 from wordcam.synthetic import planted_corpus
-from wordcam.train import OptimizerConfig, TrainConfig, batch_arrays, train_epochs
+from wordcam.train import OptimizerConfig, TrainConfig, train_epochs
 
 
 def main() -> int:
@@ -66,13 +64,7 @@ def main() -> int:
     vocab.save(out / "vocab.tsv")
     save_checkpoint(out / "checkpoint.ckpt", params, trained, vocab.digest())
 
-    results = []
-    for start in range(0, len(test_set), 256):
-        chunk = test_set[start : start + 256]
-        ids, lengths, _ = batch_arrays(chunk, d)
-        trace = forward(ids, params, trained, mode="infer", n_words=lengths)
-        for j, ex in enumerate(chunk):
-            results.append(attend(trace, params, ex.tokens, item=j))
+    results = attend_examples(params, trained, test_set)
 
     for i, res in enumerate(results[:8]):
         doc = from_attention(res)

@@ -1,14 +1,14 @@
-"""Per-word class scores derived from the trained CNN.
-
-For each filter height, the cached feature map is combined with the FC
-weight slice of the target class into a score vector over feature-map
-positions; averaging the h entries whose convolution windows contain a word
+"""Per-word class scores derived from the trained CNN: a class activation
+map (Zhou et al. 2016), computed by ``class_scores`` for a batch of trace
+rows and every class at once. For each filter height, the cached feature map
+times a class's FC weight slice is a score vector over feature-map positions;
+averaging the h entries whose convolution windows contain a word
 redistributes those scores onto the d word positions, and summing across
-filter heights gives the final per-word raw score.
+filter heights gives the raw per-word score.
 
 Because the pooled feature vector is the positional mean of each feature
 map, the position-mean of the score vectors summed over heights equals the
-class logit minus its bias exactly; ``consistency_gap`` measures that
+class logit minus its bias exactly; ``class_scores`` returns the gap in that
 identity and the tests enforce it.
 
 All score arithmetic runs in float64 regardless of the model storage dtype.
@@ -22,73 +22,55 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from wordcam.embed.channels import ChannelConfig
 from wordcam.errors import ConfigError, DataError
-from wordcam.model import ForwardTrace, ModelParams, gather
+from wordcam.model import ForwardTrace, ModelParams, forward, gather
+from wordcam.train import batch_arrays
+
+_BATCH = 256
+FRACTION = 0.10  # default share of a sentence's words selected as its top words
 
 
-def score_vector(fmap: np.ndarray, class_weights: np.ndarray) -> np.ndarray:
-    """Combine one feature map (I, n_filters) with one class's FC weight
-    slice for that filter height, yielding a score per feature-map position."""
-    fmap = np.asarray(fmap, dtype=np.float64)
-    class_weights = np.asarray(class_weights, dtype=np.float64)
-    if fmap.ndim != 2 or class_weights.shape != (fmap.shape[1],):
-        raise ValueError(
-            f"shape mismatch: fmap {fmap.shape}, weights {class_weights.shape}"
-        )
-    return fmap @ class_weights
-
-
-def word_scores(v: np.ndarray, h: int, d: int) -> np.ndarray:
-    """Redistribute a length d+h-1 score vector onto the d word positions.
-
-    s[p] is the mean of v over the h convolution windows whose receptive
-    field contains word p, as listed by the model's ``gather``.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (d + h - 1,):
-        raise ValueError(f"score vector must have length d+h-1={d + h - 1}, got {v.shape}")
-    return gather(v.reshape(1, -1, 1), h)[0, :, :, 0].mean(axis=1)
-
-
-def word_attention(
-    trace: ForwardTrace, params: ModelParams, class_index: int, item: int = 0
-) -> np.ndarray:
-    """Raw per-word scores for one class: word_scores summed over heights.
+def class_scores(
+    trace: ForwardTrace, params: ModelParams, rows=slice(None)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw word scores (b, d, n_classes) of the trace rows ``rows`` for
+    every class, and the (b, n_classes) score/logit consistency gap
+    |sum over heights of mean(score vector) - (logit - fc bias)|.
 
     Requires an infer-mode trace; a dropout mask would break the relation
     between feature maps and the logits being explained.
     """
-    hyper = params.hyper
     if trace.mode != "infer":
         raise ConfigError("attention needs an infer-mode trace (no dropout)")
-    if not 0 <= class_index < hyper.n_classes:
-        raise ConfigError(f"class index {class_index} out of range")
-    raw = np.zeros(hyper.d)
+    hyper = params.hyper
+    raw = 0.0
+    total = 0.0
     for h in hyper.heights:
-        w_slice = params.fc_w[class_index, hyper.feature_slice(h)]
-        v = score_vector(trace.fmaps[h][item], w_slice)
-        raw += word_scores(v, h, hyper.d)
-    return raw
+        fmap = trace.fmaps[h][rows].astype(np.float64)
+        fc_w = params.fc_w[:, hyper.feature_slice(h)].astype(np.float64)
+        # one matvec per class: bit-identical to scoring each row alone,
+        # which a single (..., n) @ (n, c) GEMM is not
+        v = np.stack([fmap @ w for w in fc_w], axis=1)  # (b, c, d+h-1)
+        # classes ride in gather's batch axis, so the window mean reduces a
+        # contiguous axis; with classes last it is strided and slower
+        s = gather(v.reshape(-1, v.shape[2], 1), h).mean(axis=2)
+        raw = raw + s.reshape(v.shape[0], v.shape[1], -1).transpose(0, 2, 1)
+        total = total + v.mean(axis=2)
+    logits = trace.logits[rows].astype(np.float64) - params.fc_b.astype(np.float64)
+    return raw, np.abs(total - logits)
 
 
 def consistency_gap(
     trace: ForwardTrace, params: ModelParams, class_index: int, item: int = 0
 ) -> float:
-    """|sum over heights of mean(score vector) - (logit - fc bias)|.
+    """The score/logit gap of one trace row and class (see ``class_scores``).
 
     Algebraically zero for any parameters: average pooling makes each score
     vector's positional mean equal that height's contribution to the logit.
     """
-    hyper = params.hyper
-    total = 0.0
-    for h in hyper.heights:
-        w_slice = params.fc_w[class_index, hyper.feature_slice(h)]
-        v = score_vector(trace.fmaps[h][item], w_slice)
-        total += float(v.mean())
-    gap = total - (
-        float(trace.logits[item, class_index]) - float(params.fc_b[class_index])
-    )
-    return abs(gap)
+    _, gap = class_scores(trace, params, slice(item, item + 1))
+    return float(gap[0, class_index])
 
 
 def normalize_scores(raw: np.ndarray, n_words: int) -> np.ndarray:
@@ -116,7 +98,7 @@ def normalize_scores(raw: np.ndarray, n_words: int) -> np.ndarray:
 def select_top(
     raw: np.ndarray,
     n_words: int,
-    fraction: float = 0.10,
+    fraction: float = FRACTION,
     direction: str = "top",
 ) -> list[int]:
     """Positions of the ceil(fraction * n_words) highest (or lowest) scores.
@@ -171,12 +153,24 @@ class AttentionResult:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
+def _readout(raw, tokens: tuple, class_index: int, fraction: float) -> AttentionResult:
+    n_words = len(tokens)
+    return AttentionResult(
+        class_index=class_index,
+        tokens=tokens,
+        raw=raw,
+        normalized=normalize_scores(raw, n_words),
+        selected=tuple(select_top(raw, n_words, fraction=fraction)),
+        fraction=fraction,
+    )
+
+
 def attend(
     trace: ForwardTrace,
     params: ModelParams,
     tokens,
     class_index: int | None = None,
-    fraction: float = 0.10,
+    fraction: float = FRACTION,
     item: int = 0,
 ) -> AttentionResult:
     """Full attention readout for one sentence in an infer-mode trace.
@@ -190,14 +184,26 @@ def attend(
         raise DataError(f"got {len(tokens)} tokens for a {n_words}-word trace entry")
     if class_index is None:
         class_index = int(np.argmax(trace.logits[item]))
-    raw = word_attention(trace, params, class_index, item=item)
-    normalized = normalize_scores(raw, n_words)
-    selected = select_top(raw, n_words, fraction=fraction)
-    return AttentionResult(
-        class_index=class_index,
-        tokens=tokens,
-        raw=raw,
-        normalized=normalized,
-        selected=tuple(selected),
-        fraction=fraction,
-    )
+    if not 0 <= class_index < params.hyper.n_classes:
+        raise ConfigError(f"class index {class_index} out of range")
+    raw, _ = class_scores(trace, params, slice(item, item + 1))
+    return _readout(raw[0, :, class_index], tokens, class_index, fraction)
+
+
+def attend_examples(
+    params: ModelParams, channels: ChannelConfig, examples
+) -> list[AttentionResult]:
+    """``attend`` of each encoded example's predicted class, in order, run
+    through the model in forward batches of 256 sentences."""
+    results = []
+    for start in range(0, len(examples), _BATCH):
+        chunk = examples[start : start + _BATCH]
+        ids, lengths, _ = batch_arrays(chunk, params.hyper.d)
+        trace = forward(ids, params, channels, mode="infer", n_words=lengths)
+        raw, _ = class_scores(trace, params)
+        predicted = np.argmax(trace.logits, axis=1)
+        results += [
+            _readout(raw[j, :, c], ex.tokens, int(c), FRACTION)
+            for j, (ex, c) in enumerate(zip(chunk, predicted))
+        ]
+    return results

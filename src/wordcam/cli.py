@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from wordcam import corpus as corpus_mod
-from wordcam.attention import attend
+from wordcam.attention import attend, attend_examples
 from wordcam.embed import (
     ChannelConfig,
     InputMode,
@@ -51,7 +51,6 @@ from wordcam.report import (
 from wordcam.train import (
     OptimizerConfig,
     TrainConfig,
-    batch_arrays,
     evaluate,
     history_csv,
     train_epochs,
@@ -373,6 +372,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    # written first, so an interrupted run's last.ckpt is usable without --vocab
+    prepared.vocab.save(out / "vocab.tsv")
     vocab_hash = prepared.vocab.digest()
     initial_params = ModelParams.init(hyper, seed=cfg.seed)
     initial_digest = params_digest(initial_params)
@@ -396,7 +397,7 @@ def cmd_train(cfg: RunConfig) -> int:
     if params_digest(result.params) == initial_digest:
         print("warning: parameters unchanged by training (lr=0?)")
     print(f"best test accuracy: {result.best_accuracy:.4f}")
-    print(f"wrote checkpoint.ckpt, last.ckpt, history.csv to {cfg.out}")
+    print(f"wrote checkpoint.ckpt, last.ckpt, history.csv, vocab.tsv to {cfg.out}")
     return 0
 
 
@@ -489,16 +490,7 @@ def cmd_topwords(cfg: RunConfig) -> int:
     prepared = corpus_mod.load_prepared(cfg.corpus)
     if not prepared.test:
         raise DataError("prepared corpus has an empty test split")
-    results = []
-    batch = 256
-    for start in range(0, len(prepared.test), batch):
-        chunk = prepared.test[start : start + batch]
-        ids, lengths, _labels = batch_arrays(chunk, params.hyper.d)
-        trace = forward(ids, params, channels, mode="infer", n_words=lengths)
-        for j, ex in enumerate(chunk):
-            results.append(
-                attend(trace, params, ex.tokens, class_index=None, item=j)
-            )
+    results = attend_examples(params, channels, prepared.test)
     table = aggregate_top_words(results, k=cfg.top_k)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from wordcam.attention import AttentionResult
+from wordcam.attention import AttentionResult, select_top
 from wordcam.errors import ConfigError, DataError
 from wordcam.train import EvalReport
 
@@ -62,8 +62,6 @@ def from_attention(
 ) -> HighlightDoc:
     """Build a highlight doc from an attention result, optionally adding the
     bottom set for mixed-sentiment views."""
-    from wordcam.attention import select_top
-
     bottom: frozenset[int] = frozenset()
     if bottom_fraction is not None:
         bottom = frozenset(

@@ -21,7 +21,8 @@ from oracles import (
     relative_errors,
     word_scores_brute,
 )
-from wordcam.attention import attend, consistency_gap, word_scores
+from test_attention import scores_of_vector
+from wordcam.attention import attend, attend_examples, consistency_gap
 from wordcam.cli import main as cli_main
 from wordcam.corpus import (
     IMDB_SCHEME,
@@ -48,7 +49,7 @@ from wordcam.model import (
     loss_value,
 )
 from wordcam.synthetic import planted_corpus
-from wordcam.train import OptimizerConfig, TrainConfig, batch_arrays, evaluate, train_epochs
+from wordcam.train import OptimizerConfig, TrainConfig, evaluate, train_epochs
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -183,7 +184,7 @@ def test_criterion_3_word_score_oracle_equivalence():
         d = int(rng.integers(1, 21))
         h = int(rng.integers(1, 7))
         v = rng.normal(0, 3, size=d + h - 1)
-        got = word_scores(v, h, d)
+        got = scores_of_vector(v, h)
         want = word_scores_brute(v, h, d)
         worst = max(worst, float(np.abs(got - want).max()))
     report(
@@ -254,23 +255,17 @@ def test_criterion_5_planted_token_attention():
 
     hits = correct = 0
     attention_results = []
-    for start in range(0, len(test_set), 256):
-        chunk = test_set[start : start + 256]
-        ids, lengths, labels = batch_arrays(chunk, d)
-        trace = forward(ids, params, trained_channels, mode="infer",
-                        n_words=lengths)
-        preds = np.argmax(trace.logits, axis=1)
-        for j, ex in enumerate(chunk):
-            if preds[j] != labels[j]:
-                continue
-            res = attend(trace, params, ex.tokens, item=j)  # top 10% default
-            attention_results.append(res)
-            planted = (
-                corpus.positive_token if ex.label.value == 1
-                else corpus.negative_token
-            )
-            correct += 1
-            hits += planted in {ex.tokens[p] for p in res.selected}
+    # the predicted class, top 10% default; misclassified sentences skipped
+    for ex, res in zip(test_set, attend_examples(params, trained_channels, test_set)):
+        if res.class_index != ex.label.class_index:
+            continue
+        attention_results.append(res)
+        planted = (
+            corpus.positive_token if ex.label.value == 1
+            else corpus.negative_token
+        )
+        correct += 1
+        hits += planted in {ex.tokens[p] for p in res.selected}
     hit_rate = hits / correct
 
     table_ok = True

@@ -8,72 +8,101 @@ from hypothesis import strategies as st
 from oracles import score_vector_loops, windows_covering_word, word_scores_brute
 from wordcam.attention import (
     attend,
+    class_scores,
     consistency_gap,
     normalize_scores,
-    score_vector,
     select_top,
-    word_attention,
-    word_scores,
 )
+from wordcam.embed import InputMode, assemble, init_random
 from wordcam.errors import ConfigError, DataError
-from wordcam.model import forward
+from wordcam.model import ForwardTrace, ModelHyper, ModelParams, forward
+
+
+def given_fmaps(fmaps: dict, fc_w) -> tuple[ForwardTrace, ModelParams]:
+    """An infer-mode trace with the given feature maps (h -> (B, d+h-1, n))
+    and a model with the given (n_classes, n_features) FC weights, whose
+    logits follow from average pooling."""
+    heights = tuple(sorted(fmaps))
+    batch, length, n = fmaps[heights[0]].shape
+    d = length - heights[0] + 1
+    fc_w = np.asarray(fc_w, dtype=np.float64)
+    hyper = ModelHyper(k=1, d=d, heights=heights, n_filters=n,
+                       n_classes=fc_w.shape[0])
+    params = ModelParams.zeros(hyper, dtype=np.float64)
+    params.fc_w[:] = fc_w
+    pooled = np.concatenate([fmaps[h].mean(axis=1) for h in heights], axis=1)
+    trace = ForwardTrace(
+        ids=np.ones((batch, d), dtype=np.int64),
+        n_words=np.full(batch, d),
+        embedded=np.zeros((batch, 1, d, 1)),
+        fmaps=fmaps,
+        pooled=pooled,
+        dropout_mask=None,
+        pooled_dropped=pooled,
+        logits=pooled @ fc_w.T,
+        mode="infer",
+    )
+    return trace, params
+
+
+def scores_of_vector(v, h: int) -> np.ndarray:
+    """Word scores of one score vector v over d+h-1 feature-map positions:
+    class_scores of a one-height, one-filter model whose feature map is v
+    and whose FC weights are 1."""
+    trace, params = given_fmaps({h: np.reshape(v, (1, -1, 1))}, np.ones((2, 1)))
+    return class_scores(trace, params)[0][0, :, 0]
 
 
 # ---------------------------------------------------------------------------
-# score_vector
+# class_scores at h=1: the per-filter score vector, fmap @ class weights
 # ---------------------------------------------------------------------------
 
 
 def test_score_vector_zero_weights():
-    fmap = np.random.default_rng(0).normal(size=(7, 5))
-    assert np.all(score_vector(fmap, np.zeros(5)) == 0.0)
+    fmap = np.random.default_rng(0).normal(size=(1, 7, 5))
+    trace, params = given_fmaps({1: fmap}, np.zeros((2, 5)))
+    assert np.all(class_scores(trace, params)[0] == 0.0)
 
 
 def test_score_vector_one_hot():
-    fmap = np.zeros((6, 4))
-    fmap[2, 3] = 1.0
-    w = np.zeros(4)
-    w[3] = -1.5
-    v = score_vector(fmap, w)
+    fmap = np.zeros((1, 6, 4))
+    fmap[0, 2, 3] = 1.0
+    w = np.zeros((2, 4))
+    w[0, 3] = -1.5
+    trace, params = given_fmaps({1: fmap}, w)
+    v = class_scores(trace, params)[0][0, :, 0]
     assert v[2] == -1.5
     assert np.count_nonzero(v) == 1
 
 
 def test_score_vector_matches_double_loop():
     rng = np.random.default_rng(1)
-    fmap = rng.normal(size=(9, 6))
-    w = rng.normal(size=6)
-    assert np.allclose(score_vector(fmap, w), score_vector_loops(fmap, w), atol=1e-6)
-
-
-def test_score_vector_shape_mismatch():
-    with pytest.raises(ValueError):
-        score_vector(np.zeros((4, 3)), np.zeros(5))
+    fmap = rng.normal(size=(1, 9, 6))
+    w = rng.normal(size=(2, 6))
+    trace, params = given_fmaps({1: fmap}, w)
+    raw = class_scores(trace, params)[0]
+    for c in range(2):
+        assert np.allclose(raw[0, :, c], score_vector_loops(fmap[0], w[c]), atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
-# word_scores
+# class_scores on one score vector: redistribution onto the words
 # ---------------------------------------------------------------------------
 
 
 def test_word_scores_constant():
     v = np.full(7, 3.25)  # d=5, h=3
-    assert np.allclose(word_scores(v, 3, 5), 3.25)
+    assert np.allclose(scores_of_vector(v, 3), 3.25)
 
 
 def test_word_scores_h1_identity():
     v = np.arange(6.0)
-    assert np.array_equal(word_scores(v, 1, 6), v)
+    assert np.array_equal(scores_of_vector(v, 1), v)
 
 
 def test_word_scores_hand_example():
     v = np.array([1.0, 2, 3, 4, 5, 6, 7])
-    assert np.allclose(word_scores(v, 3, 5), [2, 3, 4, 5, 6])
-
-
-def test_word_scores_length_check():
-    with pytest.raises(ValueError):
-        word_scores(np.zeros(6), 3, 5)
+    assert np.allclose(scores_of_vector(v, 3), [2, 3, 4, 5, 6])
 
 
 @given(
@@ -83,7 +112,7 @@ def test_word_scores_length_check():
 )
 def test_word_scores_equals_window_enumeration(d, h, seed):
     v = np.random.default_rng(seed).normal(size=d + h - 1)
-    assert np.allclose(word_scores(v, h, d), word_scores_brute(v, h, d), atol=1e-12)
+    assert np.allclose(scores_of_vector(v, h), word_scores_brute(v, h, d), atol=1e-12)
 
 
 @given(
@@ -95,7 +124,7 @@ def test_word_scores_mass_law(d, h, seed):
     # total word mass equals (1/h) * sum_q c(q) v[q] where c(q) counts the
     # word windows containing feature position q
     v = np.random.default_rng(seed).normal(size=d + h - 1)
-    s = word_scores(v, h, d)
+    s = scores_of_vector(v, h)
     counts = np.zeros(d + h - 1)
     for p in range(d):
         for q in windows_covering_word(p, d, h):
@@ -104,7 +133,7 @@ def test_word_scores_mass_law(d, h, seed):
 
 
 # ---------------------------------------------------------------------------
-# word_attention and the pooling identity
+# class_scores on real traces, and the pooling identity
 # ---------------------------------------------------------------------------
 
 
@@ -112,18 +141,44 @@ def test_word_attention_zero_weights(tiny_setup):
     hyper, params, config = tiny_setup()
     params.fc_w[:] = 0.0
     trace = forward([1, 2, 3], params, config, mode="infer")
-    assert np.all(word_attention(trace, params, 0) == 0.0)
+    assert np.all(class_scores(trace, params)[0] == 0.0)
 
 
-def test_word_attention_is_sum_over_heights(tiny_setup):
-    hyper, params, config = tiny_setup()
-    trace = forward([1, 2, 3, 4], params, config, mode="infer")
-    raw = word_attention(trace, params, 1)
-    manual = np.zeros(hyper.d)
-    for h in hyper.heights:
-        w = params.fc_w[1, hyper.feature_slice(h)]
-        manual += word_scores(score_vector(trace.fmaps[h][0], w), h, hyper.d)
-    assert np.allclose(raw, manual, atol=1e-12)
+@given(
+    st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=4,
+             unique=True),
+    st.sets(st.integers(min_value=1, max_value=5), min_size=1, max_size=3),
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_word_attention_is_sum_over_heights(lengths, heights, n_filters, seed):
+    # every row and class against the heights' sum of the scalar oracles;
+    # each one-row slice is the same bits as its row of the batched call
+    d, k, vocab = 8, 4, 20
+    hyper = ModelHyper(k=k, d=d, heights=tuple(heights), n_filters=n_filters)
+    params = ModelParams.init(hyper, seed=seed, w_scale=0.5, dtype=np.float64)
+    config = assemble(InputMode.RAND,
+                      rand=init_random(vocab, k, seed=seed, dtype=np.float64))
+    rng = np.random.default_rng(seed)
+    ids = [rng.integers(1, vocab, size=n).tolist() for n in lengths]
+    trace = forward(ids, params, config, mode="infer")
+    raw, gap = class_scores(trace, params)
+    assert raw.shape == (len(ids), d, 2) and gap.shape == (len(ids), 2)
+    for b in range(len(ids)):
+        for c in range(2):
+            want = sum(
+                word_scores_brute(
+                    score_vector_loops(trace.fmaps[h][b],
+                                       params.fc_w[c, hyper.feature_slice(h)]),
+                    h, d,
+                )
+                for h in hyper.heights
+            )
+            assert np.allclose(raw[b, :, c], want, rtol=0.0, atol=1e-12)
+        one_raw, one_gap = class_scores(trace, params, slice(b, b + 1))
+        assert np.array_equal(one_raw[0], raw[b])
+        assert np.array_equal(one_gap[0], gap[b])
+    assert gap.max() <= 1e-10
 
 
 def test_word_attention_requires_infer_trace(tiny_setup):
@@ -131,7 +186,7 @@ def test_word_attention_requires_infer_trace(tiny_setup):
     rng = np.random.default_rng(0)
     trace = forward([1, 2], params, config, mode="train", rng=rng, keep=0.5)
     with pytest.raises(ConfigError):
-        word_attention(trace, params, 0)
+        class_scores(trace, params)
 
 
 def test_consistency_gap_random_models(tiny_setup):
@@ -164,9 +219,9 @@ def test_monotone_in_feature_map(tiny_setup):
     w = params.fc_w[cls, hyper.feature_slice(h)]
     i = int(np.argmax(w))
     assert w[i] > 0
-    before = word_attention(trace, params, cls)
+    before = class_scores(trace, params)[0][0, :, cls]
     trace.fmaps[h][0, 2, i] += 1.0
-    after = word_attention(trace, params, cls)
+    after = class_scores(trace, params)[0][0, :, cls]
     assert np.all(after >= before - 1e-12)
     assert np.any(after > before + 1e-9)
 
@@ -286,6 +341,14 @@ def test_attend_token_count_must_match(tiny_setup):
     trace = forward([1, 2], params, config, mode="infer")
     with pytest.raises(DataError):
         attend(trace, params, ["only"])
+
+
+def test_attend_class_index_must_exist(tiny_setup):
+    hyper, params, config = tiny_setup()
+    trace = forward([1, 2], params, config, mode="infer")
+    for cls in (-1, hyper.n_classes):
+        with pytest.raises(ConfigError):
+            attend(trace, params, ["a", "b"], class_index=cls)
 
 
 def test_sentiment_word_attains_maximum_score_after_training():

@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from wordcam.attention import attend
+from wordcam import cli as cli_module
 from wordcam.cli import RunConfig, build_parser, main, read_config_file
+from wordcam.corpus import load_prepared
 from wordcam.embed import (
     EmbeddingChannel,
     InputMode,
@@ -17,7 +20,9 @@ from wordcam.embed import (
     save_channel,
 )
 from wordcam.embed import channels as channels_module
-from wordcam.errors import DataError
+from wordcam.errors import DataError, DivergenceError
+from wordcam.report import aggregate_top_words
+from wordcam.train import batch_arrays
 from wordcam.model import (
     ModelHyper,
     ModelParams,
@@ -102,12 +107,11 @@ def test_full_pipeline(pipeline_dirs, capsys):
     assert _train(dirs) == 0
     out = capsys.readouterr().out
     assert "config:" in out and "batch_size=8" in out
-    for name in ("checkpoint.ckpt", "last.ckpt", "history.csv"):
+    for name in ("checkpoint.ckpt", "last.ckpt", "history.csv", "vocab.tsv"):
         assert (dirs["run"] / name).is_file()
     header = (dirs["run"] / "history.csv").read_text().splitlines()[0]
     assert header == "epoch,train_loss,test_acc"
 
-    # attend needs the vocabulary next to the checkpoint by default
     ckpt = dirs["run"] / "checkpoint.ckpt"
     rc = run([
         "attend", "--checkpoint", ckpt, "--vocab", dirs["corpus"] / "vocab.tsv",
@@ -126,7 +130,15 @@ def test_full_pipeline(pipeline_dirs, capsys):
         "--corpus", dirs["corpus"], "--out", dirs["reports"], "--top-k", "2",
     ])
     assert rc == 0
-    assert (dirs["reports"] / "topwords.csv").is_file()
+    # the batched topwords path equals one attend call per test sentence
+    params, channels, _ = load_checkpoint(ckpt)
+    test = load_prepared(dirs["corpus"]).test
+    ids, lengths, _ = batch_arrays(test, params.hyper.d)
+    trace = forward(ids, params, channels, mode="infer", n_words=lengths)
+    per_row = [attend(trace, params, ex.tokens, item=j) for j, ex in enumerate(test)]
+    assert (dirs["reports"] / "topwords.csv").read_bytes() == (
+        aggregate_top_words(per_row, k=2).to_csv().encode("utf-8")
+    )
 
     rc = run([
         "evaluate", "--checkpoint", ckpt, "--vocab", dirs["corpus"] / "vocab.tsv",
@@ -240,6 +252,50 @@ def test_attend_batch_preserves_order(pipeline_dirs, tmp_path):
         )
         got = [w["token"] for w in payload["words"] if w["token"] is not None]
         assert got == sentence.split()
+
+
+def _stop_after_first_epoch(monkeypatch):
+    """Make ``train`` fail (exit 4) once the first epoch's last.ckpt is
+    written, as a diverging or interrupted run would."""
+    real = cli_module.train_epochs
+
+    def interrupted(*args, on_epoch_end, **kwargs):
+        def stop(epoch, state):
+            on_epoch_end(epoch, state)
+            raise DivergenceError("stopped after the first epoch")
+
+        return real(*args, on_epoch_end=stop, **kwargs)
+
+    monkeypatch.setattr(cli_module, "train_epochs", interrupted)
+
+
+@pytest.mark.parametrize("ckpt_name", ["checkpoint.ckpt", "last.ckpt"])
+def test_vocab_defaults_to_the_training_run(pipeline_dirs, monkeypatch, ckpt_name):
+    dirs = pipeline_dirs
+    assert _prepare(dirs) == 0
+    assert _embed(dirs) == 0
+    if ckpt_name == "last.ckpt":
+        # an interrupted run leaves only last.ckpt; it must work on its own
+        _stop_after_first_epoch(monkeypatch)
+        assert _train(dirs) == 4
+        assert not (dirs["run"] / "checkpoint.ckpt").exists()
+    else:
+        assert _train(dirs, extra=["--epochs", "1"]) == 0
+    ckpt = dirs["run"] / ckpt_name
+    commands = [
+        ["attend", "--checkpoint", ckpt, "--sentence", "a truly delight evening",
+         "--out", dirs["reports"]],
+        ["topwords", "--checkpoint", ckpt, "--corpus", dirs["corpus"],
+         "--out", dirs["reports"]],
+        ["evaluate", "--checkpoint", ckpt, "--corpus", dirs["corpus"]],
+    ]
+    for args in commands:
+        assert run(args) == 0, args[0]
+    # a vocabulary beside the checkpoint that is not the one it was trained on
+    (dirs["run"] / "vocab.tsv").write_text("<pad>\t0\t0\nword\t1\t3\n",
+                                          encoding="utf-8")
+    for args in commands:
+        assert run(args) == 3, args[0]
 
 
 def test_attend_wrong_vocab_detected(pipeline_dirs, tmp_path):
