@@ -27,7 +27,7 @@ from wordcam.errors import ConfigError, DataError
 from wordcam.model import ForwardTrace, ModelParams, forward, gather
 from wordcam.train import batch_arrays
 
-_BATCH = 256
+BATCH = 256  # sentences per forward pass when scoring many
 FRACTION = 0.10  # default share of a sentence's words selected as its top words
 
 
@@ -196,8 +196,8 @@ def attend_examples(
     """``attend`` of each encoded example's predicted class, in order, run
     through the model in forward batches of 256 sentences."""
     results = []
-    for start in range(0, len(examples), _BATCH):
-        chunk = examples[start : start + _BATCH]
+    for start in range(0, len(examples), BATCH):
+        chunk = examples[start : start + BATCH]
         ids, lengths, _ = batch_arrays(chunk, params.hyper.d)
         trace = forward(ids, params, channels, mode="infer", n_words=lengths)
         raw, _ = class_scores(trace, params)

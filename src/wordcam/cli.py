@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from wordcam import corpus as corpus_mod
-from wordcam.attention import attend, attend_examples
+from wordcam.attention import BATCH, attend, attend_examples
 from wordcam.embed import (
     ChannelConfig,
     InputMode,
@@ -452,27 +452,31 @@ def cmd_attend(cfg: RunConfig) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     d = params.hyper.d
-    written = []
+    sentences = []
     for i, line in enumerate(lines):
         tokens = corpus_mod.tokenize(line, fold_case=not cfg.keep_case)[:d]
         if not tokens:
             raise DataError(f"sentence {i} has no tokens after tokenization")
-        ids = vocab.encode(tokens, d)
+        sentences.append(tokens)
+    written = []
+    for start in range(0, len(sentences), BATCH):
+        chunk = sentences[start : start + BATCH]
         trace = forward(
-            ids, params, channels, mode="infer",
-            n_words=np.asarray([len(tokens)], dtype=np.int64),
+            [vocab.encode(tokens, d) for tokens in chunk], params, channels, mode="infer"
         )
-        result = attend(
-            trace, params, tokens, class_index=class_index, fraction=cfg.fraction
-        )
-        doc = from_attention(result, bottom_fraction=cfg.bottom_fraction)
-        stem = f"attend_{i:04d}"
-        for fmt in formats:
-            ext = {"html": "html", "json": "json", "ansi": "ansi.txt"}[fmt]
-            (out / f"{stem}.{ext}").write_bytes(render_highlight(doc, fmt))
-        written.append(stem)
-        top = [tokens[p] for p in result.selected]
-        print(f"{stem}: {CLASS_NAMES[result.class_index]} top={top}")
+        for j, tokens in enumerate(chunk):
+            result = attend(
+                trace, params, tokens, class_index=class_index,
+                fraction=cfg.fraction, item=j,
+            )
+            doc = from_attention(result, bottom_fraction=cfg.bottom_fraction)
+            stem = f"attend_{start + j:04d}"
+            for fmt in formats:
+                ext = {"html": "html", "json": "json", "ansi": "ansi.txt"}[fmt]
+                (out / f"{stem}.{ext}").write_bytes(render_highlight(doc, fmt))
+            written.append(stem)
+            top = [tokens[p] for p in result.selected]
+            print(f"{stem}: {CLASS_NAMES[result.class_index]} top={top}")
     print(f"wrote {len(written)} report(s) x {len(formats)} format(s) to {cfg.out}")
     return 0
 

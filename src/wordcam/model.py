@@ -11,10 +11,13 @@ Conventions used throughout:
 * for filter height h the input is framed by h-1 zero rows on each side,
   giving feature maps of length I = d + h - 1 and placing every word in
   exactly h convolution windows: word p fills row t of window p+h-1-t.
-  The frame is never built. Each height is one GEMM of the (B*d, C*k)
-  word matrix with the (C*k, h*n) filter bank, and ``spread`` and its
-  transpose ``gather`` are the only code that knows the window rule; the
-  backward pass and attention reuse them.
+  The frame is never built. A word's filter responses depend only on its
+  id, so each height is one GEMM of the (u, C*k) matrix of the batch's u
+  distinct ids with the (C*k, h*n) filter bank (Devlin et al. 2014's
+  precomputation). ``spread`` reads each token's responses through the
+  token-to-row index into its windows, and its per-token transpose
+  ``gather`` reads them back; they are the only code that knows the window
+  rule, and the backward pass (per token) and attention reuse ``gather``.
 * the pooled feature vector z concatenates heights in ascending order,
   filter index ascending within a height; the fully connected layer and the
   attention scores both index it that way.
@@ -218,17 +221,20 @@ def pad_ids(ids: Sequence[int], d: int) -> np.ndarray:
     return out
 
 
-def spread(y: np.ndarray) -> np.ndarray:
-    """Place per-word filter-row responses into their convolution windows.
+def spread(y: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Place filter-row responses into their convolution windows.
 
-    y is (B, d, h, n): y[:, p, t] is word p's response to row t of each
-    filter. Word p sits in row t of window p+h-1-t, so the result is the
-    (B, d+h-1, n) pre-activation with pre[:, p+h-1-t] += y[:, p, t].
+    y is (u, h, n): y[r, t] is word-matrix row r's response to row t of each
+    filter. index is (B, d): word p of sentence b is row index[b, p]. Word p
+    sits in row t of window p+h-1-t, so the result is the (B, d+h-1, n)
+    pre-activation with pre[:, p+h-1-t] += y[index[:, p], t], added in
+    ascending t.
     """
-    batch, d, h, n = y.shape
+    _, h, n = y.shape
+    batch, d = index.shape
     out = np.zeros((batch, d + h - 1, n), dtype=y.dtype)
     for t in range(h):
-        out[:, h - 1 - t : h - 1 - t + d] += y[:, :, t]
+        out[:, h - 1 - t : h - 1 - t + d] += y[:, t].take(index, axis=0)
     return out
 
 
@@ -302,21 +308,24 @@ def forward(
         raise DataError("token id out of range for the embedding tables")
 
     dtype = params.dtype
-    batch = ids_mat.shape[0]
-    # words in (B, d, C, k) order, so the GEMM operand is a free reshape
-    words = np.empty((batch, hyper.d, hyper.n_channels, hyper.k), dtype=dtype)
+    # a word's filter responses depend only on its id: one word-matrix row
+    # per distinct id, and index maps each token to its row
+    distinct, inverse = np.unique(ids_mat.ravel(), return_inverse=True)
+    index = inverse.reshape(ids_mat.shape)
+    # rows in (u, C, k) order, so the GEMM operand is a free reshape
+    words = np.empty((distinct.size, hyper.n_channels, hyper.k), dtype=dtype)
     for c, ch in enumerate(channels.channels):
-        words[:, :, c] = ch.table[ids_mat]
-    words[ids_mat == PAD_ID] = 0.0
-    x = words.reshape(batch * hyper.d, hyper.n_channels * hyper.k)
+        words[:, c] = ch.table[distinct]
+    words[distinct == PAD_ID] = 0.0
+    x = words.reshape(distinct.size, hyper.n_channels * hyper.k)
 
     fmaps: dict[int, np.ndarray] = {}
     pooled_parts = []
     for h in hyper.heights:
         y = x @ _filter_bank(params.conv_w[h], hyper.k)
-        pre = spread(y.reshape(batch, hyper.d, h, hyper.n_filters))
+        pre = spread(y.reshape(distinct.size, h, hyper.n_filters), index)
         pre += params.conv_b[h]
-        f = np.maximum(pre, 0.0)
+        f = np.maximum(pre, 0.0, out=pre)
         fmaps[h] = f
         pooled_parts.append(f.mean(axis=1, dtype=np.float64).astype(dtype))
     pooled = np.concatenate(pooled_parts, axis=1)  # (B, n)
@@ -336,7 +345,7 @@ def forward(
     return ForwardTrace(
         ids=ids_mat,
         n_words=lengths,
-        embedded=words.transpose(0, 2, 1, 3),
+        embedded=words.take(index, axis=0).transpose(0, 2, 1, 3),
         fmaps=fmaps,
         pooled=pooled,
         dropout_mask=mask,

@@ -37,6 +37,40 @@ def conv_relu_scalar(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def conv_per_token(ids: np.ndarray, tables, conv_w: dict, conv_b: dict):
+    """The per-token convolution lowering, kept as the bit-exact reference
+    for ``model.forward``: every one of the B*d token rows is gathered from
+    each channel's table (id-0 rows zeroed, whatever row 0 holds), the
+    (B*d, C*k) word matrix multiplies each height's (C*k, h*n) filter bank,
+    and word p's row-t response is added into window p+h-1-t in ascending t.
+
+    ids: (B, d); tables: C arrays (V, k); conv_w[h]: (C, n, h*k). Returns
+    the (B, C, d, k) embedded words and the post-ReLU feature maps by
+    height, in the filters' dtype.
+    """
+    dtype = next(iter(conv_w.values())).dtype
+    batch, d = ids.shape
+    n_channels, k = len(tables), tables[0].shape[1]
+    words = np.empty((batch, d, n_channels, k), dtype=dtype)
+    for c, table in enumerate(tables):
+        words[:, :, c] = table[ids]
+    words[ids == 0] = 0.0
+    x = words.reshape(batch * d, n_channels * k)
+    fmaps = {}
+    for h, w in conv_w.items():
+        n = w.shape[1]
+        bank = w.reshape(n_channels, n, h, k).transpose(0, 3, 2, 1).reshape(
+            n_channels * k, h * n
+        )
+        y = (x @ bank).reshape(batch, d, h, n)
+        pre = np.zeros((batch, d + h - 1, n), dtype=dtype)
+        for t in range(h):
+            pre[:, h - 1 - t : h - 1 - t + d] += y[:, :, t]
+        pre += conv_b[h]
+        fmaps[h] = np.maximum(pre, 0.0)
+    return words.transpose(0, 2, 1, 3), fmaps
+
+
 def avg_pool_scalar(fmap: np.ndarray) -> np.ndarray:
     fmap = np.asarray(fmap, dtype=np.float64)
     out = np.zeros(fmap.shape[1])

@@ -254,6 +254,36 @@ def test_attend_batch_preserves_order(pipeline_dirs, tmp_path):
         assert got == sentence.split()
 
 
+def test_attend_input_reports_match_one_sentence_per_call(pipeline_dirs, tmp_path):
+    # --input runs its lines through forward in batches; every report must
+    # carry the same bytes as a --sentence call for that line alone
+    dirs = pipeline_dirs
+    assert _prepare(dirs) == 0
+    assert _embed(dirs) == 0
+    assert _train(dirs, extra=["--epochs", "2"]) == 0
+    sentences = [
+        "a dreary slog tonight",
+        "a delight truly",
+        "movie was seen by folks at night with friends and more friends after dinner",
+        "zzz unknown words only",
+        "delight",
+        "the movie the movie the movie",
+    ]
+    batch = tmp_path / "batch.txt"
+    batch.write_text("\n".join(sentences) + "\n", encoding="utf-8")
+    common = [
+        "--checkpoint", dirs["run"] / "checkpoint.ckpt",
+        "--vocab", dirs["corpus"] / "vocab.tsv", "--formats", "html,json,ansi",
+    ]
+    assert run(["attend", *common, "--input", batch, "--out", tmp_path / "batched"]) == 0
+    for i, sentence in enumerate(sentences):
+        single = tmp_path / f"single_{i}"
+        assert run(["attend", *common, "--sentence", sentence, "--out", single]) == 0
+        for ext in ("html", "json", "ansi.txt"):
+            got = (tmp_path / "batched" / f"attend_{i:04d}.{ext}").read_bytes()
+            assert got == (single / f"attend_0000.{ext}").read_bytes()
+
+
 def _stop_after_first_epoch(monkeypatch):
     """Make ``train`` fail (exit 4) once the first epoch's last.ckpt is
     written, as a diverging or interrupted run would."""

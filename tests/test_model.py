@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     avg_pool_scalar,
+    conv_per_token,
     conv_relu_scalar,
     coverage_counts,
     numeric_gradient,
@@ -16,6 +17,7 @@ from wordcam.errors import ConfigError, DataError
 from wordcam.model import (
     ModelHyper,
     ModelParams,
+    _filter_bank,
     backward,
     forward,
     gather,
@@ -57,7 +59,8 @@ def test_spread_gather_are_adjoint(d, h, seed):
     rng = np.random.default_rng(seed)
     y = rng.normal(size=(2, d, h, 3))
     g = rng.normal(size=(2, d + h - 1, 3))
-    lhs = float(np.sum(spread(y) * g))
+    index = np.arange(2 * d).reshape(2, d)  # one row per token
+    lhs = float(np.sum(spread(y.reshape(2 * d, h, 3), index) * g))
     rhs = float(np.sum(y * gather(g, h)))
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
 
@@ -238,6 +241,106 @@ def test_forward_batch_matches_single(tiny_setup):
         single = forward(s, params, config, mode="infer")
         assert np.allclose(batch.logits[i], single.logits[0], atol=1e-12)
         assert np.allclose(batch.pooled[i], single.pooled[0], atol=1e-12)
+
+
+@st.composite
+def conv_batches(draw):
+    """A model and an id batch drawn to repeat ids: a small vocabulary,
+    OOV ids inside sentences, whole rows of padding, and tables whose pad
+    row is non-zero."""
+    n_channels = draw(st.sampled_from([1, 2]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    k = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 8))
+    heights = tuple(draw(st.sets(st.integers(1, 4), min_size=1, max_size=3)))
+    hyper = ModelHyper(k=k, d=d, heights=heights, n_filters=draw(st.integers(1, 5)),
+                       n_channels=n_channels)
+    vocab = draw(st.integers(2, 12))
+    batch = draw(st.integers(1, 8))
+    ids = np.zeros((batch, d), dtype=np.int64)
+    lengths = np.zeros(batch, dtype=np.int64)
+    for b in range(batch):
+        row = draw(st.lists(st.integers(0, vocab - 1), max_size=d))
+        ids[b, : len(row)] = row
+        lengths[b] = len(row)
+    seed = draw(st.integers(0, 2**31))
+    rng = np.random.default_rng(seed)
+    tables = []
+    for _ in range(n_channels):
+        table = np.zeros((vocab, k), dtype=dtype)
+        channel = EmbeddingChannel(table, True, Source.RAND)
+        channel.table[:] = rng.normal(size=(vocab, k))  # row 0 too
+        tables.append(channel)
+    mode = InputMode.RAND if n_channels == 1 else InputMode.TWO_CH
+    params = ModelParams.init(hyper, seed=seed, w_scale=1.0, dtype=dtype)
+    for h in hyper.heights:
+        params.conv_b[h][:] = rng.normal(size=hyper.n_filters)
+    return params, ChannelConfig(mode, tuple(tables)), ids, lengths, seed
+
+
+def blas_rows_ignore_row_count(ids, embedded, params) -> bool:
+    """Whether the BLAS gives every row of the per-token word matrix the
+    same bits as the product over one row per distinct id gives that id.
+    numpy sends a one-row or one-column product to gemv, and gemv (like
+    some small float64 GEMMs) changes a row's last bits with the row count
+    and the row's position; there no lowering can match the per-token one."""
+    x = embedded.transpose(0, 2, 1, 3).reshape(ids.size, -1)
+    _, first, inverse = np.unique(ids.ravel(), return_index=True, return_inverse=True)
+    return all(
+        np.array_equal(x @ bank, (x[first] @ bank)[inverse])
+        for bank in (_filter_bank(w, params.hyper.k) for w in params.conv_w.values())
+    )
+
+
+@given(conv_batches(), st.sampled_from(["infer", "train"]))
+def test_forward_is_bit_identical_to_per_token_lowering(case, mode):
+    params, config, ids, lengths, seed = case
+    rng = np.random.default_rng(seed)
+    trace = forward(ids, params, config, mode=mode, rng=rng, n_words=lengths)
+    embedded, fmaps = conv_per_token(
+        ids, [ch.table for ch in config.channels], params.conv_w, params.conv_b
+    )
+    assert np.array_equal(trace.embedded, embedded)
+    pooled = np.concatenate(
+        [fmaps[h].mean(axis=1, dtype=np.float64).astype(params.dtype)
+         for h in params.hyper.heights],
+        axis=1,
+    )
+    dropped = pooled if trace.dropout_mask is None else pooled * trace.dropout_mask
+    logits = dropped @ params.fc_w.T + params.fc_b
+    if blas_rows_ignore_row_count(ids, embedded, params):
+        same = np.array_equal
+    else:
+        tol = 1e-5 if params.dtype == np.float32 else 1e-12
+        same = lambda a, b: np.allclose(a, b, rtol=tol, atol=tol)  # noqa: E731
+    for h in params.hyper.heights:
+        assert same(trace.fmaps[h], fmaps[h])
+    assert same(trace.pooled, pooled)
+    assert same(trace.logits, logits)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("batch", [1, 8])
+def test_forward_is_bit_identical_at_paper_sizes(dtype, batch):
+    # two channels, k=100, d=100, heights 3/4/5, 128 filters; words drawn
+    # from 300 ids so they repeat, short sentences so rows end in padding
+    rng = np.random.default_rng(batch)
+    hyper = ModelHyper(k=100, d=100, n_channels=2)
+    tables = []
+    for _ in range(2):
+        channel = EmbeddingChannel(np.zeros((300, 100), dtype=dtype), True, Source.RAND)
+        channel.table[1:] = rng.normal(size=(299, 100))
+        tables.append(channel)
+    config = ChannelConfig(InputMode.TWO_CH, tuple(tables))
+    params = ModelParams.init(hyper, seed=batch, dtype=dtype)
+    sentences = [rng.integers(0, 300, size=rng.integers(5, 100)) for _ in range(batch)]
+    trace = forward(sentences, params, config, mode="infer")
+    embedded, fmaps = conv_per_token(
+        trace.ids, [ch.table for ch in tables], params.conv_w, params.conv_b
+    )
+    assert np.array_equal(trace.embedded, embedded)
+    for h in hyper.heights:
+        assert np.array_equal(trace.fmaps[h], fmaps[h])
 
 
 # ---------------------------------------------------------------------------
