@@ -18,7 +18,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wordcam.attention import attend_examples
+from wordcam.attention import attend_sentences
 from wordcam.corpus import (
     IMDB_SCHEME,
     Vocabulary,
@@ -124,7 +124,9 @@ def main() -> int:
     mode = modes[0].value
     params = best[mode].best_params
     channels = best[mode].best_channels
-    results = attend_examples(params, channels, test_set)
+    results = attend_sentences(
+        params, channels, [(ex.tokens, ex.token_ids) for ex in test_set]
+    )
     for i, res in enumerate(results[:6]):
         doc = from_attention(res)
         (out / f"{mode}_sample_{i}.html").write_bytes(render_highlight(doc, "html"))

@@ -16,7 +16,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from wordcam.attention import attend_examples
+from wordcam.attention import attend_sentences
 from wordcam.corpus import Vocabulary, encode_example, split
 from wordcam.embed import InputMode, assemble, init_random
 from wordcam.model import ModelHyper, save_checkpoint
@@ -64,7 +64,9 @@ def main() -> int:
     vocab.save(out / "vocab.tsv")
     save_checkpoint(out / "checkpoint.ckpt", params, trained, vocab.digest())
 
-    results = attend_examples(params, trained, test_set)
+    results = attend_sentences(
+        params, trained, [(ex.tokens, ex.token_ids) for ex in test_set]
+    )
 
     for i, res in enumerate(results[:8]):
         doc = from_attention(res)

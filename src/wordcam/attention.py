@@ -25,9 +25,8 @@ import numpy as np
 from wordcam.embed.channels import ChannelConfig
 from wordcam.errors import ConfigError, DataError
 from wordcam.model import ForwardTrace, ModelParams, forward, gather
-from wordcam.train import batch_arrays
 
-BATCH = 256  # sentences per forward pass when scoring many
+_BATCH = 256  # sentences per forward pass when scoring many
 FRACTION = 0.10  # default share of a sentence's words selected as its top words
 
 
@@ -190,20 +189,29 @@ def attend(
     return _readout(raw[0, :, class_index], tokens, class_index, fraction)
 
 
-def attend_examples(
-    params: ModelParams, channels: ChannelConfig, examples
+def attend_sentences(
+    params: ModelParams,
+    channels: ChannelConfig,
+    sentences,
+    class_index: int | None = None,
+    fraction: float = FRACTION,
 ) -> list[AttentionResult]:
-    """``attend`` of each encoded example's predicted class, in order, run
-    through the model in forward batches of 256 sentences."""
+    """``attend`` of each ``(tokens, token_ids)`` sentence, in order, run
+    through the model in forward batches of 256 sentences. When class_index
+    is None each sentence's predicted class is scored."""
+    if class_index is not None and not 0 <= class_index < params.hyper.n_classes:
+        raise ConfigError(f"class index {class_index} out of range")
     results = []
-    for start in range(0, len(examples), BATCH):
-        chunk = examples[start : start + BATCH]
-        ids, lengths, _ = batch_arrays(chunk, params.hyper.d)
-        trace = forward(ids, params, channels, mode="infer", n_words=lengths)
+    for start in range(0, len(sentences), _BATCH):
+        chunk = sentences[start : start + _BATCH]
+        trace = forward([ids for _, ids in chunk], params, channels, mode="infer")
         raw, _ = class_scores(trace, params)
-        predicted = np.argmax(trace.logits, axis=1)
+        if class_index is None:
+            classes = np.argmax(trace.logits, axis=1)
+        else:
+            classes = np.full(len(chunk), class_index)
         results += [
-            _readout(raw[j, :, c], ex.tokens, int(c), FRACTION)
-            for j, (ex, c) in enumerate(zip(chunk, predicted))
+            _readout(raw[j, :, c], tuple(tokens), int(c), fraction)
+            for j, ((tokens, _), c) in enumerate(zip(chunk, classes))
         ]
     return results

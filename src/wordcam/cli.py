@@ -17,10 +17,8 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from wordcam import corpus as corpus_mod
-from wordcam.attention import BATCH, attend, attend_examples
+from wordcam.attention import attend_sentences
 from wordcam.embed import (
     ChannelConfig,
     InputMode,
@@ -37,7 +35,6 @@ from wordcam.errors import ConfigError, DataError, DivergenceError
 from wordcam.model import (
     ModelHyper,
     ModelParams,
-    forward,
     load_checkpoint,
     params_digest,
     save_checkpoint,
@@ -457,26 +454,20 @@ def cmd_attend(cfg: RunConfig) -> int:
         tokens = corpus_mod.tokenize(line, fold_case=not cfg.keep_case)[:d]
         if not tokens:
             raise DataError(f"sentence {i} has no tokens after tokenization")
-        sentences.append(tokens)
+        sentences.append((tokens, vocab.encode(tokens, d)))
+    results = attend_sentences(
+        params, channels, sentences, class_index=class_index, fraction=cfg.fraction
+    )
     written = []
-    for start in range(0, len(sentences), BATCH):
-        chunk = sentences[start : start + BATCH]
-        trace = forward(
-            [vocab.encode(tokens, d) for tokens in chunk], params, channels, mode="infer"
-        )
-        for j, tokens in enumerate(chunk):
-            result = attend(
-                trace, params, tokens, class_index=class_index,
-                fraction=cfg.fraction, item=j,
-            )
-            doc = from_attention(result, bottom_fraction=cfg.bottom_fraction)
-            stem = f"attend_{start + j:04d}"
-            for fmt in formats:
-                ext = {"html": "html", "json": "json", "ansi": "ansi.txt"}[fmt]
-                (out / f"{stem}.{ext}").write_bytes(render_highlight(doc, fmt))
-            written.append(stem)
-            top = [tokens[p] for p in result.selected]
-            print(f"{stem}: {CLASS_NAMES[result.class_index]} top={top}")
+    for i, result in enumerate(results):
+        doc = from_attention(result, bottom_fraction=cfg.bottom_fraction)
+        stem = f"attend_{i:04d}"
+        for fmt in formats:
+            ext = {"html": "html", "json": "json", "ansi": "ansi.txt"}[fmt]
+            (out / f"{stem}.{ext}").write_bytes(render_highlight(doc, fmt))
+        written.append(stem)
+        top = [result.tokens[p] for p in result.selected]
+        print(f"{stem}: {CLASS_NAMES[result.class_index]} top={top}")
     print(f"wrote {len(written)} report(s) x {len(formats)} format(s) to {cfg.out}")
     return 0
 
@@ -494,7 +485,9 @@ def cmd_topwords(cfg: RunConfig) -> int:
     prepared = corpus_mod.load_prepared(cfg.corpus)
     if not prepared.test:
         raise DataError("prepared corpus has an empty test split")
-    results = attend_examples(params, channels, prepared.test)
+    results = attend_sentences(
+        params, channels, [(ex.tokens, ex.token_ids) for ex in prepared.test]
+    )
     table = aggregate_top_words(results, k=cfg.top_k)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

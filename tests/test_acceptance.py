@@ -22,7 +22,7 @@ from oracles import (
     word_scores_brute,
 )
 from test_attention import scores_of_vector
-from wordcam.attention import attend, attend_examples, consistency_gap
+from wordcam.attention import attend, attend_sentences, consistency_gap
 from wordcam.cli import main as cli_main
 from wordcam.corpus import (
     IMDB_SCHEME,
@@ -256,7 +256,8 @@ def test_criterion_5_planted_token_attention():
     hits = correct = 0
     attention_results = []
     # the predicted class, top 10% default; misclassified sentences skipped
-    for ex, res in zip(test_set, attend_examples(params, trained_channels, test_set)):
+    sentences = [(ex.tokens, ex.token_ids) for ex in test_set]
+    for ex, res in zip(test_set, attend_sentences(params, trained_channels, sentences)):
         if res.class_index != ex.label.class_index:
             continue
         attention_results.append(res)
