@@ -24,10 +24,30 @@ import numpy as np
 
 from wordcam.embed.channels import ChannelConfig
 from wordcam.errors import ConfigError, DataError
-from wordcam.model import ForwardTrace, ModelParams, forward, gather
+from wordcam.model import BATCH_SIZE, ForwardTrace, ModelParams, forward, gather
 
-_BATCH = 256  # sentences per forward pass when scoring many
 FRACTION = 0.10  # default share of a sentence's words selected as its top words
+
+
+def _score_vectors(trace: ForwardTrace, params: ModelParams, rows, classes):
+    """Per height, ``(h, v)`` with v the (b, len(classes), d+h-1) float64
+    score vectors of the trace rows ``rows``: the feature map times each
+    class's FC weight slice."""
+    if trace.mode != "infer":
+        raise ConfigError("attention needs an infer-mode trace (no dropout)")
+    hyper = params.hyper
+    for h in hyper.heights:
+        fmap = trace.fmaps[h][rows].astype(np.float64)
+        fc_w = params.fc_w[classes, hyper.feature_slice(h)].astype(np.float64)
+        # one matvec per class: bit-identical to scoring each row or class
+        # alone, which a single (..., n) @ (n, c) GEMM is not
+        yield h, np.stack([fmap @ w for w in fc_w], axis=1)
+
+
+def _logit_gap(means, trace: ForwardTrace, params: ModelParams, rows, classes):
+    """|sum of the per-height score-vector means - (logit - fc bias)|."""
+    logits = trace.logits[rows][:, classes].astype(np.float64)
+    return np.abs(sum(means, 0.0) - (logits - params.fc_b[classes].astype(np.float64)))
 
 
 def class_scores(
@@ -40,36 +60,31 @@ def class_scores(
     Requires an infer-mode trace; a dropout mask would break the relation
     between feature maps and the logits being explained.
     """
-    if trace.mode != "infer":
-        raise ConfigError("attention needs an infer-mode trace (no dropout)")
-    hyper = params.hyper
+    classes = slice(None)
     raw = 0.0
-    total = 0.0
-    for h in hyper.heights:
-        fmap = trace.fmaps[h][rows].astype(np.float64)
-        fc_w = params.fc_w[:, hyper.feature_slice(h)].astype(np.float64)
-        # one matvec per class: bit-identical to scoring each row alone,
-        # which a single (..., n) @ (n, c) GEMM is not
-        v = np.stack([fmap @ w for w in fc_w], axis=1)  # (b, c, d+h-1)
+    means = []
+    for h, v in _score_vectors(trace, params, rows, classes):
         # classes ride in gather's batch axis, so the window mean reduces a
         # contiguous axis; with classes last it is strided and slower
         s = gather(v.reshape(-1, v.shape[2], 1), h).mean(axis=2)
         raw = raw + s.reshape(v.shape[0], v.shape[1], -1).transpose(0, 2, 1)
-        total = total + v.mean(axis=2)
-    logits = trace.logits[rows].astype(np.float64) - params.fc_b.astype(np.float64)
-    return raw, np.abs(total - logits)
+        means.append(v.mean(axis=2))
+    return raw, _logit_gap(means, trace, params, rows, classes)
 
 
 def consistency_gap(
     trace: ForwardTrace, params: ModelParams, class_index: int, item: int = 0
 ) -> float:
-    """The score/logit gap of one trace row and class (see ``class_scores``).
+    """The score/logit gap of one trace row and class, with the bits of that
+    entry of ``class_scores``' gap; no word scores are computed.
 
     Algebraically zero for any parameters: average pooling makes each score
     vector's positional mean equal that height's contribution to the logit.
     """
-    _, gap = class_scores(trace, params, slice(item, item + 1))
-    return float(gap[0, class_index])
+    rows, classes = slice(item, item + 1), [class_index]
+    vectors = _score_vectors(trace, params, rows, classes)
+    gap = _logit_gap((v.mean(axis=2) for _, v in vectors), trace, params, rows, classes)
+    return float(gap[0, 0])
 
 
 def normalize_scores(raw: np.ndarray, n_words: int) -> np.ndarray:
@@ -197,13 +212,13 @@ def attend_sentences(
     fraction: float = FRACTION,
 ) -> list[AttentionResult]:
     """``attend`` of each ``(tokens, token_ids)`` sentence, in order, run
-    through the model in forward batches of 256 sentences. When class_index
-    is None each sentence's predicted class is scored."""
+    through the model in forward batches of ``model.BATCH_SIZE`` sentences.
+    When class_index is None each sentence's predicted class is scored."""
     if class_index is not None and not 0 <= class_index < params.hyper.n_classes:
         raise ConfigError(f"class index {class_index} out of range")
     results = []
-    for start in range(0, len(sentences), _BATCH):
-        chunk = sentences[start : start + _BATCH]
+    for start in range(0, len(sentences), BATCH_SIZE):
+        chunk = sentences[start : start + BATCH_SIZE]
         trace = forward([ids for _, ids in chunk], params, channels, mode="infer")
         raw, _ = class_scores(trace, params)
         if class_index is None:

@@ -33,6 +33,7 @@ from wordcam.embed import (
 from wordcam.embed.channels import malformed
 from wordcam.errors import ConfigError, DataError, DivergenceError
 from wordcam.model import (
+    BATCH_SIZE,
     ModelHyper,
     ModelParams,
     load_checkpoint,
@@ -95,7 +96,7 @@ class RunConfig:
     heights: str = "3,4,5"
     n_filters: int = 128
     # training
-    batch_size: int = 64
+    batch_size: int = BATCH_SIZE
     epochs: int = 5
     optimizer: str = "adam"
     lr: float = 1e-3

@@ -18,6 +18,11 @@ Conventions used throughout:
   token-to-row index into its windows, and its per-token transpose
   ``gather`` reads them back; they are the only code that knows the window
   rule, and the backward pass (per token) and attention reuse ``gather``.
+* the filter heights are independent until the FC layer, so ``forward``
+  and ``backward`` run each height's work as its own task on one private
+  thread pool (numpy releases the interpreter lock inside its kernels).
+  Results are combined in ascending height order, so every bit matches
+  the same tasks run one after another.
 * the pooled feature vector z concatenates heights in ascending order,
   filter index ascending within a height; the fully connected layer and the
   attention scores both index it that way.
@@ -27,7 +32,10 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import os
+import threading
 from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
@@ -47,6 +55,17 @@ from wordcam.embed.channels import (
 from wordcam.errors import ConfigError, DataError
 
 _CKPT_MAGIC = b"WCAMCKPT1\n"
+
+# Sentences per batch: the default training batch, and the batch in which
+# every many-sentence inference (``train.evaluate``,
+# ``attention.attend_sentences``) runs, which keeps the per-height
+# temporaries of concurrent heights small.
+BATCH_SIZE = 64
+# The smallest batch whose heights run on the pool; a smaller one stays in
+# the calling thread, where the hand-off would cost more than it saves.
+_POOL_MIN_BATCH = 4
+_pool = None  # (pid, workers, ThreadPoolExecutor) once a batch needs it
+_pool_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -194,7 +213,8 @@ class ForwardTrace:
 
     ids: np.ndarray  # (B, d) right-padded with PAD_ID
     n_words: np.ndarray  # (B,) true token counts
-    embedded: np.ndarray  # (B, C, d, k) with id-0 rows zeroed
+    words: np.ndarray  # (u, C, k) one row per distinct id, id-0 row zeroed
+    index: np.ndarray  # (B, d) row of ``words`` holding each token
     fmaps: dict[int, np.ndarray]  # h -> (B, I_h, n_filters), post-ReLU
     pooled: np.ndarray  # (B, n_features)
     dropout_mask: np.ndarray | None  # (B, n_features), includes 1/keep scaling
@@ -205,6 +225,12 @@ class ForwardTrace:
     @property
     def batch_size(self) -> int:
         return self.ids.shape[0]
+
+    @functools.cached_property
+    def embedded(self) -> np.ndarray:
+        """(B, C, d, k) per-token word matrix with id-0 rows zeroed, built
+        on first read."""
+        return self.words.take(self.index, axis=0).transpose(0, 2, 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +278,40 @@ def _filter_bank(w: np.ndarray, k: int) -> np.ndarray:
     return w.reshape(n_channels, n_filters, h, k).transpose(0, 3, 2, 1).reshape(
         n_channels * k, h * n_filters
     )
+
+
+# ---------------------------------------------------------------------------
+# The per-height worker pool
+# ---------------------------------------------------------------------------
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _height_map(n_heights: int, batch: int):
+    """The ``map`` that runs a batch's per-height tasks, yielding results in
+    task order: the pool's, sized to the CPUs this process may use capped at
+    ``n_heights``, or the builtin one when that size is 1 or the batch is
+    below ``_POOL_MIN_BATCH``. The pool is created on first use, and again
+    after a fork or when a model with more heights needs more workers."""
+    global _pool
+    workers = min(_usable_cpus(), n_heights) if batch >= _POOL_MIN_BATCH else 1
+    if workers < 2:
+        return map
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid() or _pool[1] < workers:
+            # imported here: the module (with logging) costs a process that
+            # never runs a batch, such as `wordcam embed`, half a megabyte
+            from concurrent.futures import ThreadPoolExecutor
+
+            # a replaced pool is not shut down: a caller may still be using
+            # it, and its idle threads exit once it is collected
+            pool = ThreadPoolExecutor(workers, thread_name_prefix="wordcam-height")
+            _pool = (os.getpid(), workers, pool)
+        return _pool[2].map
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +379,18 @@ def forward(
     words[distinct == PAD_ID] = 0.0
     x = words.reshape(distinct.size, hyper.n_channels * hyper.k)
 
-    fmaps: dict[int, np.ndarray] = {}
-    pooled_parts = []
-    for h in hyper.heights:
+    def conv(h):
         y = x @ _filter_bank(params.conv_w[h], hyper.k)
         pre = spread(y.reshape(distinct.size, h, hyper.n_filters), index)
         pre += params.conv_b[h]
         f = np.maximum(pre, 0.0, out=pre)
-        fmaps[h] = f
-        pooled_parts.append(f.mean(axis=1, dtype=np.float64).astype(dtype))
-    pooled = np.concatenate(pooled_parts, axis=1)  # (B, n)
+        return f, f.mean(axis=1, dtype=np.float64).astype(dtype)
+
+    # largest height (the most work) first; combined in ascending order
+    run = _height_map(len(hyper.heights), ids_mat.shape[0])
+    done = dict(zip(hyper.heights[::-1], run(conv, hyper.heights[::-1])))
+    fmaps = {h: done[h][0] for h in hyper.heights}
+    pooled = np.concatenate([done[h][1] for h in hyper.heights], axis=1)  # (B, n)
 
     if mode == "train" and keep < 1.0:
         if rng is None:
@@ -345,7 +407,8 @@ def forward(
     return ForwardTrace(
         ids=ids_mat,
         n_words=lengths,
-        embedded=words.take(index, axis=0).transpose(0, 2, 1, 3),
+        words=words,
+        index=index,
         fmaps=fmaps,
         pooled=pooled,
         dropout_mask=mask,
@@ -414,34 +477,54 @@ def backward(
     if trace.dropout_mask is not None:
         dz = dz * trace.dropout_mask
 
-    g_conv_w: dict[int, np.ndarray] = {}
-    g_conv_b: dict[int, np.ndarray] = {}
+    k = hyper.k
     n_rows = batch * hyper.d
-    x = trace.embedded.transpose(0, 2, 1, 3).reshape(n_rows, -1)  # (B*d, C*k)
-    dx = np.zeros_like(x)
-    for h in hyper.heights:
+    x = trace.words.take(trace.index, axis=0).reshape(n_rows, -1)  # (B*d, C*k)
+    # the input gradient is needed only over the trainable channels' columns
+    trainable = [c for c, ch in enumerate(channels.channels) if ch.trainable]
+    cols = slice(trainable[0] * k, (trainable[-1] + 1) * k) if trainable else None
+
+    def window_grads(h):
         dzh = dz[:, hyper.feature_slice(h)]  # (B, nf)
         length = dtype.type(hyper.fmap_len(h))
         dpre = (dzh[:, None, :] / length) * (trace.fmaps[h] > 0.0)
         dy = gather(dpre, h).reshape(n_rows, h * hyper.n_filters)
-        g_bank = (x.T @ dy).reshape(hyper.n_channels, hyper.k, h, hyper.n_filters)
-        g_conv_w[h] = (
+        return dpre.sum(axis=(0, 1)).astype(dtype), dy
+
+    def weight_grad(h):
+        g_bank = (x.T @ dys[h]).reshape(hyper.n_channels, k, h, hyper.n_filters)
+        return (
             g_bank.transpose(0, 3, 2, 1).reshape(params.conv_w[h].shape)
             + dtype.type(lam) * params.conv_w[h]
         )
-        g_conv_b[h] = dpre.sum(axis=(0, 1)).astype(dtype)
-        dx += dy @ _filter_bank(params.conv_w[h], hyper.k).T
+
+    def input_grad(h):
+        return dys[h] @ _filter_bank(params.conv_w[h], k)[cols].T
+
+    run = _height_map(len(hyper.heights), batch)
+    desc = hyper.heights[::-1]  # largest height (the most work) first
+    firsts = dict(zip(desc, run(window_grads, desc)))
+    g_conv_b = {h: firsts[h][0] for h in hyper.heights}
+    dys = {h: firsts[h][1] for h in hyper.heights}
+    # weight GEMMs before input GEMMs: the larger products go first
+    tasks = [(weight_grad, h) for h in desc]
+    if trainable:
+        tasks += [(input_grad, h) for h in desc]
+    products = dict(zip(tasks, run(lambda task: task[0](task[1]), tasks)))
+    g_conv_w = {h: products[weight_grad, h] for h in hyper.heights}
 
     emb_grads: dict[int, np.ndarray] = {}
-    flat_ids = trace.ids.reshape(-1)
-    d_words = dx.reshape(n_rows, hyper.n_channels, hyper.k)
-    for c, ch in enumerate(channels.channels):
-        if not ch.trainable:
-            continue
-        g = np.zeros_like(ch.table, dtype=dtype)
-        scatter_add(g, flat_ids, d_words[:, c])
-        g[PAD_ID] = 0.0
-        emb_grads[c] = g
+    if trainable:
+        dx = np.zeros((n_rows, cols.stop - cols.start), dtype=dtype)
+        for h in hyper.heights:  # ascending, as the serial sum
+            dx += products[input_grad, h]
+        flat_ids = trace.ids.reshape(-1)
+        d_words = dx.reshape(n_rows, -1, k)
+        for c in trainable:
+            g = np.zeros_like(channels.channels[c].table, dtype=dtype)
+            scatter_add(g, flat_ids, d_words[:, c - trainable[0]])
+            g[PAD_ID] = 0.0
+            emb_grads[c] = g
 
     return loss, Gradients(g_conv_w, g_conv_b, g_fc_w, g_fc_b, emb_grads)
 

@@ -18,6 +18,7 @@ from wordcam.corpus import LabeledExample, PAD_ID
 from wordcam.embed.channels import ChannelConfig
 from wordcam.errors import ConfigError, DataError, DivergenceError
 from wordcam.model import (
+    BATCH_SIZE,
     Gradients,
     ModelHyper,
     ModelParams,
@@ -45,7 +46,7 @@ class OptimizerConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    batch_size: int = 64
+    batch_size: int = BATCH_SIZE
     epochs: int = 5
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     lam: float = 0.1
@@ -161,7 +162,7 @@ def evaluate(
     params: ModelParams,
     channels: ChannelConfig,
     examples: Sequence[LabeledExample],
-    batch_size: int = 256,
+    batch_size: int = BATCH_SIZE,
 ) -> EvalReport:
     """Argmax classification over logits; a logit tie predicts class 0
     (Negative)."""

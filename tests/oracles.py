@@ -71,6 +71,48 @@ def conv_per_token(ids: np.ndarray, tables, conv_w: dict, conv_b: dict):
     return words.transpose(0, 2, 1, 3), fmaps
 
 
+def embedding_grads_serial(trace, params, tables, trainable, labels) -> dict:
+    """The embedding gradients of the trainable channels as one loop over
+    ascending heights computes them, kept as the bit-exact reference for
+    ``model.backward``: the input gradient over all C*k columns, one height
+    at a time, summed into a zero matrix, then each trainable channel's
+    columns scattered onto its table's rows in token order, pad row zeroed.
+
+    tables: the C (V, k) channel tables; trainable: their flags.
+    """
+    dtype = params.dtype
+    hyper = params.hyper
+    batch, d = trace.ids.shape
+    n_channels, k, n = len(tables), hyper.k, hyper.n_filters
+    labels = np.asarray(labels)
+    z = trace.logits.astype(np.float64)
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    dlogits = e / e.sum(axis=-1, keepdims=True)
+    dlogits[np.arange(batch), labels] -= 1.0
+    dz = (dlogits / batch).astype(dtype) @ params.fc_w
+    if trace.dropout_mask is not None:
+        dz = dz * trace.dropout_mask
+    dx = np.zeros((batch * d, n_channels * k), dtype=dtype)
+    for i, h in enumerate(hyper.heights):
+        dzh = dz[:, i * n : (i + 1) * n]
+        dpre = (dzh[:, None, :] / dtype.type(d + h - 1)) * (trace.fmaps[h] > 0.0)
+        dy = np.empty((batch, d, h, n), dtype=dtype)
+        for t in range(h):  # word p sits in row t of window p+h-1-t
+            dy[:, :, t] = dpre[:, h - 1 - t : h - 1 - t + d]
+        bank = params.conv_w[h].reshape(n_channels, n, h, k).transpose(0, 3, 2, 1).reshape(
+            n_channels * k, h * n
+        )
+        dx += dy.reshape(batch * d, h * n) @ bank.T
+    grads = {}
+    for c, table in enumerate(tables):
+        if trainable[c]:
+            g = np.zeros_like(table, dtype=dtype)
+            np.add.at(g, trace.ids.reshape(-1), dx[:, c * k : (c + 1) * k])
+            g[0] = 0.0
+            grads[c] = g
+    return grads
+
+
 def avg_pool_scalar(fmap: np.ndarray) -> np.ndarray:
     fmap = np.asarray(fmap, dtype=np.float64)
     out = np.zeros(fmap.shape[1])

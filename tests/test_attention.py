@@ -34,7 +34,8 @@ def given_fmaps(fmaps: dict, fc_w) -> tuple[ForwardTrace, ModelParams]:
     trace = ForwardTrace(
         ids=np.ones((batch, d), dtype=np.int64),
         n_words=np.full(batch, d),
-        embedded=np.zeros((batch, 1, d, 1)),
+        words=np.zeros((1, 1, 1)),
+        index=np.zeros((batch, d), dtype=np.int64),
         fmaps=fmaps,
         pooled=pooled,
         dropout_mask=None,
@@ -207,6 +208,22 @@ def test_consistency_gap_random_models(tiny_setup):
         trace = forward(ids, params, config, mode="infer")
         for c in range(2):
             assert consistency_gap(trace, params, c) < 1e-10
+
+
+def test_consistency_gap_has_the_bits_of_class_scores(tiny_setup):
+    # the gap-only path shares class_scores' per-class matvecs: the same
+    # bits for every row and class, in both dtypes, with three classes
+    for dtype in (np.float32, np.float64):
+        hyper, _, config = tiny_setup(d=8, dtype=dtype)
+        params = ModelParams.init(
+            ModelHyper(k=hyper.k, d=8, heights=(1, 2, 4), n_filters=4, n_classes=3),
+            seed=2, dtype=dtype,
+        )
+        trace = forward([[1, 2, 3], [4, 5, 6, 7, 8, 9], [10]], params, config, mode="infer")
+        _, gap = class_scores(trace, params)
+        for item in range(3):
+            for c in range(3):
+                assert consistency_gap(trace, params, c, item=item) == gap[item, c]
 
 
 def test_monotone_in_feature_map(tiny_setup):

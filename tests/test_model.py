@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,9 +14,11 @@ from oracles import (
     conv_per_token,
     conv_relu_scalar,
     coverage_counts,
+    embedding_grads_serial,
     numeric_gradient,
     relative_errors,
 )
+from wordcam import model
 from wordcam.embed import EmbeddingChannel, InputMode, Source, assemble, init_random
 from wordcam.embed.channels import ChannelConfig
 from wordcam.errors import ConfigError, DataError
@@ -459,6 +467,173 @@ def test_forward_backward_bitwise_deterministic(tiny_setup):
     assert outs[0][0] == outs[1][0]
     assert np.array_equal(outs[0][1], outs[1][1])
     assert np.array_equal(outs[0][2], outs[1][2])
+
+
+# ---------------------------------------------------------------------------
+# the per-height worker pool
+# ---------------------------------------------------------------------------
+
+
+def two_channel_model(dtype, k, d, n_filters, batch, seed=0):
+    """Heights 3/4/5 over a frozen and a trainable channel with different
+    tables, and a batch of short sentences drawn from 300 ids, so words
+    repeat and rows end in padding."""
+    rng = np.random.default_rng(seed)
+    hyper = ModelHyper(k=k, d=d, n_filters=n_filters, n_channels=2)
+    tables = [np.zeros((300, k), dtype=dtype) for _ in range(2)]
+    for table in tables:
+        table[1:] = rng.normal(size=(299, k))
+    config = ChannelConfig(InputMode.TWO_CH, (
+        EmbeddingChannel(tables[0], False, Source.SKIPGRAM),
+        EmbeddingChannel(tables[1], True, Source.SKIPGRAM),
+    ))
+    params = ModelParams.init(hyper, seed=seed, dtype=dtype)
+    sentences = [rng.integers(0, 300, size=rng.integers(5, d)) for _ in range(batch)]
+    return params, config, sentences, rng.integers(0, 2, size=batch)
+
+
+def train_step(params, config, sentences, labels):
+    """A train-mode forward and its backward, then an infer-mode forward."""
+    train = forward(sentences, params, config, mode="train", rng=np.random.default_rng(1))
+    _, grads = backward(train, params, config, labels, lam=0.1)
+    return train, grads, forward(sentences, params, config, mode="infer")
+
+
+def assert_same_step(got, want):
+    for a, b in ((got[0], want[0]), (got[2], want[2])):
+        assert list(a.fmaps) == list(b.fmaps)
+        for h in a.fmaps:
+            assert np.array_equal(a.fmaps[h], b.fmaps[h])
+        assert np.array_equal(a.pooled, b.pooled)
+        assert np.array_equal(a.logits, b.logits)
+    ga, gb = got[1], want[1]
+    for h in ga.conv_w:
+        assert np.array_equal(ga.conv_w[h], gb.conv_w[h])
+        assert np.array_equal(ga.conv_b[h], gb.conv_b[h])
+    assert np.array_equal(ga.fc_w, gb.fc_w) and np.array_equal(ga.fc_b, gb.fc_b)
+    assert list(ga.emb) == list(gb.emb)
+    for c in ga.emb:
+        assert np.array_equal(ga.emb[c], gb.emb[c])
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_pool_matches_serial_loop_at_paper_sizes(dtype, monkeypatch):
+    # k=100, d=100, heights 3/4/5, 128 filters, B=64; three workers, so the
+    # pool runs here whatever the CPU count
+    params, config, sentences, labels = two_channel_model(dtype, 100, 100, 128, 64)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
+    assert model._height_map(3, 64) is not map
+    pooled = train_step(params, config, sentences, labels)
+    monkeypatch.setattr(model, "_height_map", lambda n_heights, batch: map)
+    assert_same_step(pooled, train_step(params, config, sentences, labels))
+    # and the pooled feature maps are the per-token lowering's
+    infer = pooled[2]
+    embedded, fmaps = conv_per_token(
+        infer.ids, [ch.table for ch in config.channels], params.conv_w, params.conv_b
+    )
+    assert np.array_equal(infer.embedded, embedded)
+    same = equal_unless_blas_varies(
+        blas_rows_ignore_row_count(infer.ids, embedded, params), dtype
+    )
+    for h in params.hyper.heights:
+        assert same(infer.fmaps[h], fmaps[h])
+
+
+def test_pool_is_for_batches_and_several_heights(monkeypatch):
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 4)
+    assert model._height_map(3, 1) is map  # one sentence: the calling thread
+    assert model._height_map(3, model._POOL_MIN_BATCH - 1) is map
+    assert model._height_map(1, 64) is map  # one height: nothing to share
+    assert model._height_map(3, model._POOL_MIN_BATCH) is not map
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
+    assert model._height_map(3, 64) is map  # one CPU: a plain loop
+
+
+def test_concurrent_callers_get_the_serial_bytes():
+    # four callers on the shared pool, more than the cores, with a short
+    # switch interval so their tasks interleave
+    params, config, sentences, labels = two_channel_model(np.float32, 20, 30, 16, 16)
+    batches = [(sentences[i:] + sentences[:i], np.roll(labels, i)) for i in range(4)]
+    want = [train_step(params, config, *batch) for batch in batches]
+    got = [None] * len(batches)
+
+    def call(i):
+        got[i] = train_step(params, config, *batches[i])
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(len(batches))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for g, w in zip(got, want):
+        assert g is not None
+        assert_same_step(g, w)
+
+
+def test_importing_the_model_starts_no_thread():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import threading, wordcam.model as m; print(threading.active_count(), m._pool)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.split() == ["1", "None"]
+
+
+def blas_columns_ignore_column_count(params, n_rows, cols, dtype) -> bool:
+    """Whether the BLAS gives the columns ``cols`` of a product with every
+    filter bank the same bits as the product with those columns alone."""
+    rng = np.random.default_rng(0)
+    for w in params.conv_w.values():
+        bank = _filter_bank(w, params.hyper.k)
+        dy = rng.normal(size=(n_rows, bank.shape[1])).astype(dtype)
+        if not np.array_equal((dy @ bank.T)[:, cols], dy @ bank[cols].T):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_embedding_gradients_are_the_serial_loops(dtype):
+    # paper sizes, B=16, through the pool. 2ch: the input gradient covers
+    # the trainable channel's columns only, with the bits of the full
+    # product (where the BLAS gives a column the same bits whatever the
+    # column count); all trainable: every column; none trainable (static):
+    # skipped. The other gradients do not depend on which channels train.
+    params, config, sentences, labels = two_channel_model(dtype, 100, 100, 128, 16)
+    trace = forward(sentences, params, config, mode="train", rng=np.random.default_rng(1))
+    tables = [ch.table for ch in config.channels]
+    k = params.hyper.k
+    exact = blas_columns_ignore_column_count(params, trace.ids.size, slice(k, 2 * k), dtype)
+    _, grads = backward(trace, params, config, labels, lam=0.1)
+    for flags in ((False, True), (True, True), (False, False)):
+        retrained = ChannelConfig(config.mode, tuple(
+            ch.copy(trainable=flag) for ch, flag in zip(config.channels, flags)
+        ))
+        _, got = backward(trace, params, retrained, labels, lam=0.1)
+        want = embedding_grads_serial(trace, params, tables, flags, labels)
+        assert list(got.emb) == list(want)
+        same = equal_unless_blas_varies(exact or all(flags), dtype)
+        for c in want:
+            assert same(got.emb[c], want[c])
+        for h in params.hyper.heights:
+            assert np.array_equal(got.conv_w[h], grads.conv_w[h])
+            assert np.array_equal(got.conv_b[h], grads.conv_b[h])
+        assert np.array_equal(got.fc_w, grads.fc_w)
+
+
+def test_trace_builds_embedded_on_first_read(tiny_setup):
+    hyper, params, config = tiny_setup(d=5)
+    trace = forward([[1, 2, 3], [4, 1]], params, config, mode="infer")
+    assert "embedded" not in vars(trace)
+    assert trace.words.shape == (5, 1, hyper.k)  # ids 0, 1, 2, 3, 4
+    first = trace.embedded
+    assert trace.embedded is first
+    assert np.array_equal(first[1, 0, 1], config.channels[0].table[1])
 
 
 # ---------------------------------------------------------------------------
