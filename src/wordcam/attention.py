@@ -51,16 +51,17 @@ def _logit_gap(means, trace: ForwardTrace, params: ModelParams, rows, classes):
 
 
 def class_scores(
-    trace: ForwardTrace, params: ModelParams, rows=slice(None)
+    trace: ForwardTrace, params: ModelParams, rows=slice(None), classes=slice(None)
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw word scores (b, d, n_classes) of the trace rows ``rows`` for
-    every class, and the (b, n_classes) score/logit consistency gap
-    |sum over heights of mean(score vector) - (logit - fc bias)|.
+    """Raw word scores (b, d, c) of the trace rows ``rows`` for the classes
+    ``classes`` (every class by default), and the (b, c) score/logit
+    consistency gap |sum over heights of mean(score vector) - (logit - fc
+    bias)|. A class's entries have the same bits whichever other classes
+    are scored with it.
 
     Requires an infer-mode trace; a dropout mask would break the relation
     between feature maps and the logits being explained.
     """
-    classes = slice(None)
     raw = 0.0
     means = []
     for h, v in _score_vectors(trace, params, rows, classes):
@@ -200,8 +201,8 @@ def attend(
         class_index = int(np.argmax(trace.logits[item]))
     if not 0 <= class_index < params.hyper.n_classes:
         raise ConfigError(f"class index {class_index} out of range")
-    raw, _ = class_scores(trace, params, slice(item, item + 1))
-    return _readout(raw[0, :, class_index], tokens, class_index, fraction)
+    raw, _ = class_scores(trace, params, slice(item, item + 1), [class_index])
+    return _readout(raw[0, :, 0], tokens, class_index, fraction)
 
 
 def attend_sentences(

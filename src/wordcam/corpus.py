@@ -486,6 +486,19 @@ def _parse_example_line(line: str, lineno: int, path: Path) -> LabeledExample:
     return LabeledExample(ids, label, toks)
 
 
+def _parse_id_line(line: str, lineno: int, path: Path, vocab_size: int) -> tuple[int, ...]:
+    """A sentence of token ids; each must name a word of the vocabulary
+    (1 <= id < vocab_size), since the embedding trainers index by it."""
+    try:
+        ids = tuple(int(x) for x in line.split())
+    except ValueError as exc:
+        raise DataError(f"{path}:{lineno}: malformed token id") from exc
+    for i in ids:
+        if not 1 <= i < vocab_size:
+            raise DataError(f"{path}:{lineno}: token id {i} outside [1, {vocab_size})")
+    return ids
+
+
 def save_prepared(corpus: PreparedCorpus, out_dir: Path | str) -> dict[str, Path]:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -535,8 +548,8 @@ def load_prepared(out_dir: Path | str) -> PreparedCorpus:
     embed_path = out / "embed_corpus.txt"
     if embed_path.is_file():
         sentences = tuple(
-            tuple(int(x) for x in line.split())
-            for line in embed_path.read_text(encoding="utf-8").splitlines()
+            _parse_id_line(line, i + 1, embed_path, len(vocab))
+            for i, line in enumerate(embed_path.read_text(encoding="utf-8").splitlines())
             if line.strip()
         )
     return PreparedCorpus(

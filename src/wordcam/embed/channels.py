@@ -20,6 +20,7 @@ from wordcam.corpus import Vocabulary
 from wordcam.errors import ConfigError, DataError
 
 _MAGIC = b"WEMB2\n"
+_SCATTER_ENTRIES = 1 << 15  # flat-index entries per scatter_add block
 
 
 class Source(Enum):
@@ -122,11 +123,13 @@ def scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None
     accumulate: the additions and their order are those of
     ``np.add.at(table, rows, values)``, and so are the bits.
 
-    A (V, k) table is scattered as one 1-D ``np.add.at`` over its flat
-    view, which takes numpy's fast path for ``ufunc.at`` (numpy >= 1.25);
-    the row-wise 2-D form misses it and runs several times slower. The
-    table must be C-contiguous, so that the flat view writes through, and
-    ``values`` should already have its dtype.
+    A (V, k) table is scattered with 1-D ``np.add.at`` calls over its flat
+    view, which take numpy's fast path for ``ufunc.at`` (numpy >= 1.25);
+    the row-wise 2-D form misses it and runs several times slower. The flat
+    index is built for one block of rows at a time, in row order, so its
+    temporary stays near ``_SCATTER_ENTRIES`` entries however many rows
+    there are. The table must be C-contiguous, so that the flat view writes
+    through, and ``values`` should already have its dtype.
     """
     if table.ndim == 1:
         np.add.at(table, rows, values)
@@ -134,9 +137,13 @@ def scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None
     if not table.flags.c_contiguous:
         raise ValueError("scatter_add needs a C-contiguous table")
     k = table.shape[1]
-    flat_rows = np.asarray(rows, dtype=np.intp)[:, None] * k + np.arange(k)
-    flat_values = np.ascontiguousarray(values, dtype=table.dtype)
-    np.add.at(table.reshape(-1), flat_rows.reshape(-1), flat_values.reshape(-1))
+    rows = np.asarray(rows, dtype=np.intp)
+    values = np.ascontiguousarray(values, dtype=table.dtype)
+    flat_table, cols = table.reshape(-1), np.arange(k)
+    block = max(1, _SCATTER_ENTRIES // k)
+    for lo in range(0, len(rows), block):
+        flat_rows = rows[lo : lo + block, None] * k + cols
+        np.add.at(flat_table, flat_rows.reshape(-1), values[lo : lo + block].reshape(-1))
 
 
 def init_random(

@@ -1,9 +1,19 @@
 """Subword embeddings: skip-gram where a word is represented by the sum of
-its character n-gram bucket vectors plus a whole-word vector.
+its character n-gram bucket vectors plus a whole-word vector (Bojanowski et
+al. 2017).
 
 N-grams are taken from the word wrapped in boundary markers ("<word>") and
 hashed into a fixed number of buckets, so unseen words still materialize
 from their n-grams alone.
+
+Every bucket's vector starts as one row of a (bucket, k) uniform draw, but
+only the buckets the vocabulary's n-grams hash to are ever trained, so only
+their rows are stored: a few percent of the default 200,000. The rows are
+read from the generator at their place in the draw, and the generator then
+skips to where the whole draw would end, so the training that follows and
+the vectors it gives are those of the whole table. Any other bucket (an
+n-gram of an out-of-vocabulary word) still holds its initial row, which is
+drawn again from the saved generator state when it is asked for.
 """
 
 from __future__ import annotations
@@ -25,6 +35,7 @@ from wordcam.embed.skipgram import (
 from wordcam.errors import ConfigError
 
 _CHUNK = 1024
+_BLOCK_ENTRIES = 1 << 15  # largest initial-row draw, in floats
 
 
 def word_ngrams(word: str, ngram_min: int, ngram_max: int) -> list[str]:
@@ -50,16 +61,50 @@ def ngram_bucket(gram: str, bucket: int) -> int:
     return h % bucket
 
 
+def _initial_rows(state: dict, rows: np.ndarray, k: int) -> np.ndarray:
+    """Rows ``rows`` (sorted, distinct) of ``uniform(-0.5/k, 0.5/k, (n, k))``
+    drawn from a PCG64 generator in ``state``, for any n above the last row.
+
+    Each uniform takes one 64-bit draw, so row r starts r*k draws after
+    ``state``. Rows less than a block apart are drawn in one call and the
+    unused ones dropped; the generator skips every longer gap with
+    ``advance``, which is exact and costs a few microseconds whatever its
+    length.
+    """
+    bitgen = np.random.PCG64()
+    bitgen.state = state
+    gen = np.random.Generator(bitgen)
+    out = np.empty((len(rows), k))
+    block = max(1, _BLOCK_ENTRIES // k)
+    drawn = i = 0  # rows of the draw consumed; rows[:i] filled
+    while i < len(rows):
+        start = int(rows[i])
+        j = int(np.searchsorted(rows, start + block))
+        stop = int(rows[j - 1]) + 1
+        if start > drawn:
+            bitgen.advance((start - drawn) * k)
+        values = gen.uniform(-0.5 / k, 0.5 / k, size=(stop - start, k))
+        out[i:j] = values[rows[i:j] - start]
+        drawn, i = stop, j
+    return out
+
+
 @dataclass
 class SubwordFit:
     word_vecs: np.ndarray  # (V, k) whole-word vectors
-    gram_vecs: np.ndarray  # (bucket, k)
     w_out: np.ndarray  # (V, k) output vectors
     ngram_min: int
     ngram_max: int
     bucket: int
+    # generator state where the (bucket, k) draw of initial n-gram vectors
+    # begins; it gives the initial row of any bucket
+    init_state: dict
     id_to_token: InitVar[Sequence[str]]
-    # CSR n-gram index of the vocabulary: word i's bucket rows are
+    # the distinct buckets the vocabulary's n-grams hash to, ascending, and
+    # their vectors: gram_vecs[r] belongs to bucket buckets[r]
+    buckets: np.ndarray = field(init=False)
+    gram_vecs: np.ndarray = field(init=False)  # (len(buckets), k)
+    # CSR n-gram index of the vocabulary: word i's rows of gram_vecs are
     # grams[offsets[i] : offsets[i + 1]]; pad has none
     offsets: np.ndarray = field(init=False)
     grams: np.ndarray = field(init=False)
@@ -68,7 +113,13 @@ class SubwordFit:
     def __post_init__(self, id_to_token: Sequence[str]):
         per_word = [[]] + [self.gram_ids(tok) for tok in id_to_token[1:]]
         self.offsets = np.cumsum([0] + [len(g) for g in per_word])
-        self.grams = np.asarray([g for gs in per_word for g in gs], dtype=np.int64)
+        ids = np.asarray([g for gs in per_word for g in gs], dtype=np.int64)
+        self.buckets, self.grams = np.unique(ids, return_inverse=True)
+        self.gram_vecs = _initial_rows(self.init_state, self.buckets, self.k)
+
+    @property
+    def k(self) -> int:
+        return self.word_vecs.shape[1]
 
     def gram_ids(self, word: str) -> list[int]:
         return [
@@ -76,9 +127,23 @@ class SubwordFit:
             for g in word_ngrams(word, self.ngram_min, self.ngram_max)
         ]
 
+    def bucket_vecs(self, buckets: Sequence[int]) -> np.ndarray:
+        """The (len(buckets), k) vectors of the given buckets, in order: the
+        trained row of a bucket the vocabulary uses, the initial row of any
+        other."""
+        buckets = np.asarray(buckets, dtype=np.int64).reshape(-1)
+        if np.any((buckets < 0) | (buckets >= self.bucket)):
+            raise IndexError(f"bucket out of range [0, {self.bucket})")
+        known = np.isin(buckets, self.buckets)
+        out = np.empty((len(buckets), self.k))
+        out[known] = self.gram_vecs[np.searchsorted(self.buckets, buckets[known])]
+        other, where = np.unique(buckets[~known], return_inverse=True)
+        out[~known] = _initial_rows(self.init_state, other, self.k)[where]
+        return out
+
     def materialize(self, word: str, word_id: int | None = None) -> np.ndarray:
         """Vector for a word; out-of-vocabulary words use n-grams only."""
-        vec = self.gram_vecs[self.gram_ids(word)].sum(axis=0)
+        vec = self.bucket_vecs(self.gram_ids(word)).sum(axis=0)
         if word_id is not None:
             vec = vec + self.word_vecs[word_id]
         return vec
@@ -105,11 +170,14 @@ def fit_subword(
     rng = np.random.default_rng(seed)
     word_vecs = rng.uniform(-0.5 / k, 0.5 / k, size=(vocab_size, k))
     word_vecs[PAD_ID] = 0.0
-    gram_vecs = rng.uniform(-0.5 / k, 0.5 / k, size=(bucket, k))
     w_out = np.zeros((vocab_size, k))
     fit = SubwordFit(
-        word_vecs, gram_vecs, w_out, ngram_min, ngram_max, bucket, id_to_token
+        word_vecs, w_out, ngram_min, ngram_max, bucket,
+        rng.bit_generator.state, id_to_token,
     )
+    # the noise draws below start where the whole (bucket, k) draw ends
+    rng.bit_generator.advance(bucket * k)
+    gram_vecs = fit.gram_vecs
     pairs = context_pairs(sentences, window)
     noise = NoiseTable(sentences, vocab_size)
 
@@ -126,7 +194,7 @@ def fit_subword(
 
         grad_h, loss = sgns_step(h, contexts, w_out, noise, rng, negatives, step_lr)
         scatter_add(word_vecs, centers, -step_lr * grad_h)
-        scatter_add(gram_vecs, gram_rows, -step_lr * grad_h[seg])
+        scatter_add(gram_vecs, gram_rows, (-step_lr * grad_h)[seg])
         losses[epoch] += loss
     fit.epoch_losses = [s / len(pairs) for s in losses]
     word_vecs[PAD_ID] = 0.0

@@ -2,7 +2,10 @@
 
 Everything here is written from first principles (scalar loops, explicit
 window enumeration, central finite differences) and deliberately shares no
-code with the package internals it verifies.
+code with the package internals it verifies. The one exception,
+``subword_dense``, checks only how the subword trainer stores its table, and
+calls the package's hashing and skip-gram kernels, which have tests of
+their own.
 """
 
 from __future__ import annotations
@@ -239,3 +242,70 @@ def cooc_loops(sentences, window: int) -> dict[tuple[int, int], int]:
                 key = (a, b) if a <= b else (b, a)
                 counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def subword_dense(
+    sentences, id_to_token, k, window, ngram_min, ngram_max, bucket,
+    negatives, epochs, lr, seed, chunk=1024,
+):
+    """The subword trainer with the whole (bucket, k) n-gram table, kept as
+    the bit-exact reference for ``embed.subword.fit_subword``, which stores
+    only the rows of the buckets the vocabulary hashes to: every bucket's
+    row drawn in one ``uniform`` call and kept, and the CSR index holding
+    bucket numbers. It shares the n-gram hashing and the skip-gram kernels
+    with the package, since only the table's storage is under test.
+
+    Returns a namespace with word_vecs, gram_vecs (bucket, k), w_out,
+    epoch_losses, offsets, grams, ``materialize(word, word_id=None)`` and
+    ``table``: train_subword's float64 table before its dtype cast.
+    """
+    from types import SimpleNamespace
+
+    from wordcam.embed.channels import scatter_add
+    from wordcam.embed.skipgram import NoiseTable, context_pairs, sgns_chunks, sgns_step
+    from wordcam.embed.subword import ngram_bucket, word_ngrams
+
+    def gram_ids(word):
+        return [ngram_bucket(g, bucket) for g in word_ngrams(word, ngram_min, ngram_max)]
+
+    vocab_size = len(id_to_token)
+    rng = np.random.default_rng(seed)
+    word_vecs = rng.uniform(-0.5 / k, 0.5 / k, size=(vocab_size, k))
+    word_vecs[0] = 0.0
+    gram_vecs = rng.uniform(-0.5 / k, 0.5 / k, size=(bucket, k))
+    w_out = np.zeros((vocab_size, k))
+    per_word = [[]] + [gram_ids(tok) for tok in id_to_token[1:]]
+    offsets = np.cumsum([0] + [len(g) for g in per_word])
+    grams = np.asarray([g for gs in per_word for g in gs], dtype=np.int64)
+    pairs = context_pairs(sentences, window)
+    noise = NoiseTable(sentences, vocab_size)
+
+    losses = [0.0] * epochs
+    for epoch, centers, contexts, step_lr in sgns_chunks(pairs, epochs, lr, chunk):
+        starts = offsets[centers]
+        counts = offsets[centers + 1] - starts
+        seg = np.repeat(np.arange(len(centers)), counts)
+        first = np.cumsum(counts) - counts
+        gram_rows = grams[starts[seg] + np.arange(len(seg)) - first[seg]]
+        h = word_vecs[centers]
+        scatter_add(h, seg, gram_vecs[gram_rows])
+        grad_h, loss = sgns_step(h, contexts, w_out, noise, rng, negatives, step_lr)
+        scatter_add(word_vecs, centers, -step_lr * grad_h)
+        scatter_add(gram_vecs, gram_rows, -step_lr * grad_h[seg])
+        losses[epoch] += loss
+    word_vecs[0] = 0.0
+
+    def materialize(word, word_id=None):
+        vec = gram_vecs[gram_ids(word)].sum(axis=0)
+        if word_id is not None:
+            vec = vec + word_vecs[word_id]
+        return vec
+
+    table = np.zeros((vocab_size, k))
+    for i in range(1, vocab_size):
+        table[i] = gram_vecs[grams[offsets[i] : offsets[i + 1]]].sum(axis=0) + word_vecs[i]
+    return SimpleNamespace(
+        word_vecs=word_vecs, gram_vecs=gram_vecs, w_out=w_out,
+        epoch_losses=[s / len(pairs) for s in losses], offsets=offsets,
+        grams=grams, materialize=materialize, table=table,
+    )

@@ -211,8 +211,9 @@ def test_consistency_gap_random_models(tiny_setup):
 
 
 def test_consistency_gap_has_the_bits_of_class_scores(tiny_setup):
-    # the gap-only path shares class_scores' per-class matvecs: the same
-    # bits for every row and class, in both dtypes, with three classes
+    # the gap-only path and attend's one-class scores share class_scores'
+    # per-class matvecs: the same bits for every row and class, in both
+    # dtypes, with three classes
     for dtype in (np.float32, np.float64):
         hyper, _, config = tiny_setup(d=8, dtype=dtype)
         params = ModelParams.init(
@@ -220,10 +221,12 @@ def test_consistency_gap_has_the_bits_of_class_scores(tiny_setup):
             seed=2, dtype=dtype,
         )
         trace = forward([[1, 2, 3], [4, 5, 6, 7, 8, 9], [10]], params, config, mode="infer")
-        _, gap = class_scores(trace, params)
-        for item in range(3):
+        raw, gap = class_scores(trace, params)
+        for item, n_words in enumerate((3, 6, 1)):
             for c in range(3):
                 assert consistency_gap(trace, params, c, item=item) == gap[item, c]
+                got = attend(trace, params, ["w"] * n_words, class_index=c, item=item)
+                assert np.array_equal(got.raw, raw[item, :, c])
 
 
 def test_monotone_in_feature_map(tiny_setup):

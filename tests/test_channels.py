@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -15,6 +17,7 @@ from wordcam.embed import (
     load_channel,
     save_channel,
 )
+from wordcam.embed import channels
 from wordcam.embed.channels import scatter_add
 from wordcam.errors import ConfigError, DataError
 
@@ -159,11 +162,13 @@ def test_text_export_import(tmp_path):
     st.integers(1, 4),
     st.integers(0, 40),
     st.booleans(),
+    st.sampled_from([None, 1, 2, 3]),  # rows per block; None: the default
     st.integers(0, 2**32 - 1),
 )
-def test_scatter_add_is_np_add_at(dtype, k, n_table, n_rows, strided, seed):
+def test_scatter_add_is_np_add_at(dtype, k, n_table, n_rows, strided, block, seed):
     """Same bits as np.add.at, for few table rows hit many times each, no
-    rows at all, and a strided values view like backward's d_words[:, c]."""
+    rows at all, a strided values view like backward's d_words[:, c], and
+    blocks of 1 to 3 rows, so that a row's additions cross block edges."""
     rng = np.random.default_rng(seed)
     row_shape = () if k is None else (k,)
     table = rng.standard_normal((n_table, *row_shape)).astype(dtype)
@@ -174,5 +179,7 @@ def test_scatter_add_is_np_add_at(dtype, k, n_table, n_rows, strided, seed):
     values = values[:, 1] if strided else np.ascontiguousarray(values[:, 1])
     want = table.copy()
     np.add.at(want, rows, values)
-    scatter_add(table, rows, values)
+    entries = channels._SCATTER_ENTRIES if block is None else block * (k or 1)
+    with mock.patch.object(channels, "_SCATTER_ENTRIES", entries):
+        scatter_add(table, rows, values)
     assert np.array_equal(table, want)

@@ -409,6 +409,25 @@ def test_embed_four_channel_end_to_end(pipeline_dirs):
     assert _train(dirs, extra=["--epochs", "1"]) == 0
 
 
+@pytest.mark.parametrize("bad", ["x7", "999999", "-5"])
+def test_malformed_embed_corpus_exits_3(pipeline_dirs, capsys, bad):
+    """A token id that is not an integer, or names no vocabulary word, is a
+    data error at its line, whichever trainer would have read it."""
+    dirs = pipeline_dirs
+    assert _prepare(dirs) == 0
+    path = dirs["corpus"] / "embed_corpus.txt"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = f"{lines[1]} {bad}"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = run([
+        "embed", "--corpus", dirs["corpus"], "--mode", "4ch",
+        "--out", dirs["channels"], "--k", "8", "--embed-epochs", "1", "--bucket", "512",
+    ])
+    assert rc == 3
+    assert "embed_corpus.txt:2:" in capsys.readouterr().err
+
+
 def test_last_checkpoint_loadable_after_each_epoch(pipeline_dirs):
     dirs = pipeline_dirs
     assert _prepare(dirs) == 0

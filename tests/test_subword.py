@@ -1,6 +1,11 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from oracles import subword_dense
 
+from wordcam.embed import subword
 from wordcam.embed.subword import (
     fit_subword,
     ngram_bucket,
@@ -55,8 +60,8 @@ def test_materialized_difference_is_unshared_contribution():
     expected = (
         fit.word_vecs[i]
         - fit.word_vecs[j]
-        + fit.gram_vecs[sorted(grams_i - shared)].sum(axis=0)
-        - fit.gram_vecs[sorted(grams_j - shared)].sum(axis=0)
+        + fit.bucket_vecs(sorted(grams_i - shared)).sum(axis=0)
+        - fit.bucket_vecs(sorted(grams_j - shared)).sum(axis=0)
     )
     got = fit.materialize("care", i) - fit.materialize("dare", j)
     # repeated shared grams could break this; the toy words have none
@@ -93,3 +98,62 @@ def test_train_subword_channel_deterministic():
     assert np.array_equal(a.table, b.table)
     assert np.all(a.table[0] == 0.0)
     assert a.table.shape == (5, 6)
+
+
+_TOY_TOKENS = ["<pad>", "care", "core", "dare", "mist", "mast"]
+_TOY_SETTINGS = dict(k=8, window=2, ngram_min=3, ngram_max=4, negatives=3, lr=0.05, seed=1)
+
+
+def _last_bucket_used(tokens, lo):
+    """The smallest bucket count >= lo at which some n-gram of the tokens
+    hashes to the last bucket."""
+    grams = [g for tok in tokens[1:] for g in word_ngrams(tok, 3, 4)]
+    return next(b for b in range(lo, lo + 10_000) if b - 1 in {ngram_bucket(g, b) for g in grams})
+
+
+@pytest.mark.parametrize("bucket, epochs, block", [
+    (1, 2, None),  # every n-gram in one bucket
+    (200_000, 2, None),  # sparse: the vocabulary uses a few dozen rows
+    (512, 0, None),  # no training: the tables are the initial draw
+    (_last_bucket_used(_TOY_TOKENS, 300), 2, 3),  # blocks of 3 rows; the last row is used
+])
+def test_fit_matches_the_dense_table(bucket, epochs, block):
+    """Storing only the used buckets' rows changes no bit: the trained
+    tables, the channel, the losses (so the noise draws) and the vectors
+    of in-vocabulary and unseen words all equal the dense trainer's."""
+    tokens = _TOY_TOKENS
+    rng = np.random.default_rng(0)
+    sentences = [rng.integers(1, len(tokens), size=5).tolist() for _ in range(40)]
+    kwargs = dict(_TOY_SETTINGS, bucket=bucket, epochs=epochs)
+    entries = subword._BLOCK_ENTRIES if block is None else block * kwargs["k"]
+    with mock.patch.object(subword, "_BLOCK_ENTRIES", entries):
+        fit = fit_subword(sentences, tokens, **kwargs)
+        want = subword_dense(sentences, tokens, **kwargs)
+        assert np.array_equal(fit.word_vecs, want.word_vecs)
+        assert np.array_equal(fit.w_out, want.w_out)
+        assert fit.epoch_losses == want.epoch_losses
+        assert np.array_equal(fit.buckets, np.unique(want.grams))
+        assert np.array_equal(fit.gram_vecs, want.gram_vecs[fit.buckets])
+        assert np.array_equal(fit.buckets[fit.grams], want.grams)
+        for i, tok in enumerate(tokens[1:], 1):
+            assert np.array_equal(fit.materialize(tok, i), want.materialize(tok, i))
+        for word in ("cares", "mistaken", "zzz", "ré"):  # never in the vocabulary
+            assert np.array_equal(fit.materialize(word), want.materialize(word))
+        unused = np.setdiff1d(np.arange(bucket), fit.buckets)[[0, -1]] if bucket > 1 else []
+        assert np.array_equal(fit.bucket_vecs(unused), want.gram_vecs[unused])
+        channel = train_subword(sentences, tokens, dtype=np.float64, **kwargs)
+        assert np.array_equal(channel.table, want.table)
+
+
+def test_fit_memory_does_not_grow_with_the_bucket_count():
+    """200,000 buckets at k=8 make a 12.8 MB dense table; a toy vocabulary
+    uses a few dozen of its rows, and the fit may trace a quarter of it."""
+    rng = np.random.default_rng(0)
+    sentences = [rng.integers(1, len(_TOY_TOKENS), size=5).tolist() for _ in range(40)]
+    tracemalloc.start()
+    try:
+        fit_subword(sentences, _TOY_TOKENS, bucket=200_000, epochs=1, **_TOY_SETTINGS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 200_000 * 8 * 8 / 4
