@@ -16,7 +16,6 @@ All score arithmetic runs in float64 regardless of the model storage dtype.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -148,24 +147,6 @@ class AttentionResult:
     @property
     def n_words(self) -> int:
         return len(self.tokens)
-
-    def to_json_dict(self) -> dict:
-        words = []
-        for p in range(self.raw.size):
-            pad = p >= self.n_words
-            words.append(
-                {
-                    "token": None if pad else self.tokens[p],
-                    "pos": p,
-                    "raw": float(self.raw[p]),
-                    "norm": float(self.normalized[p]),
-                    "selected": p in self.selected,
-                }
-            )
-        return {"class": self.class_index, "words": words}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
 def _readout(raw, tokens: tuple, class_index: int, fraction: float) -> AttentionResult:

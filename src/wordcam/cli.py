@@ -30,8 +30,7 @@ from wordcam.embed import (
     train_skipgram,
     train_subword,
 )
-from wordcam.embed.channels import malformed
-from wordcam.errors import ConfigError, DataError, DivergenceError
+from wordcam.errors import ConfigError, DataError, DivergenceError, malformed, read_text
 from wordcam.model import (
     BATCH_SIZE,
     ModelHyper,
@@ -130,10 +129,14 @@ def _coerce(name: str, value: str):
         if low in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"config key {name}: expected a boolean, got {value!r}")
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
+    try:
+        if isinstance(default, int):
+            return int(value)
+        if isinstance(default, float):
+            return float(value)
+    except ValueError as exc:
+        kind = type(default).__name__
+        raise ConfigError(f"config key {name}: expected {kind}, got {value!r}") from exc
     return value
 
 
@@ -143,7 +146,11 @@ def read_config_file(path: str) -> dict:
     p = Path(path)
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
-    for lineno, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = read_text(p, "config file")
+    except DataError as exc:
+        raise ConfigError(str(exc)) from exc
+    for lineno, line in enumerate(text.splitlines(), 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
@@ -153,7 +160,10 @@ def read_config_file(path: str) -> dict:
         key = key.strip().replace("-", "_")
         if key not in _FIELDS:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = _coerce(key, value.strip())
+        try:
+            out[key] = _coerce(key, value.strip())
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return out
 
 
@@ -309,7 +319,7 @@ def load_channels_dir(path: str) -> tuple[ChannelConfig, dict]:
     if not meta_path.is_file():
         raise DataError(f"no channels at {path} (missing channels.json)")
     with malformed(meta_path, "channel metadata"):
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        meta = json.loads(read_text(meta_path, "channel metadata"))
         chans = tuple(load_channel(Path(path) / name) for name in meta["files"])
         return ChannelConfig(InputMode(meta["mode"]), chans), meta
 
@@ -438,7 +448,7 @@ def cmd_attend(cfg: RunConfig) -> int:
         path = Path(cfg.input)
         if not path.is_file():
             raise DataError(f"input file not found: {path}")
-        lines = [l for l in path.read_text(encoding="utf-8").splitlines() if l.strip()]
+        lines = [l for l in read_text(path, "input file").splitlines() if l.strip()]
         if not lines:
             raise DataError(f"input file has no sentences: {path}")
     formats = [f.strip() for f in cfg.formats.split(",") if f.strip()]

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import operator
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from wordcam.errors import ConfigError, DataError
+from wordcam.errors import ConfigError, DataError, malformed, read_text
 
 PAD_TOKEN = "<pad>"
 PAD_ID = 0
@@ -262,19 +263,16 @@ class Vocabulary:
     def load(cls, path: Path | str) -> "Vocabulary":
         id_to_token: list[str] = []
         counts: list[int] = []
-        for lineno, line in enumerate(
-            Path(path).read_text(encoding="utf-8").splitlines()
-        ):
+        for lineno, line in enumerate(read_text(path, "vocabulary").splitlines(), 1):
             if not line:
                 continue
-            try:
+            with malformed(f"{path}:{lineno}", "vocab line"):
                 tok, idx, count = line.split("\t")
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno + 1}: malformed vocab line") from exc
-            if int(idx) != len(id_to_token):
-                raise DataError(f"{path}:{lineno + 1}: ids out of order")
+                idx, count = int(idx), int(count)
+            if idx != len(id_to_token):
+                raise DataError(f"{path}:{lineno}: ids out of order")
             id_to_token.append(tok)
-            counts.append(int(count))
+            counts.append(count)
         return cls(id_to_token, counts)
 
 
@@ -349,7 +347,7 @@ def load_imdb_dir(root: Path | str) -> list[RawReview]:
                     rating = float(stem.rsplit("_", 1)[1])
                 except (IndexError, ValueError) as exc:
                     raise DataError(f"cannot parse rating from filename {f}") from exc
-                text = f.read_text(encoding="utf-8")
+                text = read_text(f, "review")
                 if not text.strip():
                     continue
                 reviews.append(RawReview(text, rating))
@@ -363,7 +361,7 @@ def load_delimited(path: Path | str, delimiter: str | None = None) -> list[RawRe
     path = Path(path)
     if not path.is_file():
         raise DataError(f"dataset file not found: {path}")
-    raw = path.read_text(encoding="utf-8")
+    raw = read_text(path, "dataset file")
     if not raw.strip():
         raise DataError(f"dataset file is empty: {path}")
     if delimiter is None:
@@ -534,11 +532,14 @@ def load_prepared(out_dir: Path | str) -> PreparedCorpus:
     meta_path = out / "meta.json"
     if not meta_path.is_file():
         raise DataError(f"no prepared corpus at {out} (missing meta.json)")
-    meta = json.loads(meta_path.read_text(encoding="utf-8"))
+    with malformed(meta_path, "corpus metadata"):
+        meta = json.loads(read_text(meta_path, "corpus metadata"))
+        seed, d = operator.index(meta["seed"]), operator.index(meta["d"])
+        stats = meta["stats"]
     vocab = Vocabulary.load(out / "vocab.tsv")
     sides = {}
     for name in ("train", "test"):
-        lines = (out / f"{name}.tsv").read_text(encoding="utf-8").splitlines()
+        lines = read_text(out / f"{name}.tsv", "example file").splitlines()
         sides[name] = tuple(
             _parse_example_line(line, i + 1, out / f"{name}.tsv")
             for i, line in enumerate(lines)
@@ -549,15 +550,7 @@ def load_prepared(out_dir: Path | str) -> PreparedCorpus:
     if embed_path.is_file():
         sentences = tuple(
             _parse_id_line(line, i + 1, embed_path, len(vocab))
-            for i, line in enumerate(embed_path.read_text(encoding="utf-8").splitlines())
+            for i, line in enumerate(read_text(embed_path, "sentence file").splitlines())
             if line.strip()
         )
-    return PreparedCorpus(
-        vocab,
-        sides["train"],
-        sides["test"],
-        meta["seed"],
-        meta["d"],
-        meta["stats"],
-        sentences,
-    )
+    return PreparedCorpus(vocab, sides["train"], sides["test"], seed, d, stats, sentences)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from wordcam.corpus import Vocabulary
-from wordcam.errors import ConfigError, DataError
+from wordcam.errors import ConfigError, DataError, malformed
 
 _MAGIC = b"WEMB2\n"
 _SCATTER_ENTRIES = 1 << 15  # flat-index entries per scatter_add block
@@ -272,19 +271,6 @@ def read_container(path: Path | str, magic: bytes, what: str) -> tuple[dict, dic
             arrays[name] = arr.reshape(shape).copy()
             offset += size
         return header, arrays
-
-
-@contextmanager
-def malformed(path: Path | str, what: str = "header"):
-    """Raise DataError for a field of ``path`` that the block finds missing,
-    mistyped or out of range. A ConfigError raised here comes from the
-    artifact's contents, not from the configuration, so it is one too."""
-    try:
-        yield
-    except DataError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"{path}: malformed {what} ({exc!r})") from exc
 
 
 def save_channel(channel: EmbeddingChannel, path: Path | str) -> None:

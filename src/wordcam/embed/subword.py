@@ -3,22 +3,20 @@ its character n-gram bucket vectors plus a whole-word vector (Bojanowski et
 al. 2017).
 
 N-grams are taken from the word wrapped in boundary markers ("<word>") and
-hashed into a fixed number of buckets, so unseen words still materialize
-from their n-grams alone.
+hashed into a fixed number of buckets. Only vocabulary words get vectors:
+an out-of-vocabulary token encodes to the pad id, so the CNN never sees one.
 
 Every bucket's vector starts as one row of a (bucket, k) uniform draw, but
-only the buckets the vocabulary's n-grams hash to are ever trained, so only
-their rows are stored: a few percent of the default 200,000. The rows are
-read from the generator at their place in the draw, and the generator then
-skips to where the whole draw would end, so the training that follows and
-the vectors it gives are those of the whole table. Any other bucket (an
-n-gram of an out-of-vocabulary word) still holds its initial row, which is
-drawn again from the saved generator state when it is asked for.
+only the buckets the vocabulary's n-grams hash to are ever trained or read,
+so only their rows are stored: a few percent of the default 200,000. The
+rows are read from the generator at their place in the draw, and the
+generator then skips to where the whole draw would end, so the training
+that follows and the vectors it gives are those of the whole table.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -91,62 +89,19 @@ def _initial_rows(state: dict, rows: np.ndarray, k: int) -> np.ndarray:
 
 @dataclass
 class SubwordFit:
+    """The trained tables of ``fit_subword``."""
+
     word_vecs: np.ndarray  # (V, k) whole-word vectors
     w_out: np.ndarray  # (V, k) output vectors
-    ngram_min: int
-    ngram_max: int
-    bucket: int
-    # generator state where the (bucket, k) draw of initial n-gram vectors
-    # begins; it gives the initial row of any bucket
-    init_state: dict
-    id_to_token: InitVar[Sequence[str]]
     # the distinct buckets the vocabulary's n-grams hash to, ascending, and
     # their vectors: gram_vecs[r] belongs to bucket buckets[r]
-    buckets: np.ndarray = field(init=False)
-    gram_vecs: np.ndarray = field(init=False)  # (len(buckets), k)
+    buckets: np.ndarray
+    gram_vecs: np.ndarray  # (len(buckets), k)
     # CSR n-gram index of the vocabulary: word i's rows of gram_vecs are
     # grams[offsets[i] : offsets[i + 1]]; pad has none
-    offsets: np.ndarray = field(init=False)
-    grams: np.ndarray = field(init=False)
-    epoch_losses: list[float] = field(default_factory=list)
-
-    def __post_init__(self, id_to_token: Sequence[str]):
-        per_word = [[]] + [self.gram_ids(tok) for tok in id_to_token[1:]]
-        self.offsets = np.cumsum([0] + [len(g) for g in per_word])
-        ids = np.asarray([g for gs in per_word for g in gs], dtype=np.int64)
-        self.buckets, self.grams = np.unique(ids, return_inverse=True)
-        self.gram_vecs = _initial_rows(self.init_state, self.buckets, self.k)
-
-    @property
-    def k(self) -> int:
-        return self.word_vecs.shape[1]
-
-    def gram_ids(self, word: str) -> list[int]:
-        return [
-            ngram_bucket(g, self.bucket)
-            for g in word_ngrams(word, self.ngram_min, self.ngram_max)
-        ]
-
-    def bucket_vecs(self, buckets: Sequence[int]) -> np.ndarray:
-        """The (len(buckets), k) vectors of the given buckets, in order: the
-        trained row of a bucket the vocabulary uses, the initial row of any
-        other."""
-        buckets = np.asarray(buckets, dtype=np.int64).reshape(-1)
-        if np.any((buckets < 0) | (buckets >= self.bucket)):
-            raise IndexError(f"bucket out of range [0, {self.bucket})")
-        known = np.isin(buckets, self.buckets)
-        out = np.empty((len(buckets), self.k))
-        out[known] = self.gram_vecs[np.searchsorted(self.buckets, buckets[known])]
-        other, where = np.unique(buckets[~known], return_inverse=True)
-        out[~known] = _initial_rows(self.init_state, other, self.k)[where]
-        return out
-
-    def materialize(self, word: str, word_id: int | None = None) -> np.ndarray:
-        """Vector for a word; out-of-vocabulary words use n-grams only."""
-        vec = self.bucket_vecs(self.gram_ids(word)).sum(axis=0)
-        if word_id is not None:
-            vec = vec + self.word_vecs[word_id]
-        return vec
+    offsets: np.ndarray
+    grams: np.ndarray
+    epoch_losses: list[float]
 
 
 def fit_subword(
@@ -171,24 +126,27 @@ def fit_subword(
     word_vecs = rng.uniform(-0.5 / k, 0.5 / k, size=(vocab_size, k))
     word_vecs[PAD_ID] = 0.0
     w_out = np.zeros((vocab_size, k))
-    fit = SubwordFit(
-        word_vecs, w_out, ngram_min, ngram_max, bucket,
-        rng.bit_generator.state, id_to_token,
-    )
+    per_word = [[]] + [
+        [ngram_bucket(g, bucket) for g in word_ngrams(tok, ngram_min, ngram_max)]
+        for tok in id_to_token[1:]
+    ]
+    offsets = np.cumsum([0] + [len(g) for g in per_word])
+    ids = np.asarray([g for gs in per_word for g in gs], dtype=np.int64)
+    buckets, grams = np.unique(ids, return_inverse=True)
+    gram_vecs = _initial_rows(rng.bit_generator.state, buckets, k)
     # the noise draws below start where the whole (bucket, k) draw ends
     rng.bit_generator.advance(bucket * k)
-    gram_vecs = fit.gram_vecs
     pairs = context_pairs(sentences, window)
     noise = NoiseTable(sentences, vocab_size)
 
     losses = [0.0] * epochs
     for epoch, centers, contexts, step_lr in sgns_chunks(pairs, epochs, lr, chunk):
         # the centers' n-gram rows end to end; seg names each row's center
-        starts = fit.offsets[centers]
-        counts = fit.offsets[centers + 1] - starts
+        starts = offsets[centers]
+        counts = offsets[centers + 1] - starts
         seg = np.repeat(np.arange(len(centers)), counts)
         first = np.cumsum(counts) - counts
-        gram_rows = fit.grams[starts[seg] + np.arange(len(seg)) - first[seg]]
+        gram_rows = grams[starts[seg] + np.arange(len(seg)) - first[seg]]
         h = word_vecs[centers]
         scatter_add(h, seg, gram_vecs[gram_rows])
 
@@ -196,9 +154,9 @@ def fit_subword(
         scatter_add(word_vecs, centers, -step_lr * grad_h)
         scatter_add(gram_vecs, gram_rows, (-step_lr * grad_h)[seg])
         losses[epoch] += loss
-    fit.epoch_losses = [s / len(pairs) for s in losses]
     word_vecs[PAD_ID] = 0.0
-    return fit
+    epoch_losses = [s / len(pairs) for s in losses]
+    return SubwordFit(word_vecs, w_out, buckets, gram_vecs, offsets, grams, epoch_losses)
 
 
 def train_subword(
@@ -216,7 +174,7 @@ def train_subword(
     dtype=np.float32,
     chunk: int = _CHUNK,
 ) -> EmbeddingChannel:
-    """Train, then materialize summed vectors for every vocabulary word."""
+    """Train, then sum each vocabulary word's n-gram and whole-word vectors."""
     fit = fit_subword(
         sentences, id_to_token, k=k, window=window, ngram_min=ngram_min,
         ngram_max=ngram_max, bucket=bucket, negatives=negatives,

@@ -32,11 +32,10 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import os
 import threading
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -47,12 +46,11 @@ from wordcam.embed.channels import (
     EmbeddingChannel,
     InputMode,
     Source,
-    malformed,
     read_container,
     scatter_add,
     write_container,
 )
-from wordcam.errors import ConfigError, DataError
+from wordcam.errors import ConfigError, DataError, malformed
 
 _CKPT_MAGIC = b"WCAMCKPT1\n"
 
@@ -195,13 +193,16 @@ class ModelParams:
         return total
 
 
-@dataclass
-class Gradients:
-    conv_w: dict[int, np.ndarray]
-    conv_b: dict[int, np.ndarray]
-    fc_w: np.ndarray
-    fc_b: np.ndarray
-    emb: dict[int, np.ndarray] = field(default_factory=dict)  # trainable channels only
+def trainable_arrays(params: ModelParams, channels: ChannelConfig) -> dict[str, np.ndarray]:
+    """Every array training updates, by its checkpoint name: the parameters
+    in ``named_arrays`` order, then ``channel[i]`` for each trainable
+    channel's table. ``backward`` returns its gradients under these keys,
+    in this order."""
+    arrays = dict(params.named_arrays())
+    for i, ch in enumerate(channels.channels):
+        if ch.trainable:
+            arrays[f"channel[{i}]"] = ch.table
+    return arrays
 
 
 @dataclass
@@ -225,12 +226,6 @@ class ForwardTrace:
     @property
     def batch_size(self) -> int:
         return self.ids.shape[0]
-
-    @functools.cached_property
-    def embedded(self) -> np.ndarray:
-        """(B, C, d, k) per-token word matrix with id-0 rows zeroed, built
-        on first read."""
-        return self.words.take(self.index, axis=0).transpose(0, 2, 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +324,7 @@ def _as_batch(ids, d: int) -> tuple[np.ndarray, np.ndarray]:
     first = ids[0] if len(ids) else None
     if first is not None and not np.isscalar(first) and not isinstance(first, (int, np.integer)):
         rows = [pad_ids(s, d) for s in ids]
-        lengths = np.asarray([min(len(s), d) for s in ids], dtype=np.int64)
+        lengths = np.asarray([len(s) for s in ids], dtype=np.int64)
         return np.stack(rows), lengths
     seq = np.asarray(ids, dtype=np.int64)
     return pad_ids(seq, d)[None], np.asarray([seq.size], dtype=np.int64)
@@ -447,12 +442,13 @@ def backward(
     channels: ChannelConfig,
     labels,
     lam: float = 0.0,
-) -> tuple[float, Gradients]:
-    """Gradients of the regularized loss for every trainable parameter.
+) -> tuple[float, dict[str, np.ndarray]]:
+    """The loss, and its gradient for every array ``trainable_arrays``
+    names, under the same keys in the same order.
 
     The data term is averaged over the batch; the L2 term covers convolution
-    and FC weights only. Embedding gradients are produced for trainable
-    channels, with the pad row forced to zero.
+    and FC weights only. A trainable channel's gradient has its pad row
+    forced to zero.
     """
     hyper = params.hyper
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
@@ -504,16 +500,19 @@ def backward(
     run = _height_map(len(hyper.heights), batch)
     desc = hyper.heights[::-1]  # largest height (the most work) first
     firsts = dict(zip(desc, run(window_grads, desc)))
-    g_conv_b = {h: firsts[h][0] for h in hyper.heights}
     dys = {h: firsts[h][1] for h in hyper.heights}
     # weight GEMMs before input GEMMs: the larger products go first
     tasks = [(weight_grad, h) for h in desc]
     if trainable:
         tasks += [(input_grad, h) for h in desc]
     products = dict(zip(tasks, run(lambda task: task[0](task[1]), tasks)))
-    g_conv_w = {h: products[weight_grad, h] for h in hyper.heights}
 
-    emb_grads: dict[int, np.ndarray] = {}
+    grads = {}
+    for h in hyper.heights:
+        grads[f"conv_w[{h}]"] = products[weight_grad, h]
+        grads[f"conv_b[{h}]"] = firsts[h][0]
+    grads["fc_w"] = g_fc_w
+    grads["fc_b"] = g_fc_b
     if trainable:
         dx = np.zeros((n_rows, cols.stop - cols.start), dtype=dtype)
         for h in hyper.heights:  # ascending, as the serial sum
@@ -524,9 +523,8 @@ def backward(
             g = np.zeros_like(channels.channels[c].table, dtype=dtype)
             scatter_add(g, flat_ids, d_words[:, c - trainable[0]])
             g[PAD_ID] = 0.0
-            emb_grads[c] = g
-
-    return loss, Gradients(g_conv_w, g_conv_b, g_fc_w, g_fc_b, emb_grads)
+            grads[f"channel[{c}]"] = g
+    return loss, grads
 
 
 # ---------------------------------------------------------------------------

@@ -201,20 +201,15 @@ def sentence_top_tokens(result: AttentionResult, k: int) -> list[str]:
     return [result.tokens[int(i)] for i in order[: min(k, n)]]
 
 
-def aggregate_top_words(
-    results: Iterable[AttentionResult],
-    k: int = 5,
-    stop_words: frozenset[str] = frozenset(),
-) -> TopWordsTable:
+def aggregate_top_words(results: Iterable[AttentionResult], k: int = 5) -> TopWordsTable:
     """Pool each sentence's top-k words by its scored (predicted) class and
-    rank tokens by frequency, ties lexicographic. Stop words are kept by
-    default to mirror raw model behavior."""
+    rank tokens by frequency, ties lexicographic. Stop words count like any
+    other word, to mirror raw model behavior."""
     counters: dict[int, Counter] = {}
     n_results = 0
     for res in results:
         n_results += 1
-        toks = [t for t in sentence_top_tokens(res, k) if t not in stop_words]
-        counters.setdefault(res.class_index, Counter()).update(toks)
+        counters.setdefault(res.class_index, Counter()).update(sentence_top_tokens(res, k))
     if n_results == 0:
         raise DataError("no attention results to aggregate")
     table = TopWordsTable()

@@ -1,9 +1,10 @@
 """Mini-batch training loop, optimizers, and evaluation.
 
-The optimizer owns a flat name -> array view of every trainable tensor:
-convolution banks, FC weights/biases, and the tables of trainable embedding
-channels. Frozen channels never enter that view, so they are bitwise
-untouched by training.
+The optimizer owns ``model.trainable_arrays``, a flat name -> array view of
+every trainable tensor: convolution banks, FC weights/biases, and the tables
+of trainable embedding channels, and ``model.backward`` returns gradients
+under the same names. Frozen channels never enter that view, so they are
+bitwise untouched by training.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from wordcam.embed.channels import ChannelConfig
 from wordcam.errors import ConfigError, DataError, DivergenceError
 from wordcam.model import (
     BATCH_SIZE,
-    Gradients,
     ModelHyper,
     ModelParams,
+    _as_batch,
     backward,
     cross_entropy,
     forward,
-    pad_ids,
+    trainable_arrays,
 )
 
 
@@ -115,32 +116,9 @@ def batch_arrays(
     examples: Sequence[LabeledExample], d: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack examples into (ids, lengths, labels) matrices."""
-    ids = np.stack([pad_ids(ex.token_ids, d) for ex in examples])
-    lengths = np.asarray([min(len(ex.token_ids), d) for ex in examples], dtype=np.int64)
+    ids, lengths = _as_batch([ex.token_ids for ex in examples], d)
     labels = np.asarray([ex.label.class_index for ex in examples], dtype=np.int64)
     return ids, lengths, labels
-
-
-def _trainable_arrays(
-    params: ModelParams, channels: ChannelConfig
-) -> dict[str, np.ndarray]:
-    arrays = dict(params.named_arrays())
-    for i, ch in enumerate(channels.channels):
-        if ch.trainable:
-            arrays[f"emb[{i}]"] = ch.table
-    return arrays
-
-
-def _grad_dict(grads: Gradients, params: ModelParams) -> dict[str, np.ndarray]:
-    out: dict[str, np.ndarray] = {}
-    for h in params.hyper.heights:
-        out[f"conv_w[{h}]"] = grads.conv_w[h]
-        out[f"conv_b[{h}]"] = grads.conv_b[h]
-    out["fc_w"] = grads.fc_w
-    out["fc_b"] = grads.fc_b
-    for c, g in grads.emb.items():
-        out[f"emb[{c}]"] = g
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +235,7 @@ def train_epochs(
         params = params.copy()
 
     rng = np.random.default_rng(config.seed)
-    optimizer = make_optimizer(_trainable_arrays(params, channels), config.optimizer)
+    optimizer = make_optimizer(trainable_arrays(params, channels), config.optimizer)
 
     history: list[EpochRecord] = []
     best_acc = -1.0
@@ -285,7 +263,7 @@ def train_epochs(
                     f"non-finite loss {loss} at epoch {epoch}, batch {n_batches}; "
                     "reduce the learning rate or the regularization weight"
                 )
-            optimizer.step(_grad_dict(grads, params))
+            optimizer.step(grads)
             for ch in channels.channels:
                 ch.table[PAD_ID] = 0.0
             loss_sum += loss

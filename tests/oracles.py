@@ -256,8 +256,8 @@ def subword_dense(
     with the package, since only the table's storage is under test.
 
     Returns a namespace with word_vecs, gram_vecs (bucket, k), w_out,
-    epoch_losses, offsets, grams, ``materialize(word, word_id=None)`` and
-    ``table``: train_subword's float64 table before its dtype cast.
+    epoch_losses, offsets, grams and ``table``: train_subword's float64
+    table before its dtype cast.
     """
     from types import SimpleNamespace
 
@@ -295,17 +295,11 @@ def subword_dense(
         losses[epoch] += loss
     word_vecs[0] = 0.0
 
-    def materialize(word, word_id=None):
-        vec = gram_vecs[gram_ids(word)].sum(axis=0)
-        if word_id is not None:
-            vec = vec + word_vecs[word_id]
-        return vec
-
     table = np.zeros((vocab_size, k))
     for i in range(1, vocab_size):
         table[i] = gram_vecs[grams[offsets[i] : offsets[i + 1]]].sum(axis=0) + word_vecs[i]
     return SimpleNamespace(
         word_vecs=word_vecs, gram_vecs=gram_vecs, w_out=w_out,
         epoch_losses=[s / len(pairs) for s in losses], offsets=offsets,
-        grams=grams, materialize=materialize, table=table,
+        grams=grams, table=table,
     )

@@ -47,6 +47,7 @@ from wordcam.model import (
     backward,
     forward,
     loss_value,
+    trainable_arrays,
 )
 from wordcam.synthetic import planted_corpus
 from wordcam.train import OptimizerConfig, TrainConfig, evaluate, train_epochs
@@ -101,16 +102,9 @@ def test_criterion_1_gradient_correctness():
         rng = np.random.default_rng(mask_seed)
         trace = forward(ids, params, config, mode="train", rng=rng, keep=keep)
         _, grads = backward(trace, params, config, [label], lam=lam)
-        groups = {f"conv_w[{h}]": (params.conv_w[h], grads.conv_w[h])
-                  for h in hyper.heights}
-        groups.update({f"conv_b[{h}]": (params.conv_b[h], grads.conv_b[h])
-                       for h in hyper.heights})
-        groups["fc_w"] = (params.fc_w, grads.fc_w)
-        groups["fc_b"] = (params.fc_b, grads.fc_b)
-        groups["emb"] = (config.channels[0].table, grads.emb[0])
-        for name, (arr, analytic) in groups.items():
+        for name, arr in trainable_arrays(params, config).items():
             numeric = numeric_gradient(loss_fn, arr, eps=eps)
-            err = float(relative_errors(analytic, numeric).max())
+            err = float(relative_errors(grads[name], numeric).max())
             worst = max(worst, err)
             assert err < 1e-4, f"seed {nominal_seed} group {name}: {err:.3e}"
     dt = time.time() - t0

@@ -1,4 +1,3 @@
-import json
 
 import numpy as np
 import pytest
@@ -336,24 +335,6 @@ def test_attend_defaults_to_predicted_class(tiny_setup):
     assert result.n_words == 3
     assert abs(result.normalized[:3].sum() - 1.0) < 1e-6
     assert len(result.selected) == 1  # ceil(0.1 * 3)
-
-
-def test_attend_json_schema(tiny_setup):
-    hyper, params, config = tiny_setup(d=5)
-    tokens = ["one", "two"]
-    trace = forward([1, 2], params, config, mode="infer")
-    result = attend(trace, params, tokens, class_index=0)
-    payload = json.loads(result.to_json())
-    assert payload["class"] == 0
-    assert len(payload["words"]) == hyper.d
-    for p, entry in enumerate(payload["words"]):
-        assert set(entry) == {"token", "pos", "raw", "norm", "selected"}
-        assert entry["pos"] == p
-    assert payload["words"][0]["token"] == "one"
-    assert payload["words"][2]["token"] is None  # pad position flagged
-    assert payload["words"][2]["norm"] == 0.0
-    # raw scores at pad positions are reported for debugging
-    assert isinstance(payload["words"][4]["raw"], float)
 
 
 def test_attend_token_count_must_match(tiny_setup):

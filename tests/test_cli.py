@@ -2,6 +2,9 @@ import dataclasses
 import errno
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -639,3 +642,70 @@ def test_malformed_channel_metadata_exits_3(pipeline_dirs, meta):
     assert _embed(dirs) == 0
     (dirs["channels"] / "channels.json").write_text(meta, encoding="utf-8")
     assert _train(dirs, extra=["--epochs", "1"]) == 3
+
+
+def _edit_vocab_line(field, value):
+    def edit(dirs):
+        path = dirs["corpus"] / "vocab.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        cells = lines[1].split("\t")
+        cells[field] = value
+        lines[1] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return edit
+
+
+def _drop_meta_seed(dirs):
+    path = dirs["corpus"] / "meta.json"
+    meta = json.loads(path.read_text(encoding="utf-8"))
+    del meta["seed"]
+    path.write_text(json.dumps(meta), encoding="utf-8")
+
+
+_EMBED = ["embed", "--corpus", "{corpus}", "--out", "{channels}", "--k", "4"]
+_ATTEND = ["attend", "--checkpoint", "{run}/checkpoint.ckpt", "--input", "{tmp}/in.txt",
+           "--out", "{reports}"]
+_PREPARE = ["prepare", "--data", "{tmp}/latin1.csv", "--data-format", "csv",
+            "--out", "{tmp}/fresh"]
+
+
+@pytest.mark.parametrize("edit, argv, code, names", [
+    (_edit_vocab_line(1, "one"), _EMBED, 3, "vocab.tsv:2"),
+    (_edit_vocab_line(2, "many"), _EMBED, 3, "vocab.tsv:2"),
+    (lambda dirs: (dirs["corpus"] / "meta.json").write_text("{not json"), _EMBED, 3,
+     "meta.json"),
+    (_drop_meta_seed, _EMBED, 3, "meta.json"),
+    (lambda dirs: (dirs["corpus"] / "vocab.tsv").unlink(), _EMBED, 3, "vocab.tsv"),
+    (lambda dirs: (dirs["corpus"] / "train.tsv").unlink(), _EMBED, 3, "train.tsv"),
+    (lambda dirs: (dirs["tmp"] / "bad.cfg").write_text("mode=rand\nk=abc\n"),
+     _EMBED + ["--config", "{tmp}/bad.cfg"], 2, "bad.cfg:2"),
+    (lambda dirs: (dirs["tmp"] / "bad.cfg").write_bytes(b"# caf\xe9\nk=4\n"),
+     _EMBED + ["--config", "{tmp}/bad.cfg"], 2, "bad.cfg"),
+    (lambda dirs: (dirs["tmp"] / "in.txt").write_bytes(b"a caf\xe9 delight\n"), _ATTEND, 3,
+     "in.txt"),
+    (lambda dirs: (dirs["tmp"] / "latin1.csv").write_bytes(b"text,rating\ncaf\xe9 night,9\n"),
+     _PREPARE, 3, "latin1.csv"),
+], ids=["vocab-id", "vocab-count", "meta-not-json", "meta-no-seed", "no-vocab",
+        "no-train", "config-value", "config-not-utf8", "attend-input-not-utf8",
+        "csv-not-utf8"])
+def test_malformed_input_exits_without_traceback(
+    pipeline_dirs, tmp_path, edit, argv, code, names
+):
+    """Each bad input file ends in its exit code and a one-line message on
+    stderr that names the file, run as a separate process so that a
+    traceback would show."""
+    dirs = dict(pipeline_dirs, tmp=tmp_path)
+    assert _prepare(dirs) == 0
+    if argv is _ATTEND:
+        assert _embed(dirs) == 0
+        assert _train(dirs, extra=["--epochs", "1"]) == 0
+    edit(dirs)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "wordcam.cli", *(a.format(**dirs) for a in argv)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and names in proc.stderr, proc.stderr

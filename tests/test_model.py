@@ -33,13 +33,19 @@ from wordcam.model import (
     loss_value,
     save_checkpoint,
     spread,
+    trainable_arrays,
 )
+
+
+def per_token_words(trace):
+    """The (B, C, d, k) word matrix of the trace's tokens, id-0 rows zero."""
+    return trace.words[trace.index].transpose(0, 2, 1, 3)
 
 
 def framed(trace, h, item=0):
     """The (C, d+2(h-1), k) input the oracles expect: the trace's embedded
     words with h-1 zero rows on each side."""
-    x = np.asarray(trace.embedded[item], dtype=np.float64)
+    x = np.asarray(per_token_words(trace)[item], dtype=np.float64)
     frame = np.zeros((x.shape[0], h - 1, x.shape[2]))
     return np.concatenate([frame, x, frame], axis=1)
 
@@ -77,9 +83,10 @@ def test_forward_embeds_and_right_pads(tiny_setup):
     hyper, params, config = tiny_setup(d=4)
     ch = config.channels[0]
     trace = forward([7], params, config, mode="infer")
-    assert trace.embedded.shape == (1, 1, 4, hyper.k)
-    assert np.array_equal(trace.embedded[0, 0, 0], ch.table[7])
-    assert np.all(trace.embedded[0, 0, 1:] == 0.0)  # pad-id rows are zero
+    words = per_token_words(trace)
+    assert words.shape == (1, 1, 4, hyper.k)
+    assert np.array_equal(words[0, 0, 0], ch.table[7])
+    assert np.all(words[0, 0, 1:] == 0.0)  # pad-id rows are zero
 
 
 def test_word_coverage_is_h_for_every_position():
@@ -317,7 +324,7 @@ def test_forward_is_bit_identical_to_per_token_lowering(case, mode):
     embedded, fmaps = conv_per_token(
         ids, [ch.table for ch in config.channels], params.conv_w, params.conv_b
     )
-    assert np.array_equal(trace.embedded, embedded)
+    assert np.array_equal(per_token_words(trace), embedded)
     pooled = np.concatenate(
         [fmaps[h].mean(axis=1, dtype=np.float64).astype(params.dtype)
          for h in params.hyper.heights],
@@ -354,7 +361,7 @@ def test_forward_is_bit_identical_at_paper_sizes(dtype, batch):
     embedded, fmaps = conv_per_token(
         trace.ids, [ch.table for ch in tables], params.conv_w, params.conv_b
     )
-    assert np.array_equal(trace.embedded, embedded)
+    assert np.array_equal(per_token_words(trace), embedded)
     same = equal_unless_blas_varies(
         blas_rows_ignore_row_count(trace.ids, embedded, params), dtype
     )
@@ -375,7 +382,7 @@ def test_backward_softmax_at_zero_logits(tiny_setup):
     assert np.allclose(trace.logits, 0.0)
     loss, grads = backward(trace, zero, config, [1], lam=0.0)
     # dL/dy = softmax(y) - onehot = [0.5, -0.5] when the true class is second
-    assert np.allclose(grads.fc_b, [0.5, -0.5])
+    assert np.allclose(grads["fc_b"], [0.5, -0.5])
     assert np.isclose(loss, np.log(2.0))
 
 
@@ -398,20 +405,10 @@ def test_backward_batch_is_mean_of_singles(tiny_setup):
         tr = forward(s, params, config, mode="train",
                      rng=np.random.default_rng(0), keep=1.0)
         _, g = backward(tr, params, config, [y], lam=0.0)
-        if acc is None:
-            acc = g
-        else:
-            for h in hyper.heights:
-                acc.conv_w[h] += g.conv_w[h]
-                acc.conv_b[h] += g.conv_b[h]
-            acc.fc_w += g.fc_w
-            acc.fc_b += g.fc_b
-            acc.emb[0] += g.emb[0]
-    n = len(sents)
-    for h in hyper.heights:
-        assert np.allclose(batch_grads.conv_w[h], acc.conv_w[h] / n, atol=1e-12)
-    assert np.allclose(batch_grads.fc_w, acc.fc_w / n, atol=1e-12)
-    assert np.allclose(batch_grads.emb[0], acc.emb[0] / n, atol=1e-12)
+        acc = g if acc is None else {name: acc[name] + g[name] for name in acc}
+    assert list(batch_grads) == list(acc)
+    for name, g in batch_grads.items():
+        assert np.allclose(g, acc[name] / len(sents), atol=1e-12), name
 
 
 def test_backward_frozen_channel_gets_no_gradient():
@@ -423,10 +420,28 @@ def test_backward_frozen_channel_gets_no_gradient():
     rng = np.random.default_rng(2)
     trace = forward([1, 2, 3], params, config, mode="train", rng=rng, keep=0.5)
     _, grads = backward(trace, params, config, [1], lam=0.1)
-    assert 0 not in grads.emb  # frozen half
-    assert 1 in grads.emb
-    assert np.abs(grads.emb[1]).sum() > 0.0
-    assert np.all(grads.emb[1][0] == 0.0)  # pad row pinned
+    assert "channel[0]" not in grads  # frozen half
+    assert np.abs(grads["channel[1]"]).sum() > 0.0
+    assert np.all(grads["channel[1]"][0] == 0.0)  # pad row pinned
+
+
+@pytest.mark.parametrize("mode", list(InputMode))
+def test_backward_keys_are_the_trainable_arrays(mode):
+    """``backward`` returns one gradient per array ``trainable_arrays``
+    names, in its order: a static or frozen channel has neither."""
+    table = init_random(8, 4, seed=1, dtype=np.float64)
+    config = assemble(mode, rand=table, skipgram=table, cooc=table, subword=table)
+    hyper = ModelHyper(k=4, d=5, heights=(2, 3), n_filters=2, n_channels=len(config.channels))
+    params = ModelParams.init(hyper, seed=2, dtype=np.float64)
+    trace = forward([1, 2, 3], params, config, mode="train", rng=np.random.default_rng(3))
+    _, grads = backward(trace, params, config, [1])
+    arrays = trainable_arrays(params, config)
+    assert list(grads) == list(arrays)
+    assert [name for name in arrays if name.startswith("channel")] == [
+        f"channel[{i}]" for i, ch in enumerate(config.channels) if ch.trainable
+    ]
+    for name, g in grads.items():
+        assert g.shape == arrays[name].shape, name
 
 
 def test_backward_matches_finite_differences_two_channels():
@@ -448,9 +463,9 @@ def test_backward_matches_finite_differences_two_channels():
     trace = forward(ids, params, config, mode="train", rng=rng, keep=keep)
     _, grads = backward(trace, params, config, label, lam=lam)
     for name, arr, g in [
-        ("conv_w[2]", params.conv_w[2], grads.conv_w[2]),
-        ("fc_w", params.fc_w, grads.fc_w),
-        ("emb[1]", config.channels[1].table, grads.emb[1]),
+        ("conv_w[2]", params.conv_w[2], grads["conv_w[2]"]),
+        ("fc_w", params.fc_w, grads["fc_w"]),
+        ("channel[1]", config.channels[1].table, grads["channel[1]"]),
     ]:
         numeric = numeric_gradient(loss_fn, arr)
         assert relative_errors(g, numeric).max() < 1e-6, name
@@ -463,7 +478,7 @@ def test_forward_backward_bitwise_deterministic(tiny_setup):
         rng = np.random.default_rng(42)
         tr = forward([1, 2, 3, 4], params, config, mode="train", rng=rng, keep=0.5)
         loss, grads = backward(tr, params, config, [1], lam=0.1)
-        outs.append((loss, grads.fc_w.copy(), grads.emb[0].copy()))
+        outs.append((loss, grads["fc_w"].copy(), grads["channel[0]"].copy()))
     assert outs[0][0] == outs[1][0]
     assert np.array_equal(outs[0][1], outs[1][1])
     assert np.array_equal(outs[0][2], outs[1][2])
@@ -507,13 +522,9 @@ def assert_same_step(got, want):
         assert np.array_equal(a.pooled, b.pooled)
         assert np.array_equal(a.logits, b.logits)
     ga, gb = got[1], want[1]
-    for h in ga.conv_w:
-        assert np.array_equal(ga.conv_w[h], gb.conv_w[h])
-        assert np.array_equal(ga.conv_b[h], gb.conv_b[h])
-    assert np.array_equal(ga.fc_w, gb.fc_w) and np.array_equal(ga.fc_b, gb.fc_b)
-    assert list(ga.emb) == list(gb.emb)
-    for c in ga.emb:
-        assert np.array_equal(ga.emb[c], gb.emb[c])
+    assert list(ga) == list(gb)
+    for name in ga:
+        assert np.array_equal(ga[name], gb[name]), name
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -531,7 +542,7 @@ def test_pool_matches_serial_loop_at_paper_sizes(dtype, monkeypatch):
     embedded, fmaps = conv_per_token(
         infer.ids, [ch.table for ch in config.channels], params.conv_w, params.conv_b
     )
-    assert np.array_equal(infer.embedded, embedded)
+    assert np.array_equal(per_token_words(infer), embedded)
     same = equal_unless_blas_varies(
         blas_rows_ignore_row_count(infer.ids, embedded, params), dtype
     )
@@ -616,24 +627,15 @@ def test_embedding_gradients_are_the_serial_loops(dtype):
         ))
         _, got = backward(trace, params, retrained, labels, lam=0.1)
         want = embedding_grads_serial(trace, params, tables, flags, labels)
-        assert list(got.emb) == list(want)
+        assert [name for name in got if name.startswith("channel")] == [
+            f"channel[{c}]" for c in want
+        ]
         same = equal_unless_blas_varies(exact or all(flags), dtype)
         for c in want:
-            assert same(got.emb[c], want[c])
-        for h in params.hyper.heights:
-            assert np.array_equal(got.conv_w[h], grads.conv_w[h])
-            assert np.array_equal(got.conv_b[h], grads.conv_b[h])
-        assert np.array_equal(got.fc_w, grads.fc_w)
-
-
-def test_trace_builds_embedded_on_first_read(tiny_setup):
-    hyper, params, config = tiny_setup(d=5)
-    trace = forward([[1, 2, 3], [4, 1]], params, config, mode="infer")
-    assert "embedded" not in vars(trace)
-    assert trace.words.shape == (5, 1, hyper.k)  # ids 0, 1, 2, 3, 4
-    first = trace.embedded
-    assert trace.embedded is first
-    assert np.array_equal(first[1, 0, 1], config.channels[0].table[1])
+            assert same(got[f"channel[{c}]"], want[c])
+        for name, g in grads.items():
+            if not name.startswith("channel"):
+                assert np.array_equal(got[name], g), name
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ def test_ngram_bucket_deterministic():
 
 
 def _toy_fit(**kwargs):
+    """The toy vocabulary, its fit, and train_subword's float64 table of the
+    same run."""
     tokens = ["<pad>", "care", "core", "dare", "mist", "mast"]
     rng = np.random.default_rng(0)
     sentences = [rng.integers(1, 6, size=5).tolist() for _ in range(40)]
@@ -41,7 +43,14 @@ def _toy_fit(**kwargs):
         negatives=3, epochs=2, lr=0.05, seed=1,
     )
     defaults.update(kwargs)
-    return tokens, fit_subword(sentences, tokens, **defaults)
+    fit = fit_subword(sentences, tokens, **defaults)
+    table = train_subword(sentences, tokens, dtype=np.float64, **defaults).table
+    return tokens, fit, table
+
+
+def _gram_rows(fit, i):
+    """Word i's rows of fit.gram_vecs, one per n-gram."""
+    return fit.grams[fit.offsets[i] : fit.offsets[i + 1]]
 
 
 @pytest.mark.parametrize("bad", [dict(negatives=0), dict(k=0)])
@@ -51,40 +60,33 @@ def test_fit_subword_rejects_bad_settings(bad):
 
 
 def test_materialized_difference_is_unshared_contribution():
-    tokens, fit = _toy_fit()
+    tokens, fit, table = _toy_fit()
     i, j = tokens.index("care"), tokens.index("dare")
-    grams_i = set(fit.gram_ids("care"))
-    grams_j = set(fit.gram_ids("dare"))
-    shared = grams_i & grams_j
+    rows_i = set(_gram_rows(fit, i))
+    rows_j = set(_gram_rows(fit, j))
+    shared = rows_i & rows_j
     assert shared  # "are", "are>", ... overlap by construction
     expected = (
         fit.word_vecs[i]
         - fit.word_vecs[j]
-        + fit.bucket_vecs(sorted(grams_i - shared)).sum(axis=0)
-        - fit.bucket_vecs(sorted(grams_j - shared)).sum(axis=0)
+        + fit.gram_vecs[sorted(rows_i - shared)].sum(axis=0)
+        - fit.gram_vecs[sorted(rows_j - shared)].sum(axis=0)
     )
-    got = fit.materialize("care", i) - fit.materialize("dare", j)
     # repeated shared grams could break this; the toy words have none
-    assert len(fit.gram_ids("care")) == len(grams_i)
-    assert np.allclose(got, expected, atol=1e-12)
-
-
-def test_oov_word_materializes_nonzero():
-    tokens, fit = _toy_fit()
-    vec = fit.materialize("cares")  # never in the vocabulary
-    assert vec.shape == (8,)
-    assert np.linalg.norm(vec) > 0.0
+    assert len(_gram_rows(fit, i)) == len(rows_i)
+    assert np.allclose(table[i] - table[j], expected, atol=1e-12)
 
 
 def test_bucket_one_collides_everything():
-    tokens, fit = _toy_fit(bucket=1, epochs=0)
-    assert set(fit.gram_ids("mist")) == {0}
-    assert set(fit.gram_ids("mast")) == {0}
-    # same length means the same number of colliding grams; with equalized
-    # whole-word vectors the representations coincide exactly
+    tokens, fit, table = _toy_fit(bucket=1, epochs=0)
+    assert fit.buckets.tolist() == [0]
     i, j = tokens.index("mist"), tokens.index("mast")
-    fit.word_vecs[j] = fit.word_vecs[i]
-    assert np.array_equal(fit.materialize("mist", i), fit.materialize("mast", j))
+    # same length means the same number of colliding grams, so the two
+    # rows differ by their whole-word vectors alone
+    n = len(word_ngrams("mist", 3, 4))
+    assert len(_gram_rows(fit, i)) == len(_gram_rows(fit, j)) == n
+    for word in (i, j):
+        assert np.allclose(table[word] - fit.word_vecs[word], n * fit.gram_vecs[0], atol=1e-12)
 
 
 def test_train_subword_channel_deterministic():
@@ -119,8 +121,8 @@ def _last_bucket_used(tokens, lo):
 ])
 def test_fit_matches_the_dense_table(bucket, epochs, block):
     """Storing only the used buckets' rows changes no bit: the trained
-    tables, the channel, the losses (so the noise draws) and the vectors
-    of in-vocabulary and unseen words all equal the dense trainer's."""
+    tables, the channel and the losses (so the noise draws) all equal the
+    dense trainer's."""
     tokens = _TOY_TOKENS
     rng = np.random.default_rng(0)
     sentences = [rng.integers(1, len(tokens), size=5).tolist() for _ in range(40)]
@@ -135,12 +137,6 @@ def test_fit_matches_the_dense_table(bucket, epochs, block):
         assert np.array_equal(fit.buckets, np.unique(want.grams))
         assert np.array_equal(fit.gram_vecs, want.gram_vecs[fit.buckets])
         assert np.array_equal(fit.buckets[fit.grams], want.grams)
-        for i, tok in enumerate(tokens[1:], 1):
-            assert np.array_equal(fit.materialize(tok, i), want.materialize(tok, i))
-        for word in ("cares", "mistaken", "zzz", "ré"):  # never in the vocabulary
-            assert np.array_equal(fit.materialize(word), want.materialize(word))
-        unused = np.setdiff1d(np.arange(bucket), fit.buckets)[[0, -1]] if bucket > 1 else []
-        assert np.array_equal(fit.bucket_vecs(unused), want.gram_vecs[unused])
         channel = train_subword(sentences, tokens, dtype=np.float64, **kwargs)
         assert np.array_equal(channel.table, want.table)
 

@@ -12,6 +12,7 @@ from wordcam.model import (
     load_checkpoint,
     params_digest,
     save_checkpoint,
+    trainable_arrays,
 )
 from wordcam.train import (
     SGD,
@@ -112,20 +113,14 @@ def test_sgd_small_lr_monotone_loss_on_fixed_batch():
     from wordcam.train import batch_arrays
 
     ids, lengths, labels = batch_arrays(examples, hyper.d)
-    arrays = dict(params.named_arrays())
-    arrays["emb[0]"] = channels.channels[0].table
-    opt = SGD(arrays, lr=1e-3)
+    opt = SGD(trainable_arrays(params, channels), lr=1e-3)
     losses = []
     for _ in range(50):
         trace = forward(ids, params, channels, mode="train",
                         rng=np.random.default_rng(0), keep=1.0, n_words=lengths)
         loss, grads = backward(trace, params, channels, labels, lam=0.01)
         losses.append(loss)
-        flat = {"fc_w": grads.fc_w, "fc_b": grads.fc_b, "emb[0]": grads.emb[0]}
-        for h in hyper.heights:
-            flat[f"conv_w[{h}]"] = grads.conv_w[h]
-            flat[f"conv_b[{h}]"] = grads.conv_b[h]
-        opt.step(flat)
+        opt.step(grads)
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
