@@ -37,7 +37,7 @@ from wordcam.embed import (
 )
 from wordcam.model import ModelHyper
 from wordcam.report import accuracy_table, aggregate_top_words, from_attention, render_highlight
-from wordcam.train import OptimizerConfig, TrainConfig, evaluate, train_epochs
+from wordcam.train import TrainConfig, evaluate, train_epochs
 
 
 def main() -> int:
@@ -93,8 +93,7 @@ def main() -> int:
 
     hyper_for = lambda n: ModelHyper(k=100, d=d, heights=(3, 4, 5),
                                      n_filters=128, n_channels=n)
-    config = TrainConfig(batch_size=64, epochs=args.epochs,
-                         optimizer=OptimizerConfig("adam", 1e-3), lam=0.1,
+    config = TrainConfig(batch_size=64, epochs=args.epochs, lr=1e-3, lam=0.1,
                          keep=0.5, seed=args.seed)
     reports = {}
     best = {}
@@ -108,8 +107,8 @@ def main() -> int:
         result = train_epochs(train_set, test_set, channels,
                               hyper_for(len(channels)), config)
         for rec in result.history:
-            acc = "-" if rec.test_accuracy is None else f"{rec.test_accuracy:.4f}"
-            print(f"  epoch {rec.epoch}: loss={rec.train_loss:.4f} acc={acc}")
+            print(f"  epoch {rec.epoch}: loss={rec.train_loss:.4f} "
+                  f"acc={rec.test_accuracy:.4f}")
         reports[mode.value] = evaluate(result.best_params, result.best_channels,
                                        test_set)
         best[mode.value] = result

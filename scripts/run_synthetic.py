@@ -22,7 +22,7 @@ from wordcam.embed import InputMode, assemble, init_random
 from wordcam.model import ModelHyper, save_checkpoint
 from wordcam.report import aggregate_top_words, from_attention, render_highlight
 from wordcam.synthetic import planted_corpus
-from wordcam.train import OptimizerConfig, TrainConfig, train_epochs
+from wordcam.train import TrainConfig, train_epochs
 
 
 def main() -> int:
@@ -50,14 +50,13 @@ def main() -> int:
         InputMode.RAND, rand=init_random(len(vocab), 24, seed=args.seed + 1)
     )
     config = TrainConfig(
-        batch_size=64, epochs=args.epochs,
-        optimizer=OptimizerConfig("adam", 1e-3), lam=1e-3, keep=0.5,
+        batch_size=64, epochs=args.epochs, lr=1e-3, lam=1e-3, keep=0.5,
         seed=args.seed,
     )
     result = train_epochs(train_set, test_set, channels, hyper, config)
     for rec in result.history:
-        acc = "-" if rec.test_accuracy is None else f"{rec.test_accuracy:.4f}"
-        print(f"epoch {rec.epoch}: loss={rec.train_loss:.4f} acc={acc}")
+        print(f"epoch {rec.epoch}: loss={rec.train_loss:.4f} "
+              f"acc={rec.test_accuracy:.4f}")
     params, trained = result.best_params, result.best_channels
     print(f"best accuracy: {result.best_accuracy:.4f}")
 

@@ -142,7 +142,6 @@ class AttentionResult:
     raw: np.ndarray  # (d,)
     normalized: np.ndarray  # (d,), zeros at pad positions
     selected: tuple[int, ...]  # positions of the top fraction
-    fraction: float
 
     @property
     def n_words(self) -> int:
@@ -157,7 +156,6 @@ def _readout(raw, tokens: tuple, class_index: int, fraction: float) -> Attention
         raw=raw,
         normalized=normalize_scores(raw, n_words),
         selected=tuple(select_top(raw, n_words, fraction=fraction)),
-        fraction=fraction,
     )
 
 

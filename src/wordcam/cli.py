@@ -14,6 +14,7 @@ import dataclasses
 import json
 import os
 import sys
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,13 +46,7 @@ from wordcam.report import (
     from_attention,
     render_highlight,
 )
-from wordcam.train import (
-    OptimizerConfig,
-    TrainConfig,
-    evaluate,
-    history_csv,
-    train_epochs,
-)
+from wordcam.train import TrainConfig, evaluate, history_csv, train_epochs
 
 DATA_DIR_ENV = "WORDCAM_DATA_DIR"
 
@@ -86,8 +81,6 @@ class RunConfig:
     negatives: int = 5
     embed_epochs: int = 5
     embed_lr: float = 0.025
-    x_max: float = 100.0
-    alpha: float = 0.75
     ngram_min: int = 3
     ngram_max: int = 6
     bucket: int = 200000
@@ -97,14 +90,9 @@ class RunConfig:
     # training
     batch_size: int = BATCH_SIZE
     epochs: int = 5
-    optimizer: str = "adam"
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     lam: float = 0.1
     dropout_keep: float = 0.5
-    eval_every: int = 1
     # attention and reports
     sentence: str | None = None
     input: str | None = None
@@ -118,11 +106,22 @@ class RunConfig:
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
+def _declared_type(hint) -> type:
+    """A field's one value type: ``X | None`` reads as ``X``."""
+    args = [a for a in typing.get_args(hint) if a is not type(None)]
+    return args[0] if args else hint
+
+
+# the type that both a flag and a config-file value parse to
+_TYPES = {
+    name: _declared_type(hint) for name, hint in typing.get_type_hints(RunConfig).items()
+}
+
+
 def _coerce(name: str, value: str):
-    """Parse a config-file string into the field's type."""
-    f = _FIELDS[name]
-    default = f.default
-    if isinstance(default, bool):
+    """Parse a config-file string into the field's declared type."""
+    kind = _TYPES[name]
+    if kind is bool:
         low = value.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
@@ -130,14 +129,11 @@ def _coerce(name: str, value: str):
             return False
         raise ConfigError(f"config key {name}: expected a boolean, got {value!r}")
     try:
-        if isinstance(default, int):
-            return int(value)
-        if isinstance(default, float):
-            return float(value)
+        return kind(value)
     except ValueError as exc:
-        kind = type(default).__name__
-        raise ConfigError(f"config key {name}: expected {kind}, got {value!r}") from exc
-    return value
+        raise ConfigError(
+            f"config key {name}: expected {kind.__name__}, got {value!r}"
+        ) from exc
 
 
 def read_config_file(path: str) -> dict:
@@ -179,19 +175,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**merged)
 
 
-def _add(parser: argparse.ArgumentParser, name: str, arg_type=None, help: str = "") -> None:
+def _add(parser: argparse.ArgumentParser, name: str, help: str = "") -> None:
     """Add a RunConfig-backed option; default stays None so the merge can
     tell 'unset' from 'explicitly set to the default'."""
     field = _FIELDS[name]
     flag = "--" + name.replace("_", "-")
-    if isinstance(field.default, bool):
+    if _TYPES[name] is bool:
         parser.add_argument(flag, dest=name, action="store_true", default=None,
                             help=help)
         return
-    if arg_type is None:
-        arg_type = type(field.default) if field.default is not None else str
     suffix = "" if field.default is None else f" (default: {field.default})"
-    parser.add_argument(flag, dest=name, type=arg_type, default=None,
+    parser.add_argument(flag, dest=name, type=_TYPES[name], default=None,
                         help=help + suffix)
 
 
@@ -273,8 +267,8 @@ def _embed_channels(cfg: RunConfig, prepared: corpus_mod.PreparedCorpus) -> Chan
         )
     if mode is InputMode.FOUR_CH:
         cooc = train_cooc_factor(
-            sentences, vocab_size, k=cfg.k, window=cfg.window, x_max=cfg.x_max,
-            alpha=cfg.alpha, epochs=max(cfg.embed_epochs * 5, 1), seed=cfg.seed + 2,
+            sentences, vocab_size, k=cfg.k, window=cfg.window,
+            epochs=max(cfg.embed_epochs * 5, 1), seed=cfg.seed + 2,
         )
         subword = train_subword(
             sentences, prepared.vocab.id_to_token, k=cfg.k, window=cfg.window,
@@ -333,14 +327,10 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
     return TrainConfig(
         batch_size=cfg.batch_size,
         epochs=cfg.epochs,
-        optimizer=OptimizerConfig(
-            kind=cfg.optimizer, lr=cfg.lr, beta1=cfg.beta1,
-            beta2=cfg.beta2, eps=cfg.adam_eps,
-        ),
+        lr=cfg.lr,
         lam=cfg.lam,
         keep=cfg.dropout_keep,
         seed=cfg.seed,
-        eval_every=cfg.eval_every,
     )
 
 
@@ -369,8 +359,7 @@ def cmd_train(cfg: RunConfig) -> int:
         "n_filters": cfg.n_filters,
         "batch_size": tconfig.batch_size,
         "epochs": tconfig.epochs,
-        "optimizer": cfg.optimizer,
-        "lr": cfg.lr,
+        "lr": tconfig.lr,
         "lambda": tconfig.lam,
         "dropout_keep": tconfig.keep,
         "d": prepared.d,
@@ -400,8 +389,8 @@ def cmd_train(cfg: RunConfig) -> int:
         vocab_hash, extra={"best_accuracy": result.best_accuracy},
     )
     for rec in result.history:
-        acc = "-" if rec.test_accuracy is None else f"{rec.test_accuracy:.4f}"
-        print(f"epoch {rec.epoch}: train_loss={rec.train_loss:.4f} test_acc={acc}")
+        print(f"epoch {rec.epoch}: train_loss={rec.train_loss:.4f} "
+              f"test_acc={rec.test_accuracy:.4f}")
     if params_digest(result.params) == initial_digest:
         print("warning: parameters unchanged by training (lr=0?)")
     print(f"best test accuracy: {result.best_accuracy:.4f}")
@@ -427,6 +416,21 @@ def _load_model(cfg: RunConfig):
     if vocab.digest() != meta["vocab_sha256"]:
         raise DataError(f"vocabulary at {vocab_path} does not match the checkpoint")
     return params, channels, vocab
+
+
+def _load_model_and_corpus(cfg: RunConfig):
+    """The checkpoint's model and the prepared corpus, which must have been
+    encoded with the checkpoint's vocabulary."""
+    if not cfg.corpus:
+        raise ConfigError("--corpus is required")
+    params, channels, vocab = _load_model(cfg)
+    prepared = corpus_mod.load_prepared(cfg.corpus)
+    if prepared.vocab.digest() != vocab.digest():
+        raise DataError(
+            f"corpus {cfg.corpus} was prepared with a different vocabulary "
+            f"than checkpoint {cfg.checkpoint}"
+        )
+    return params, channels, prepared
 
 
 def _class_index(label: str) -> int | None:
@@ -489,11 +493,8 @@ def cmd_attend(cfg: RunConfig) -> int:
 
 
 def cmd_topwords(cfg: RunConfig) -> int:
-    if not cfg.corpus:
-        raise ConfigError("--corpus is required")
-    params, channels, _ = _load_model(cfg)
+    params, channels, prepared = _load_model_and_corpus(cfg)
     _log_seed(cfg)
-    prepared = corpus_mod.load_prepared(cfg.corpus)
     if not prepared.test:
         raise DataError("prepared corpus has an empty test split")
     results = attend_sentences(
@@ -515,10 +516,7 @@ def cmd_topwords(cfg: RunConfig) -> int:
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
-    if not cfg.corpus:
-        raise ConfigError("--corpus is required")
-    params, channels, _ = _load_model(cfg)
-    prepared = corpus_mod.load_prepared(cfg.corpus)
+    params, channels, prepared = _load_model_and_corpus(cfg)
     report = evaluate(params, channels, prepared.test)
     print(f"accuracy: {report.accuracy:.4f}  loss: {report.loss:.4f}")
     for cls in (1, 0):
@@ -568,8 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "negatives", help="negative samples per pair")
     _add(p, "embed_epochs", help="embedding training epochs")
     _add(p, "embed_lr", help="embedding learning rate")
-    _add(p, "x_max", help="co-occurrence weighting cutoff")
-    _add(p, "alpha", help="co-occurrence weighting exponent")
     _add(p, "ngram_min", help="smallest subword n-gram")
     _add(p, "ngram_max", help="largest subword n-gram")
     _add(p, "bucket", help="subword hash buckets")
@@ -584,14 +580,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "n_filters", help="filters per height")
     _add(p, "batch_size", help="mini-batch size")
     _add(p, "epochs", help="training epochs")
-    _add(p, "optimizer", help="adam or sgd")
-    _add(p, "lr", help="learning rate")
-    _add(p, "beta1", help="adam first-moment decay")
-    _add(p, "beta2", help="adam second-moment decay")
-    _add(p, "adam_eps", help="adam epsilon")
+    _add(p, "lr", help="Adam learning rate")
     _add(p, "lam", help="L2 weight penalty")
     _add(p, "dropout_keep", help="dropout keep probability on the pooled vector")
-    _add(p, "eval_every", help="evaluate every N epochs")
 
     p = sub.add_parser("attend", help="score words of sentences with a checkpoint")
     p.add_argument("--config", help="key=value config file")
@@ -601,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "input", help="file with one sentence per line")
     _add(p, "label", help="class to score: auto, positive, or negative")
     _add(p, "fraction", help="top fraction of words to highlight")
-    _add(p, "bottom_fraction", arg_type=float,
+    _add(p, "bottom_fraction",
          help="also mark this bottom fraction in the opposite color")
     _add(p, "formats", help="comma-separated output formats: html,json,ansi")
     _add(p, "out", help="output directory for reports")

@@ -108,6 +108,9 @@ class ChannelConfig:
     def __getitem__(self, i: int) -> EmbeddingChannel:
         return self.channels[i]
 
+    def copy(self) -> "ChannelConfig":
+        return ChannelConfig(self.mode, tuple(c.copy() for c in self.channels))
+
     @property
     def vocab_size(self) -> int:
         return self.channels[0].vocab_size

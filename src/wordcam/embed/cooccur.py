@@ -2,8 +2,12 @@
 counts.
 
 The objective per (i, j) entry is f(x) * (w_i . u_j + b_i + c_j - ln x)^2
-with f(x) = min(1, (x / x_max)^alpha), optimized by AdaGrad. The final word
-vector is the sum of the word and context vectors.
+with f(x) = min(1, (x / 100)^0.75), optimized by AdaGrad with step 0.05.
+The final word vector is the sum of the word and context vectors.
+
+The weighting cutoff 100 and exponent 0.75 are the published values of
+Pennington et al. 2014 (GloVe); they and the step are the module constants
+``_X_MAX``, ``_ALPHA`` and ``_LR``.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from wordcam.embed.skipgram import context_pairs
 from wordcam.errors import ConfigError
 
 _CHUNK = 4096
+_X_MAX = 100.0
+_ALPHA = 0.75
+_LR = 0.05
 
 
 def build_cooc(
@@ -57,10 +64,7 @@ def fit_cooc(
     cooc: tuple[np.ndarray, np.ndarray],
     vocab_size: int,
     k: int = 100,
-    x_max: float = 100.0,
-    alpha: float = 0.75,
     epochs: int = 25,
-    lr: float = 0.05,
     seed: int = 0,
 ) -> CoocFit:
     if k < 1:
@@ -70,7 +74,7 @@ def fit_cooc(
     u = rng.uniform(-0.5 / k, 0.5 / k, size=(vocab_size, k))
     b = np.zeros(vocab_size)
     c = np.zeros(vocab_size)
-    # AdaGrad accumulators start at 1 so the first steps are ~lr-sized
+    # AdaGrad accumulators start at 1 so the first steps are ~_LR-sized
     gw = np.ones_like(w)
     gu = np.ones_like(u)
     gb = np.ones_like(b)
@@ -84,7 +88,7 @@ def fit_cooc(
     rows, cols = np.stack([keys, keys[:, ::-1]], axis=1)[keep].T
     xs = np.repeat(counts, 1 + mirrored).astype(np.float64)
     logx = np.log(xs)
-    weight = np.minimum(1.0, (xs / x_max) ** alpha)
+    weight = np.minimum(1.0, (xs / _X_MAX) ** _ALPHA)
 
     fit = CoocFit(w, u, b, c)
     n = len(rows)
@@ -105,10 +109,10 @@ def fit_cooc(
             scatter_add(gu, j, grad_uj**2)
             scatter_add(gb, i, g**2)
             scatter_add(gc, j, g**2)
-            scatter_add(w, i, -lr * grad_wi / np.sqrt(gw[i]))
-            scatter_add(u, j, -lr * grad_uj / np.sqrt(gu[j]))
-            scatter_add(b, i, -lr * g / np.sqrt(gb[i]))
-            scatter_add(c, j, -lr * g / np.sqrt(gc[j]))
+            scatter_add(w, i, -_LR * grad_wi / np.sqrt(gw[i]))
+            scatter_add(u, j, -_LR * grad_uj / np.sqrt(gu[j]))
+            scatter_add(b, i, -_LR * g / np.sqrt(gb[i]))
+            scatter_add(c, j, -_LR * g / np.sqrt(gc[j]))
         fit.epoch_losses.append(loss_sum / n)
     w[PAD_ID] = 0.0
     u[PAD_ID] = 0.0
@@ -122,19 +126,13 @@ def train_cooc_factor(
     vocab_size: int,
     k: int = 100,
     window: int = 3,
-    x_max: float = 100.0,
-    alpha: float = 0.75,
     epochs: int = 25,
-    lr: float = 0.05,
     seed: int = 0,
     dtype=np.float32,
 ) -> EmbeddingChannel:
     """Build counts, factorize, and materialize word + context vector sums."""
     cooc = build_cooc(sentences, window)
-    fit = fit_cooc(
-        cooc, vocab_size, k=k, x_max=x_max, alpha=alpha, epochs=epochs,
-        lr=lr, seed=seed,
-    )
+    fit = fit_cooc(cooc, vocab_size, k=k, epochs=epochs, seed=seed)
     table = (fit.w + fit.u).astype(dtype)
     table[PAD_ID] = 0.0
     return EmbeddingChannel(table, trainable=True, source=Source.COOC)

@@ -176,15 +176,6 @@ class ModelParams:
             self.fc_b.copy(),
         )
 
-    def astype(self, dtype) -> "ModelParams":
-        return ModelParams(
-            self.hyper,
-            {h: w.astype(dtype) for h, w in self.conv_w.items()},
-            {h: b.astype(dtype) for h, b in self.conv_b.items()},
-            self.fc_w.astype(dtype),
-            self.fc_b.astype(dtype),
-        )
-
     def weight_sq_norm(self) -> float:
         """Sum of squared convolution and FC weights (biases excluded)."""
         total = float(np.sum(self.fc_w.astype(np.float64) ** 2))

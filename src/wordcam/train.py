@@ -1,4 +1,4 @@
-"""Mini-batch training loop, optimizers, and evaluation.
+"""Mini-batch training loop, the Adam optimizer, and evaluation.
 
 The optimizer owns ``model.trainable_arrays``, a flat name -> array view of
 every trainable tensor: convolution banks, FC weights/biases, and the tables
@@ -10,7 +10,7 @@ bitwise untouched by training.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,81 +30,54 @@ from wordcam.model import (
 )
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    kind: str = "adam"  # "adam" or "sgd"
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.kind not in ("adam", "sgd"):
-            raise ConfigError(f"unknown optimizer {self.kind!r}")
-        if self.lr < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.lr}")
+# Adam's moment decays and epsilon (Kingma & Ba 2015, arXiv:1412.6980)
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
     batch_size: int = BATCH_SIZE
     epochs: int = 5
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
+    lr: float = 1e-3
     lam: float = 0.1
     keep: float = 0.5
     seed: int = 0
-    eval_every: int = 1
 
     def __post_init__(self):
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
+        if self.lr < 0:
+            raise ConfigError(f"learning rate must be >= 0, got {self.lr}")
         if self.lam < 0:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         if not 0.0 < self.keep <= 1.0:
             raise ConfigError(f"dropout keep must be in (0, 1], got {self.keep}")
-        if self.eval_every < 1:
-            raise ConfigError(f"eval_every must be >= 1, got {self.eval_every}")
-
-
-class SGD:
-    def __init__(self, arrays: dict[str, np.ndarray], lr: float):
-        self.arrays = arrays
-        self.lr = lr
-
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        for name, g in grads.items():
-            self.arrays[name] -= self.lr * g
 
 
 class Adam:
-    def __init__(self, arrays: dict[str, np.ndarray], cfg: OptimizerConfig):
+    def __init__(self, arrays: dict[str, np.ndarray], lr: float):
         self.arrays = arrays
-        self.cfg = cfg
+        self.lr = lr
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in arrays.items()}
         self.v = {k: np.zeros_like(v) for k, v in arrays.items()}
 
     def step(self, grads: dict[str, np.ndarray]) -> None:
-        c = self.cfg
         self.t += 1
-        corr1 = 1.0 - c.beta1**self.t
-        corr2 = 1.0 - c.beta2**self.t
+        corr1 = 1.0 - _BETA1**self.t
+        corr2 = 1.0 - _BETA2**self.t
         for name, g in grads.items():
             m = self.m[name]
             v = self.v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            self.arrays[name] -= c.lr * (m / corr1) / (np.sqrt(v / corr2) + c.eps)
-
-
-def make_optimizer(arrays: dict[str, np.ndarray], cfg: OptimizerConfig):
-    if cfg.kind == "sgd":
-        return SGD(arrays, cfg.lr)
-    return Adam(arrays, cfg)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            self.arrays[name] -= self.lr * (m / corr1) / (np.sqrt(v / corr2) + _EPS)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +113,6 @@ def evaluate(
     params: ModelParams,
     channels: ChannelConfig,
     examples: Sequence[LabeledExample],
-    batch_size: int = BATCH_SIZE,
 ) -> EvalReport:
     """Argmax classification over logits; a logit tie predicts class 0
     (Negative)."""
@@ -149,8 +121,8 @@ def evaluate(
     c = params.hyper.n_classes
     confusion = np.zeros((c, c), dtype=np.int64)
     loss_sum = 0.0
-    for start in range(0, len(examples), batch_size):
-        chunk = examples[start : start + batch_size]
+    for start in range(0, len(examples), BATCH_SIZE):
+        chunk = examples[start : start + BATCH_SIZE]
         ids, lengths, labels = batch_arrays(chunk, params.hyper.d)
         trace = forward(ids, params, channels, mode="infer", n_words=lengths)
         preds = np.argmax(trace.logits, axis=1)  # argmax takes the first max
@@ -185,7 +157,7 @@ def evaluate(
 class EpochRecord:
     epoch: int
     train_loss: float
-    test_accuracy: float | None
+    test_accuracy: float
 
 
 @dataclass
@@ -201,8 +173,7 @@ class TrainResult:
 def history_csv(history: Sequence[EpochRecord]) -> str:
     lines = ["epoch,train_loss,test_acc"]
     for rec in history:
-        acc = "" if rec.test_accuracy is None else repr(rec.test_accuracy)
-        lines.append(f"{rec.epoch},{rec.train_loss!r},{acc}")
+        lines.append(f"{rec.epoch},{rec.train_loss!r},{rec.test_accuracy!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -215,7 +186,8 @@ def train_epochs(
     params: ModelParams | None = None,
     on_epoch_end: Callable[[int, "TrainResult"], None] | None = None,
 ) -> TrainResult:
-    """Seeded mini-batch training with per-epoch evaluation.
+    """Seeded mini-batch training, evaluated on the test set after every
+    epoch.
 
     The incoming channel config is copied; trainable copies are updated in
     place by the optimizer while frozen copies are left untouched. The best
@@ -223,27 +195,29 @@ def train_epochs(
     """
     if not train_set:
         raise DataError("empty training set")
+    if not test_set:
+        raise DataError("empty test set")
     if hyper.n_channels != len(channels.channels):
         raise ConfigError("hyper.n_channels disagrees with the channel config")
     if hyper.k != channels.dim:
         raise ConfigError("hyper.k disagrees with the channel dimension")
 
-    channels = ChannelConfig(channels.mode, tuple(c.copy() for c in channels.channels))
+    channels = channels.copy()
     if params is None:
         params = ModelParams.init(hyper, seed=config.seed)
     else:
         params = params.copy()
 
     rng = np.random.default_rng(config.seed)
-    optimizer = make_optimizer(trainable_arrays(params, channels), config.optimizer)
+    optimizer = Adam(trainable_arrays(params, channels), config.lr)
 
     history: list[EpochRecord] = []
     best_acc = -1.0
-    best_params = params.copy()
-    best_channels = ChannelConfig(
-        channels.mode, tuple(c.copy() for c in channels.channels)
+    # until an epoch is evaluated (never, at epochs=0) the initial state is
+    # the best known state
+    result = TrainResult(
+        params, channels, history, params.copy(), channels.copy(), float("nan")
     )
-    result = TrainResult(params, channels, history, best_params, best_channels, 0.0)
 
     n = len(train_set)
     for epoch in range(1, config.epochs + 1):
@@ -269,25 +243,13 @@ def train_epochs(
             loss_sum += loss
             n_batches += 1
 
-        test_acc = None
-        if test_set and (epoch % config.eval_every == 0 or epoch == config.epochs):
-            report = evaluate(params, channels, test_set)
-            test_acc = report.accuracy
-            if test_acc > best_acc:
-                best_acc = test_acc
-                result.best_params = params.copy()
-                result.best_channels = ChannelConfig(
-                    channels.mode, tuple(c.copy() for c in channels.channels)
-                )
-                result.best_accuracy = test_acc
+        test_acc = evaluate(params, channels, test_set).accuracy
+        if test_acc > best_acc:
+            best_acc = test_acc
+            result.best_params = params.copy()
+            result.best_channels = channels.copy()
+            result.best_accuracy = test_acc
         history.append(EpochRecord(epoch, loss_sum / max(n_batches, 1), test_acc))
         if on_epoch_end is not None:
             on_epoch_end(epoch, result)
-
-    if best_acc < 0:  # never evaluated: final state is the best known state
-        result.best_params = params.copy()
-        result.best_channels = ChannelConfig(
-            channels.mode, tuple(c.copy() for c in channels.channels)
-        )
-        result.best_accuracy = float("nan")
     return result

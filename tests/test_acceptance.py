@@ -50,7 +50,7 @@ from wordcam.model import (
     trainable_arrays,
 )
 from wordcam.synthetic import planted_corpus
-from wordcam.train import OptimizerConfig, TrainConfig, evaluate, train_epochs
+from wordcam.train import TrainConfig, evaluate, train_epochs
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -239,8 +239,7 @@ def test_criterion_5_planted_token_attention():
     hyper = ModelHyper(k=24, d=d, heights=(3, 4, 5), n_filters=16, n_channels=1)
     channels = assemble(InputMode.RAND, rand=init_random(len(vocab), 24, seed=7))
     config = TrainConfig(
-        batch_size=64, epochs=8, optimizer=OptimizerConfig("adam", 1e-3),
-        lam=1e-3, keep=0.5, seed=11,
+        batch_size=64, epochs=8, lr=1e-3, lam=1e-3, keep=0.5, seed=11,
     )
     result = train_epochs(train_set, test_set, channels, hyper, config)
     params, trained_channels = result.best_params, result.best_channels
@@ -320,8 +319,7 @@ def test_criterion_6_imdb_subset_accuracy():
 
     hyper = ModelHyper(k=100, d=d, heights=(3, 4, 5), n_filters=128,
                        n_channels=1)
-    config = TrainConfig(batch_size=64, epochs=6,
-                         optimizer=OptimizerConfig("adam", 1e-3), lam=0.1,
+    config = TrainConfig(batch_size=64, epochs=6, lr=1e-3, lam=0.1,
                          keep=0.5, seed=0)
 
     rand_channels = assemble(InputMode.RAND,

@@ -361,7 +361,7 @@ def test_sentiment_word_attains_maximum_score_after_training():
     from wordcam.corpus import Polarity, TokenizedExample, Vocabulary, encode_example, split
     from wordcam.embed import InputMode, assemble, init_random
     from wordcam.model import ModelHyper
-    from wordcam.train import OptimizerConfig, TrainConfig, train_epochs
+    from wordcam.train import TrainConfig, train_epochs
 
     rng = np.random.default_rng(0)
     filler = ["this", "film", "is", "actually", "quite", "the", "a", "was",
@@ -380,8 +380,7 @@ def test_sentiment_word_attains_maximum_score_after_training():
     test_set = [encode_example(ex, vocab, d) for ex in parts.test]
     hyper = ModelHyper(k=16, d=d, heights=(3, 4, 5), n_filters=8, n_channels=1)
     channels = assemble(InputMode.RAND, rand=init_random(len(vocab), 16, seed=1))
-    config = TrainConfig(batch_size=32, epochs=10,
-                         optimizer=OptimizerConfig("adam", 2e-3), lam=1e-3,
+    config = TrainConfig(batch_size=32, epochs=10, lr=2e-3, lam=1e-3,
                          keep=0.5, seed=2)
     result = train_epochs(train_set, test_set, channels, hyper, config)
     params, trained = result.best_params, result.best_channels

@@ -3,8 +3,10 @@ import errno
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +169,12 @@ def test_readme_documents_every_config_key():
     )
     for field in dataclasses.fields(RunConfig):
         assert f"`{field.name}`" in readme, f"{field.name} missing from README"
+    # and the key table names no key that RunConfig lacks
+    section = readme.split("### Configuration keys", 1)[1].split("\n#", 1)[0]
+    rows = [line for line in section.splitlines() if line.startswith("| ")][1:]
+    assert rows, "README's configuration key table not found"
+    table_keys = set(re.findall(r"`(\w+)`", "".join(r.split("|")[2] for r in rows)))
+    assert table_keys == {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def test_prepare_all_excluded_exits_3(tmp_path, capsys):
@@ -212,10 +220,13 @@ def test_config_file_and_flag_precedence(pipeline_dirs, tmp_path, capsys):
 
 def test_config_file_unknown_key_exits_2(pipeline_dirs, tmp_path, capsys):
     conf = tmp_path / "bad.conf"
-    conf.write_text("optimiser=adam\n", encoding="utf-8")
-    rc = run(["train", "--config", conf, "--corpus", "x", "--channels", "y"])
-    assert rc == 2
-    assert "unknown config key" in capsys.readouterr().err
+    # a misspelt key, and keys that were once options and are now constants
+    for line in ("optimiser=adam", "optimizer=adam", "beta2=0.99", "x_max=50",
+                 "eval_every=2"):
+        conf.write_text(line + "\n", encoding="utf-8")
+        rc = run(["train", "--config", conf, "--corpus", "x", "--channels", "y"])
+        assert rc == 2, line
+        assert "unknown config key" in capsys.readouterr().err
 
 
 def test_read_config_file_types(tmp_path):
@@ -224,6 +235,83 @@ def test_read_config_file_types(tmp_path):
                     encoding="utf-8")
     got = read_config_file(str(conf))
     assert got == {"epochs": 7, "lr": 0.5, "keep_case": True, "mode": "2ch"}
+
+
+def _flag_parser(name):
+    """The subcommand parser that has the flag of RunConfig field ``name``."""
+    for sub in build_parser()._subparsers._group_actions[0].choices.values():
+        if any(a.dest == name for a in sub._actions):
+            return sub
+    raise AssertionError(f"no subcommand has a flag for {name}")
+
+
+_SAMPLE_VALUES = {bool: "true", int: "7", float: "0.25", str: "2,3"}
+
+
+@pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)])
+def test_config_file_value_parses_like_the_flag(tmp_path, name):
+    """Each key has one declared type, which the config file and the flag
+    both parse to."""
+    hint = typing.get_type_hints(RunConfig)[name]  # X or X | None
+    kind = next(t for t in _SAMPLE_VALUES if t is hint or t in typing.get_args(hint))
+    text = _SAMPLE_VALUES[kind]
+    conf = tmp_path / "one.conf"
+    conf.write_text(f"{name}={text}\n", encoding="utf-8")
+    from_file = read_config_file(str(conf))[name]
+    flag = "--" + name.replace("_", "-")
+    argv = [flag] if kind is bool else [flag, text]
+    from_flag = getattr(_flag_parser(name).parse_args(argv), name)
+    assert from_file == from_flag
+    assert type(from_file) is type(from_flag) is kind
+
+
+def test_attend_bottom_fraction_from_config(pipeline_dirs, tmp_path, capsys):
+    dirs = pipeline_dirs
+    assert _prepare(dirs) == 0
+    assert _embed(dirs) == 0
+    assert _train(dirs, extra=["--epochs", "1"]) == 0
+    conf = tmp_path / "attend.conf"
+    argv = ["attend", "--config", conf, "--checkpoint", dirs["run"] / "checkpoint.ckpt",
+            "--sentence", "a dreary slog tonight", "--out", dirs["reports"],
+            "--formats", "json"]
+    conf.write_text("bottom_fraction=0.2\n", encoding="utf-8")
+    assert run(argv) == 0
+    payload = json.loads((dirs["reports"] / "attend_0000.json").read_text())
+    assert sum(w["bottom"] for w in payload["words"]) == 1  # ceil(0.2 * 4)
+    capsys.readouterr()
+    conf.write_text("# ratio of words\nbottom_fraction=abc\n", encoding="utf-8")
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{conf}:2:" in err and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("extra_words", [0, 6], ids=["same-size", "larger"])
+def test_corpus_with_another_vocabulary_exits_3(pipeline_dirs, tmp_path, capsys,
+                                               extra_words):
+    """topwords and evaluate refuse a corpus that was not encoded with the
+    checkpoint's vocabulary, whether or not its ids fit the model's tables."""
+    dirs = pipeline_dirs
+    assert _prepare(dirs) == 0
+    assert _embed(dirs) == 0
+    assert _train(dirs, extra=["--epochs", "1"]) == 0
+    text = dirs["data"].read_text(encoding="utf-8")
+    text = text.replace("delight", "teal").replace("dreary", "blue")
+    words = ["apple", "bread", "cider", "dough", "elder", "fudge"][:extra_words]
+    other_csv = tmp_path / "other.csv"
+    other_csv.write_text(text + "".join(f"a {w} teal,9\n" for w in words),
+                         encoding="utf-8")
+    other = tmp_path / "other_corpus"
+    assert run(["prepare", "--data", other_csv, "--data-format", "csv",
+                "--out", other, "--seed", "3", "--d", "12"]) == 0
+    n_vocab = len(load_prepared(other).vocab)
+    assert (n_vocab > len(load_prepared(dirs["corpus"]).vocab)) == bool(extra_words)
+    ckpt = dirs["run"] / "checkpoint.ckpt"
+    capsys.readouterr()
+    for argv in (["topwords", "--out", dirs["reports"]], ["evaluate"]):
+        assert run([*argv, "--checkpoint", ckpt, "--corpus", other]) == 3, argv[0]
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(other) in err and str(ckpt) in err, err
+    assert not (dirs["reports"] / "topwords.csv").exists()
 
 
 def test_lr_zero_warning(pipeline_dirs, capsys):
@@ -445,8 +533,7 @@ def test_divergence_exits_4(pipeline_dirs, capsys):
     dirs = pipeline_dirs
     assert _prepare(dirs) == 0
     assert _embed(dirs) == 0
-    rc = _train(dirs, extra=["--optimizer", "sgd", "--lr", "1e25",
-                             "--epochs", "20"])
+    rc = _train(dirs, extra=["--lr", "1e25", "--epochs", "20"])
     assert rc == 4
     assert "divergence" in capsys.readouterr().err
 

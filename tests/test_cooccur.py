@@ -33,7 +33,7 @@ def test_build_cooc_needs_pairs():
 
 def test_single_pair_fit_recovers_log_count():
     cooc = (np.array([[1, 2]]), np.array([10]))
-    fit = fit_cooc(cooc, vocab_size=3, k=8, epochs=600, lr=0.05, seed=0)
+    fit = fit_cooc(cooc, vocab_size=3, k=8, epochs=600, seed=0)
     assert abs(fit.predict(1, 2) - math.log(10)) < 0.1
     assert abs(fit.predict(2, 1) - math.log(10)) < 0.1
 

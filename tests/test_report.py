@@ -46,7 +46,6 @@ def _result(tokens, raw, class_index=1, d=None, selected=None):
         raw=full,
         normalized=norm,
         selected=tuple(selected),
-        fraction=0.1,
     )
 
 

@@ -15,13 +15,11 @@ from wordcam.model import (
     trainable_arrays,
 )
 from wordcam.train import (
-    SGD,
     EpochRecord,
-    OptimizerConfig,
     TrainConfig,
+    batch_arrays,
     evaluate,
     history_csv,
-    make_optimizer,
     train_epochs,
 )
 
@@ -54,23 +52,18 @@ def _setup(d=6, vocab_size=12, seed=0, heights=(2, 3), n_filters=4, k=8):
 def test_lr_zero_leaves_parameters_unchanged():
     examples = _separable_set()
     hyper, config = _setup()
-    for kind in ("sgd", "adam"):
-        cfg = TrainConfig(
-            batch_size=8, epochs=3,
-            optimizer=OptimizerConfig(kind=kind, lr=0.0), seed=4,
-        )
-        result = train_epochs(examples, examples, config, hyper, cfg)
-        fresh = ModelParams.init(hyper, seed=cfg.seed)
-        assert params_digest(result.params) == params_digest(fresh)
-        assert np.array_equal(result.channels[0].table, config.channels[0].table)
+    cfg = TrainConfig(batch_size=8, epochs=3, lr=0.0, seed=4)
+    result = train_epochs(examples, examples, config, hyper, cfg)
+    fresh = ModelParams.init(hyper, seed=cfg.seed)
+    assert params_digest(result.params) == params_digest(fresh)
+    assert np.array_equal(result.channels[0].table, config.channels[0].table)
 
 
 def test_separable_corpus_reaches_full_train_accuracy():
     examples = _separable_set(n_per_class=10)
     hyper, config = _setup()
     cfg = TrainConfig(
-        batch_size=8, epochs=30, optimizer=OptimizerConfig("adam", 1e-2),
-        lam=1e-4, keep=0.9, seed=0,
+        batch_size=8, epochs=30, lr=1e-2, lam=1e-4, keep=0.9, seed=0,
     )
     result = train_epochs(examples, examples, config, hyper, cfg)
     report = evaluate(result.best_params, result.best_channels, examples)
@@ -99,28 +92,28 @@ def test_weight_decay_direction_shrinks_weights():
         name: lam * arr if name.startswith(("conv_w", "fc_w")) else np.zeros_like(arr)
         for name, arr in arrays.items()
     }
-    SGD(arrays, lr=1e-2).step(grads)
+    for name, g in grads.items():  # one gradient-descent step
+        arrays[name] -= 1e-2 * g
     assert float(np.linalg.norm(params.conv_w[2])) < before_conv
     assert float(np.linalg.norm(params.fc_w)) < before_fc
 
 
-def test_sgd_small_lr_monotone_loss_on_fixed_batch():
+def test_small_gradient_steps_monotone_loss_on_fixed_batch():
     examples = _separable_set(n_per_class=2)[:4]
     hyper, config = _setup()
     params = ModelParams.init(hyper, seed=1, dtype=np.float64)
     channels = assemble(InputMode.RAND, rand=init_random(12, 8, seed=1,
                                                          dtype=np.float64))
-    from wordcam.train import batch_arrays
-
     ids, lengths, labels = batch_arrays(examples, hyper.d)
-    opt = SGD(trainable_arrays(params, channels), lr=1e-3)
+    arrays = trainable_arrays(params, channels)
     losses = []
     for _ in range(50):
         trace = forward(ids, params, channels, mode="train",
                         rng=np.random.default_rng(0), keep=1.0, n_words=lengths)
         loss, grads = backward(trace, params, channels, labels, lam=0.01)
         losses.append(loss)
-        opt.step(grads)
+        for name, g in grads.items():  # a small step along -gradient
+            arrays[name] -= 1e-3 * g
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
@@ -128,11 +121,24 @@ def test_sgd_small_lr_monotone_loss_on_fixed_batch():
 def test_divergence_raises():
     examples = _separable_set()
     hyper, config = _setup()
-    cfg = TrainConfig(
-        batch_size=8, epochs=50, optimizer=OptimizerConfig("sgd", 1e25), seed=0,
-    )
+    cfg = TrainConfig(batch_size=8, epochs=50, lr=1e25, seed=0)
     with pytest.raises(DivergenceError):
         train_epochs(examples, examples, config, hyper, cfg)
+
+
+def test_empty_split_raises_and_zero_epochs_keep_the_initial_state():
+    examples = _separable_set()
+    hyper, config = _setup()
+    cfg = TrainConfig(batch_size=8, epochs=0, seed=5)
+    for train_set, test_set in (([], examples), (examples, [])):
+        with pytest.raises(DataError):
+            train_epochs(train_set, test_set, config, hyper, cfg)
+    result = train_epochs(examples, examples, config, hyper, cfg)
+    assert result.history == []
+    assert params_digest(result.best_params) == params_digest(
+        ModelParams.init(hyper, seed=cfg.seed)
+    )
+    assert np.isnan(result.best_accuracy)
 
 
 def test_frozen_channel_untouched_by_training():
@@ -182,12 +188,12 @@ def test_evaluate_empty_set():
 
 
 def test_history_csv_format():
-    rows = [EpochRecord(1, 0.5, 0.75), EpochRecord(2, 0.25, None)]
+    rows = [EpochRecord(1, 0.5, 0.75), EpochRecord(2, 0.25, 0.875)]
     text = history_csv(rows)
     lines = text.strip().split("\n")
     assert lines[0] == "epoch,train_loss,test_acc"
     assert lines[1] == "1,0.5,0.75"
-    assert lines[2] == "2,0.25,"
+    assert lines[2] == "2,0.25,0.875"
 
 
 def test_interrupted_training_leaves_loadable_checkpoint(tmp_path):
@@ -219,4 +225,4 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(keep=0.0)
     with pytest.raises(ConfigError):
-        OptimizerConfig(kind="rmsprop")
+        TrainConfig(lr=-1)
