@@ -2,8 +2,12 @@
 """Desk-scale IMDB experiment: stratified 5000/1000 subset, one or more
 input modes, accuracy table plus attention samples.
 
-Expects the unpacked archive (see scripts/download_imdb.py). The full run
-with the default two modes takes a few minutes on one core.
+Expects the unpacked archive (see scripts/download_imdb.py), or any tree of
+its ``{train,test}/{pos,neg}/<id>_<rating>.txt`` layout. It samples
+``--per-class`` reviews of each class, then ``corpus.prepare`` splits them
+5/6 : 1/6, builds the vocabulary and encodes. The full run with the default
+two modes takes a few minutes on one core; tests/test_scripts.py runs it on
+a fabricated 40-review tree in under a second.
 
 Usage:
     python scripts/run_imdb_subset.py --imdb data/aclImdb --modes rand,static
@@ -19,14 +23,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wordcam.attention import attend_sentences
-from wordcam.corpus import (
-    IMDB_SCHEME,
-    Vocabulary,
-    encode_example,
-    label_reviews,
-    load_imdb_dir,
-    split,
-)
+from wordcam.corpus import IMDB_SCHEME, label_reviews, load_imdb_dir, prepare
 from wordcam.embed import (
     InputMode,
     assemble,
@@ -66,13 +63,10 @@ def main() -> int:
     neg = [e for e in examples if e.label.value == 0]
     subset = [pos[i] for i in rng.permutation(len(pos))[: args.per_class]]
     subset += [neg[i] for i in rng.permutation(len(neg))[: args.per_class]]
-    parts = split(subset, ratio=5 / 6, seed=args.seed)
-    vocab = Vocabulary.build(ex.tokens for ex in parts.train)
     d = 100
-    train_set = [encode_example(ex, vocab, d) for ex in parts.train]
-    test_set = [encode_example(ex, vocab, d) for ex in parts.test]
-    sentences = [tuple(vocab.encode(ex.tokens, len(ex.tokens)))
-                 for ex in parts.train]
+    prepared = prepare(subset, d=d, ratio=5 / 6, seed=args.seed)
+    vocab, train_set, test_set = prepared.vocab, prepared.train, prepared.test
+    sentences = prepared.train_sentences
     print(f"{len(train_set)} train / {len(test_set)} test, vocab {vocab.n_tokens}")
 
     need_sg = any(m is not InputMode.RAND for m in modes)

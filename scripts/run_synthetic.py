@@ -17,7 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wordcam.attention import attend_sentences
-from wordcam.corpus import Vocabulary, encode_example, split
+from wordcam.corpus import prepare
 from wordcam.embed import InputMode, assemble, init_random
 from wordcam.model import ModelHyper, save_checkpoint
 from wordcam.report import aggregate_top_words, from_attention, render_highlight
@@ -37,11 +37,9 @@ def main() -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     corpus = planted_corpus(n_sentences=args.sentences, seed=args.seed)
-    parts = split(corpus.examples, ratio=0.7, seed=args.seed)
-    vocab = Vocabulary.build(ex.tokens for ex in parts.train)
     d = 16
-    train_set = [encode_example(ex, vocab, d) for ex in parts.train]
-    test_set = [encode_example(ex, vocab, d) for ex in parts.test]
+    prepared = prepare(corpus.examples, d=d, ratio=0.7, seed=args.seed)
+    vocab, train_set, test_set = prepared.vocab, prepared.train, prepared.test
     print(f"corpus: {len(train_set)} train / {len(test_set)} test, "
           f"vocab {vocab.n_tokens}")
 

@@ -74,7 +74,6 @@ class RunConfig:
     # corpus
     d: int = 100
     ratio: float = 0.7
-    keep_case: bool = False
     # embeddings
     k: int = 100
     window: int = 3
@@ -121,13 +120,6 @@ _TYPES = {
 def _coerce(name: str, value: str):
     """Parse a config-file string into the field's declared type."""
     kind = _TYPES[name]
-    if kind is bool:
-        low = value.strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"config key {name}: expected a boolean, got {value!r}")
     try:
         return kind(value)
     except ValueError as exc:
@@ -180,10 +172,6 @@ def _add(parser: argparse.ArgumentParser, name: str, help: str = "") -> None:
     tell 'unset' from 'explicitly set to the default'."""
     field = _FIELDS[name]
     flag = "--" + name.replace("_", "-")
-    if _TYPES[name] is bool:
-        parser.add_argument(flag, dest=name, action="store_true", default=None,
-                            help=help)
-        return
     suffix = "" if field.default is None else f" (default: {field.default})"
     parser.add_argument(flag, dest=name, type=_TYPES[name], default=None,
                         help=help + suffix)
@@ -232,8 +220,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
     else:
         raise ConfigError(f"unknown data format {cfg.data_format!r}")
     prepared = corpus_mod.prepare(
-        reviews, scheme, d=cfg.d, ratio=cfg.ratio, seed=cfg.seed,
-        fold_case=not cfg.keep_case,
+        reviews, scheme, d=cfg.d, ratio=cfg.ratio, seed=cfg.seed
     )
     corpus_mod.save_prepared(prepared, cfg.out)
     s = prepared.stats
@@ -253,9 +240,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
 def _embed_channels(cfg: RunConfig, prepared: corpus_mod.PreparedCorpus) -> ChannelConfig:
     mode = InputMode.parse(cfg.mode)
     vocab_size = len(prepared.vocab)
-    sentences = prepared.train_sentences or tuple(
-        ex.token_ids for ex in prepared.train
-    )
+    sentences = prepared.train_sentences
     rand = skipgram = cooc = subword = None
     if mode is InputMode.RAND:
         rand = init_random(vocab_size, cfg.k, seed=cfg.seed)
@@ -466,7 +451,7 @@ def cmd_attend(cfg: RunConfig) -> int:
     d = params.hyper.d
     sentences = []
     for i, line in enumerate(lines):
-        tokens = corpus_mod.tokenize(line, fold_case=not cfg.keep_case)[:d]
+        tokens = corpus_mod.tokenize(line)[:d]
         if not tokens:
             raise DataError(f"sentence {i} has no tokens after tokenization")
         sentences.append((tokens, vocab.encode(tokens, d)))
@@ -553,7 +538,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "seed", help="split shuffling seed")
     _add(p, "d", help="maximum words per sentence")
     _add(p, "ratio", help="train fraction of the stratified split")
-    _add(p, "keep_case", help="keep Latin-script case instead of folding")
 
     p = sub.add_parser("embed", help="train embedding channels for a mode")
     p.add_argument("--config", help="key=value config file")
@@ -597,7 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "formats", help="comma-separated output formats: html,json,ansi")
     _add(p, "out", help="output directory for reports")
     _add(p, "seed", help="logged for provenance; attention is deterministic")
-    _add(p, "keep_case", help="keep Latin-script case instead of folding")
 
     p = sub.add_parser("topwords", help="frequent attended words over the test split")
     p.add_argument("--config", help="key=value config file")

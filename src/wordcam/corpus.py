@@ -54,22 +54,18 @@ def _is_latin(ch: str) -> bool:
 
 
 class _CharMap(dict):
-    """Lazy str.translate table: drop punctuation/digits, optionally fold case.
+    """Lazy str.translate table: drop punctuation/digits, fold case.
 
     Punctuation is any Unicode category P*; digits are category Nd. Case is
     folded for Latin script only; other scripts pass through unchanged.
     """
-
-    def __init__(self, fold_case: bool):
-        super().__init__()
-        self.fold_case = fold_case
 
     def __missing__(self, codepoint: int):
         ch = chr(codepoint)
         cat = unicodedata.category(ch)
         if cat.startswith("P") or cat == "Nd":
             out = None
-        elif self.fold_case and _is_latin(ch):
+        elif _is_latin(ch):
             out = ch.lower()
         else:
             out = ch
@@ -77,20 +73,19 @@ class _CharMap(dict):
         return out
 
 
-_FOLDING_MAP = _CharMap(fold_case=True)
-_PRESERVING_MAP = _CharMap(fold_case=False)
+_CHAR_MAP = _CharMap()
 
 
-def tokenize(text: str, fold_case: bool = True) -> list[str]:
-    """Split on whitespace, strip punctuation and digit characters per token.
+def tokenize(text: str) -> list[str]:
+    """Split on whitespace, strip punctuation and digit characters per token,
+    and fold Latin case.
 
     Tokens that become empty after stripping are dropped, so the result may
     be empty. Idempotent on its own (space-joined) output.
     """
-    table = _FOLDING_MAP if fold_case else _PRESERVING_MAP
     out = []
     for run in text.split():
-        tok = run.translate(table)
+        tok = run.translate(_CHAR_MAP)
         if tok:
             out.append(tok)
     return out
@@ -273,7 +268,10 @@ class Vocabulary:
                 raise DataError(f"{path}:{lineno}: ids out of order")
             id_to_token.append(tok)
             counts.append(count)
-        return cls(id_to_token, counts)
+        try:
+            return cls(id_to_token, counts)
+        except DataError as exc:
+            raise DataError(f"{path}: {exc}") from exc
 
 
 def encode_example(ex: TokenizedExample, vocab: Vocabulary, d: int) -> LabeledExample:
@@ -400,12 +398,12 @@ class PreparedCorpus:
     seed: int
     d: int
     stats: dict
-    # untruncated training sentences, for embedding training
-    train_sentences: tuple[tuple[int, ...], ...] = ()
+    # untruncated training sentences as ids, for embedding training
+    train_sentences: tuple[tuple[int, ...], ...]
 
 
 def label_reviews(
-    reviews: Iterable[RawReview], scheme: LabelScheme, fold_case: bool = True
+    reviews: Iterable[RawReview], scheme: LabelScheme
 ) -> tuple[list[TokenizedExample], dict]:
     """Tokenize and label; drops excluded ratings and empty tokenizations."""
     kept: list[TokenizedExample] = []
@@ -416,7 +414,7 @@ def label_reviews(
         if label is Polarity.EXCLUDED:
             n_excluded += 1
             continue
-        toks = tokenize(rv.text, fold_case=fold_case)
+        toks = tokenize(rv.text)
         if not toks:
             n_empty += 1
             continue
@@ -426,19 +424,23 @@ def label_reviews(
 
 
 def prepare(
-    reviews: Iterable[RawReview],
-    scheme: LabelScheme,
+    examples: Iterable[TokenizedExample] | Iterable[RawReview],
+    scheme: LabelScheme | None = None,
     d: int = 100,
     ratio: float = 0.7,
     seed: int = 0,
-    fold_case: bool = True,
 ) -> PreparedCorpus:
-    """Full pipeline: tokenize, label, split, build vocab on train, encode.
+    """The one corpus builder: split, build the vocabulary on train, encode.
 
-    The vocabulary sees only the training split, so test-time tokens absent
-    from it encode to the padding id.
+    ``examples`` are TokenizedExamples. Given a ``scheme``, they are
+    RawReviews, which ``label_reviews`` tokenizes and labels first; its
+    counts then join the stats. The vocabulary sees only the training split,
+    so test-time tokens absent from it encode to the padding id.
     """
-    examples, stats = label_reviews(reviews, scheme, fold_case=fold_case)
+    stats: dict = {}
+    if scheme is not None:
+        examples, stats = label_reviews(examples, scheme)
+    examples = list(examples)
     if not examples:
         raise DataError("no labeled examples after rating filter")
     parts = split(examples, ratio=ratio, seed=seed)
@@ -468,36 +470,33 @@ def prepare(
 # ---------------------------------------------------------------------------
 
 
-def _example_line(ex: LabeledExample) -> str:
-    ids = ",".join(str(i) for i in ex.token_ids)
-    return f"{ex.label.name.lower()}\t{ids}\t{' '.join(ex.tokens)}"
-
-
-def _parse_example_line(line: str, lineno: int, path: Path) -> LabeledExample:
-    try:
-        label_s, ids_s, toks_s = line.split("\t")
-        label = Polarity[label_s.upper()]
-        ids = tuple(int(x) for x in ids_s.split(","))
-        toks = tuple(toks_s.split(" "))
-    except (ValueError, KeyError) as exc:
-        raise DataError(f"{path}:{lineno}: malformed example line") from exc
-    return LabeledExample(ids, label, toks)
-
-
-def _parse_id_line(line: str, lineno: int, path: Path, vocab_size: int) -> tuple[int, ...]:
-    """A sentence of token ids; each must name a word of the vocabulary
-    (1 <= id < vocab_size), since the embedding trainers index by it."""
-    try:
-        ids = tuple(int(x) for x in line.split())
-    except ValueError as exc:
-        raise DataError(f"{path}:{lineno}: malformed token id") from exc
-    for i in ids:
-        if not 1 <= i < vocab_size:
-            raise DataError(f"{path}:{lineno}: token id {i} outside [1, {vocab_size})")
+def _known(ids: tuple[int, ...], tokens: Sequence[str]) -> tuple[int, ...]:
+    """``ids``, each of which must name a vocabulary word: a training token
+    is never unknown, nor the pad."""
+    if PAD_ID in ids:
+        raise DataError(f"token {tokens[ids.index(PAD_ID)]!r} is not a vocabulary word")
     return ids
 
 
+def _read_lines(path: Path, what: str, parse) -> tuple:
+    """``parse(line)`` for each non-empty line of ``path``; a line that fails
+    to parse raises DataError naming ``path:line``."""
+    out = []
+    for lineno, line in enumerate(read_text(path, what).splitlines(), 1):
+        if not line:
+            continue
+        try:
+            out.append(parse(line))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from exc
+        except (KeyError, ValueError) as exc:
+            raise DataError(f"{path}:{lineno}: malformed line ({exc!r})") from exc
+    return tuple(out)
+
+
 def save_prepared(corpus: PreparedCorpus, out_dir: Path | str) -> dict[str, Path]:
+    """Tokens only: ids are derived from ``vocab.tsv`` when the corpus is
+    read back, so an id can never disagree with its token."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
@@ -509,11 +508,12 @@ def save_prepared(corpus: PreparedCorpus, out_dir: Path | str) -> dict[str, Path
     }
     corpus.vocab.save(paths["vocab"])
     for name in ("train", "test"):
-        body = "\n".join(_example_line(ex) for ex in getattr(corpus, name))
+        body = "\n".join(
+            f"{ex.label.name.lower()}\t{' '.join(ex.tokens)}"
+            for ex in getattr(corpus, name)
+        )
         paths[name].write_text(body + "\n", encoding="utf-8")
-    body = "\n".join(
-        " ".join(str(i) for i in sent) for sent in corpus.train_sentences
-    )
+    body = "\n".join(" ".join(corpus.vocab.decode(s)) for s in corpus.train_sentences)
     paths["embed_corpus"].write_text(body + "\n", encoding="utf-8")
     meta = {
         "d": corpus.d,
@@ -528,6 +528,11 @@ def save_prepared(corpus: PreparedCorpus, out_dir: Path | str) -> dict[str, Path
 
 
 def load_prepared(out_dir: Path | str) -> PreparedCorpus:
+    """Read the four files ``save_prepared`` wrote. ``vocab.tsv`` must have
+    the digest that ``meta.json`` records. Each example is encoded from its
+    tokens as ``prepare`` encodes it; a training token (in ``train.tsv`` or
+    ``embed_corpus.txt``) must be a vocabulary word. A file that breaks any
+    of this raises DataError naming it."""
     out = Path(out_dir)
     meta_path = out / "meta.json"
     if not meta_path.is_file():
@@ -536,21 +541,27 @@ def load_prepared(out_dir: Path | str) -> PreparedCorpus:
         meta = json.loads(read_text(meta_path, "corpus metadata"))
         seed, d = operator.index(meta["seed"]), operator.index(meta["d"])
         stats = meta["stats"]
-    vocab = Vocabulary.load(out / "vocab.tsv")
-    sides = {}
-    for name in ("train", "test"):
-        lines = read_text(out / f"{name}.tsv", "example file").splitlines()
-        sides[name] = tuple(
-            _parse_example_line(line, i + 1, out / f"{name}.tsv")
-            for i, line in enumerate(lines)
-            if line
-        )
-    sentences: tuple[tuple[int, ...], ...] = ()
-    embed_path = out / "embed_corpus.txt"
-    if embed_path.is_file():
-        sentences = tuple(
-            _parse_id_line(line, i + 1, embed_path, len(vocab))
-            for i, line in enumerate(read_text(embed_path, "sentence file").splitlines())
-            if line.strip()
-        )
-    return PreparedCorpus(vocab, sides["train"], sides["test"], seed, d, stats, sentences)
+        vocab_sha256 = meta["vocab_sha256"]
+    vocab_path = out / "vocab.tsv"
+    vocab = Vocabulary.load(vocab_path)
+    if vocab.digest() != vocab_sha256:
+        raise DataError(f"{vocab_path} does not match the vocab_sha256 of {meta_path}")
+
+    def example(line: str) -> LabeledExample:
+        label, tokens = line.split("\t")
+        ex = TokenizedExample(tuple(tokens.split()), Polarity[label.upper()])
+        return encode_example(ex, vocab, d)
+
+    def train_example(line: str) -> LabeledExample:
+        ex = example(line)
+        _known(ex.token_ids, ex.tokens)
+        return ex
+
+    def sentence(line: str) -> tuple[int, ...]:
+        tokens = line.split()
+        return _known(tuple(vocab.encode(tokens, len(tokens))), tokens)
+
+    train = _read_lines(out / "train.tsv", "example file", train_example)
+    test = _read_lines(out / "test.tsv", "example file", example)
+    sentences = _read_lines(out / "embed_corpus.txt", "sentence file", sentence)
+    return PreparedCorpus(vocab, train, test, seed, d, stats, sentences)

@@ -24,14 +24,7 @@ from oracles import (
 from test_attention import scores_of_vector
 from wordcam.attention import attend, attend_sentences, consistency_gap
 from wordcam.cli import main as cli_main
-from wordcam.corpus import (
-    IMDB_SCHEME,
-    Vocabulary,
-    encode_example,
-    label_reviews,
-    load_imdb_dir,
-    split,
-)
+from wordcam.corpus import IMDB_SCHEME, label_reviews, load_imdb_dir, prepare
 from wordcam.embed import (
     EmbeddingChannel,
     InputMode,
@@ -230,11 +223,9 @@ def test_criterion_4_padding_coverage_law():
 def test_criterion_5_planted_token_attention():
     t0 = time.time()
     corpus = planted_corpus(n_sentences=2000, seed=3)
-    parts = split(corpus.examples, ratio=0.7, seed=1)
-    vocab = Vocabulary.build(ex.tokens for ex in parts.train)
     d = 16
-    train_set = [encode_example(ex, vocab, d) for ex in parts.train]
-    test_set = [encode_example(ex, vocab, d) for ex in parts.test]
+    prepared = prepare(corpus.examples, d=d, ratio=0.7, seed=1)
+    vocab, train_set, test_set = prepared.vocab, prepared.train, prepared.test
 
     hyper = ModelHyper(k=24, d=d, heights=(3, 4, 5), n_filters=16, n_channels=1)
     channels = assemble(InputMode.RAND, rand=init_random(len(vocab), 24, seed=7))
@@ -310,12 +301,10 @@ def test_criterion_6_imdb_subset_accuracy():
     neg = [e for e in examples if e.label.value == 0]
     subset = [pos[i] for i in rng.permutation(len(pos))[:3000]]
     subset += [neg[i] for i in rng.permutation(len(neg))[:3000]]
-    parts = split(subset, ratio=5 / 6, seed=0)
-    assert (len(parts.train), len(parts.test)) == (5000, 1000)
-    vocab = Vocabulary.build(ex.tokens for ex in parts.train)
     d = 100
-    train_set = [encode_example(ex, vocab, d) for ex in parts.train]
-    test_set = [encode_example(ex, vocab, d) for ex in parts.test]
+    prepared = prepare(subset, d=d, ratio=5 / 6, seed=0)
+    vocab, train_set, test_set = prepared.vocab, prepared.train, prepared.test
+    assert (len(train_set), len(test_set)) == (5000, 1000)
 
     hyper = ModelHyper(k=100, d=d, heights=(3, 4, 5), n_filters=128,
                        n_channels=1)
@@ -327,10 +316,8 @@ def test_criterion_6_imdb_subset_accuracy():
     rand_result = train_epochs(train_set, test_set, rand_channels, hyper, config)
     rand_acc = rand_result.best_accuracy
 
-    sentences = [tuple(vocab.encode(ex.tokens, len(ex.tokens)))
-                 for ex in parts.train]
-    skipgram = train_skipgram(sentences, len(vocab), k=100, window=3,
-                              negatives=5, epochs=3, seed=2)
+    skipgram = train_skipgram(prepared.train_sentences, len(vocab), k=100,
+                              window=3, negatives=5, epochs=3, seed=2)
     static_channels = assemble(InputMode.STATIC, skipgram=skipgram)
     static_result = train_epochs(train_set, test_set, static_channels, hyper,
                                  config)
@@ -443,15 +430,11 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
 
 def test_criterion_9_frozen_channel_invariance():
     corpus = planted_corpus(n_sentences=300, seed=9)
-    parts = split(corpus.examples, ratio=0.7, seed=2)
-    vocab = Vocabulary.build(ex.tokens for ex in parts.train)
     d = 16
-    train_set = [encode_example(ex, vocab, d) for ex in parts.train]
-    test_set = [encode_example(ex, vocab, d) for ex in parts.test]
-    sentences = [tuple(vocab.encode(ex.tokens, len(ex.tokens)))
-                 for ex in parts.train]
-    skipgram = train_skipgram(sentences, len(vocab), k=8, window=2,
-                              negatives=2, epochs=1, seed=1, chunk=64)
+    prepared = prepare(corpus.examples, d=d, ratio=0.7, seed=2)
+    vocab, train_set, test_set = prepared.vocab, prepared.train, prepared.test
+    skipgram = train_skipgram(prepared.train_sentences, len(vocab), k=8,
+                              window=2, negatives=2, epochs=1, seed=1, chunk=64)
     config = TrainConfig(batch_size=16, epochs=3, seed=4, lam=0.01)
 
     static = assemble(InputMode.STATIC, skipgram=skipgram)

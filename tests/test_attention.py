@@ -358,7 +358,7 @@ def test_sentiment_word_attains_maximum_score_after_training():
     # carried the decision
     import numpy as np
 
-    from wordcam.corpus import Polarity, TokenizedExample, Vocabulary, encode_example, split
+    from wordcam.corpus import Polarity, TokenizedExample, prepare
     from wordcam.embed import InputMode, assemble, init_random
     from wordcam.model import ModelHyper
     from wordcam.train import TrainConfig, train_epochs
@@ -373,11 +373,9 @@ def test_sentiment_word_attains_maximum_score_after_training():
         words[int(rng.integers(0, 7))] = planted
         label = Polarity.POSITIVE if i % 2 == 0 else Polarity.NEGATIVE
         examples.append(TokenizedExample(tuple(words), label))
-    parts = split(examples, ratio=0.7, seed=0)
-    vocab = Vocabulary.build(ex.tokens for ex in parts.train)
     d = 8
-    train_set = [encode_example(ex, vocab, d) for ex in parts.train]
-    test_set = [encode_example(ex, vocab, d) for ex in parts.test]
+    prepared = prepare(examples, d=d, ratio=0.7, seed=0)
+    vocab, train_set, test_set = prepared.vocab, prepared.train, prepared.test
     hyper = ModelHyper(k=16, d=d, heights=(3, 4, 5), n_filters=8, n_channels=1)
     channels = assemble(InputMode.RAND, rand=init_random(len(vocab), 16, seed=1))
     config = TrainConfig(batch_size=32, epochs=10, lr=2e-3, lam=1e-3,

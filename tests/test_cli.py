@@ -222,7 +222,7 @@ def test_config_file_unknown_key_exits_2(pipeline_dirs, tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     # a misspelt key, and keys that were once options and are now constants
     for line in ("optimiser=adam", "optimizer=adam", "beta2=0.99", "x_max=50",
-                 "eval_every=2"):
+                 "eval_every=2", "keep_case=true"):
         conf.write_text(line + "\n", encoding="utf-8")
         rc = run(["train", "--config", conf, "--corpus", "x", "--channels", "y"])
         assert rc == 2, line
@@ -231,10 +231,9 @@ def test_config_file_unknown_key_exits_2(pipeline_dirs, tmp_path, capsys):
 
 def test_read_config_file_types(tmp_path):
     conf = tmp_path / "ok.conf"
-    conf.write_text("epochs=7\nlr=0.5\nkeep_case=true\nmode=2ch\n",
-                    encoding="utf-8")
+    conf.write_text("epochs=7\nlr=0.5\nmode=2ch\n", encoding="utf-8")
     got = read_config_file(str(conf))
-    assert got == {"epochs": 7, "lr": 0.5, "keep_case": True, "mode": "2ch"}
+    assert got == {"epochs": 7, "lr": 0.5, "mode": "2ch"}
 
 
 def _flag_parser(name):
@@ -245,7 +244,7 @@ def _flag_parser(name):
     raise AssertionError(f"no subcommand has a flag for {name}")
 
 
-_SAMPLE_VALUES = {bool: "true", int: "7", float: "0.25", str: "2,3"}
+_SAMPLE_VALUES = {int: "7", float: "0.25", str: "2,3"}
 
 
 @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(RunConfig)])
@@ -259,8 +258,7 @@ def test_config_file_value_parses_like_the_flag(tmp_path, name):
     conf.write_text(f"{name}={text}\n", encoding="utf-8")
     from_file = read_config_file(str(conf))[name]
     flag = "--" + name.replace("_", "-")
-    argv = [flag] if kind is bool else [flag, text]
-    from_flag = getattr(_flag_parser(name).parse_args(argv), name)
+    from_flag = getattr(_flag_parser(name).parse_args([flag, text]), name)
     assert from_file == from_flag
     assert type(from_file) is type(from_flag) is kind
 
@@ -502,7 +500,8 @@ def test_embed_four_channel_end_to_end(pipeline_dirs):
 
 @pytest.mark.parametrize("bad", ["x7", "999999", "-5"])
 def test_malformed_embed_corpus_exits_3(pipeline_dirs, capsys, bad):
-    """A token id that is not an integer, or names no vocabulary word, is a
+    """A training token that is not a vocabulary word (these once were
+    ids: one not an integer, one past the vocabulary, one negative) is a
     data error at its line, whichever trainer would have read it."""
     dirs = pipeline_dirs
     assert _prepare(dirs) == 0
@@ -749,11 +748,33 @@ def _drop_meta_seed(dirs):
     path.write_text(json.dumps(meta), encoding="utf-8")
 
 
+def _edit_corpus_line(name, lineno, edit):
+    def apply(dirs):
+        path = dirs["corpus"] / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return apply
+
+
+def _swap_two_vocab_tokens(dirs):
+    path = dirs["corpus"] / "vocab.tsv"
+    lines = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+    lines[1][0], lines[2][0] = lines[2][0], lines[1][0]
+    path.write_text("\n".join("\t".join(c) for c in lines) + "\n", encoding="utf-8")
+
+
+def _old_three_field_line(line):
+    label, tokens = line.split("\t")
+    return f"{label}\t{','.join('1' for _ in tokens.split())}\t{tokens}"
+
+
 _EMBED = ["embed", "--corpus", "{corpus}", "--out", "{channels}", "--k", "4"]
 _ATTEND = ["attend", "--checkpoint", "{run}/checkpoint.ckpt", "--input", "{tmp}/in.txt",
            "--out", "{reports}"]
 _PREPARE = ["prepare", "--data", "{tmp}/latin1.csv", "--data-format", "csv",
             "--out", "{tmp}/fresh"]
+_EVALUATE = ["evaluate", "--checkpoint", "{run}/checkpoint.ckpt", "--corpus", "{corpus}"]
 
 
 @pytest.mark.parametrize("edit, argv, code, names", [
@@ -772,9 +793,18 @@ _PREPARE = ["prepare", "--data", "{tmp}/latin1.csv", "--data-format", "csv",
      "in.txt"),
     (lambda dirs: (dirs["tmp"] / "latin1.csv").write_bytes(b"text,rating\ncaf\xe9 night,9\n"),
      _PREPARE, 3, "latin1.csv"),
+    (_edit_corpus_line("test.tsv", 1, lambda l: "excluded\t" + l.split("\t", 1)[1]),
+     _EVALUATE, 3, "test.tsv:1:"),
+    (_swap_two_vocab_tokens, _EMBED, 3, "vocab.tsv"),
+    (lambda dirs: (dirs["corpus"] / "embed_corpus.txt").unlink(), _EMBED, 3,
+     "embed_corpus.txt"),
+    (_edit_corpus_line("train.tsv", 2, lambda l: l + " unseenword"), _EMBED, 3,
+     "train.tsv:2:"),
+    (_edit_corpus_line("train.tsv", 1, _old_three_field_line), _EMBED, 3, "train.tsv:1:"),
 ], ids=["vocab-id", "vocab-count", "meta-not-json", "meta-no-seed", "no-vocab",
         "no-train", "config-value", "config-not-utf8", "attend-input-not-utf8",
-        "csv-not-utf8"])
+        "csv-not-utf8", "test-excluded-label", "vocab-not-meta-digest", "no-embed-corpus",
+        "train-unknown-token", "train-old-three-fields"])
 def test_malformed_input_exits_without_traceback(
     pipeline_dirs, tmp_path, edit, argv, code, names
 ):
@@ -783,7 +813,7 @@ def test_malformed_input_exits_without_traceback(
     traceback would show."""
     dirs = dict(pipeline_dirs, tmp=tmp_path)
     assert _prepare(dirs) == 0
-    if argv is _ATTEND:
+    if argv in (_ATTEND, _EVALUATE):
         assert _embed(dirs) == 0
         assert _train(dirs, extra=["--epochs", "1"]) == 0
     edit(dirs)

@@ -18,6 +18,7 @@ from wordcam.corpus import (
     encode_example,
     generic_scheme,
     label_from_rating,
+    label_reviews,
     load_delimited,
     load_imdb_dir,
     load_prepared,
@@ -80,7 +81,6 @@ def test_tokenize_idempotent(text):
 
 
 def test_tokenize_keep_case():
-    assert tokenize("Great MOVIE", fold_case=False) == ["Great", "MOVIE"]
     assert tokenize("Great MOVIE") == ["great", "movie"]
 
 
@@ -201,6 +201,18 @@ def test_vocab_save_load_roundtrip(tmp_path):
     assert loaded.id_to_token == vocab.id_to_token
     assert loaded.counts == vocab.counts
     assert loaded.digest() == vocab.digest()
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["<pad>\t0\t0", "tea\t1\t2", "tea\t2\t1"], "duplicate tokens"),
+    (["tea\t0\t2", "<pad>\t1\t0"], "id 0 must be the padding token"),
+])
+def test_vocab_load_errors_name_the_file(tmp_path, lines, message):
+    path = tmp_path / "vocab.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DataError, match=message) as info:
+        Vocabulary.load(path)
+    assert str(info.value).startswith(f"{path}: ")
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +344,13 @@ def _toy_reviews():
     return reviews
 
 
+def _toy_examples():
+    examples, _ = label_reviews(_toy_reviews(), IMDB_SCHEME)
+    return examples
+
+
 def test_prepare_pipeline():
-    prepared = prepare(_toy_reviews(), IMDB_SCHEME, d=4, ratio=0.7, seed=5)
+    prepared = prepare(_toy_examples(), d=4, ratio=0.7, seed=5)
     assert prepared.stats["train"] == 12 and prepared.stats["test"] == 4
     for ex in prepared.train + prepared.test:
         assert len(ex.token_ids) <= 4
@@ -347,12 +364,16 @@ def test_prepare_pipeline():
 
 def test_prepare_all_excluded():
     reviews = [RawReview("meh", 5), RawReview("eh", 6), RawReview("hm", 5)]
+    examples, stats = label_reviews(reviews, IMDB_SCHEME)
+    assert stats == {"excluded": 3, "empty": 0, "kept": 0}
+    with pytest.raises(DataError, match="no labeled examples"):
+        prepare(examples)
     with pytest.raises(DataError, match="no labeled examples"):
         prepare(reviews, IMDB_SCHEME)
 
 
 def test_prepared_roundtrip(tmp_path):
-    prepared = prepare(_toy_reviews(), IMDB_SCHEME, d=6, seed=2)
+    prepared = prepare(_toy_examples(), d=6, seed=2)
     save_prepared(prepared, tmp_path)
     loaded = load_prepared(tmp_path)
     assert loaded.d == prepared.d
@@ -374,8 +395,6 @@ def test_imdb_subset_protocol_scaled(tmp_path):
     # the desk-scale experiment samples N per class then splits 5/6, which
     # must land exactly on round numbers; exercised here at 1/100 scale
     import numpy as np
-
-    from wordcam.corpus import label_reviews
 
     i = 0
     for part in ("train", "test"):
