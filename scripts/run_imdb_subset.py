@@ -24,16 +24,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from wordcam.attention import attend_sentences
 from wordcam.corpus import IMDB_SCHEME, label_reviews, load_imdb_dir, prepare
-from wordcam.embed import (
-    InputMode,
-    assemble,
-    init_random,
-    train_cooc_factor,
-    train_skipgram,
-    train_subword,
-)
+from wordcam.embed import InputMode, assemble, train_sources
 from wordcam.model import ModelHyper
-from wordcam.report import accuracy_table, aggregate_top_words, from_attention, render_highlight
+from wordcam.report import accuracy_table, aggregate_top_words, render_highlight
 from wordcam.train import TrainConfig, evaluate, train_epochs
 
 
@@ -69,21 +62,12 @@ def main() -> int:
     sentences = prepared.train_sentences
     print(f"{len(train_set)} train / {len(test_set)} test, vocab {vocab.n_tokens}")
 
-    need_sg = any(m is not InputMode.RAND for m in modes)
-    skipgram = cooc = subword = None
-    if need_sg:
-        print("training skip-gram vectors ...")
-        skipgram = train_skipgram(sentences, len(vocab), k=100, window=3,
-                                  negatives=5, epochs=args.embed_epochs,
-                                  seed=args.seed + 2)
-    if any(m is InputMode.FOUR_CH for m in modes):
-        print("training co-occurrence factorization ...")
-        cooc = train_cooc_factor(sentences, len(vocab), k=100, window=3,
-                                 epochs=max(args.embed_epochs * 5, 1),
-                                 seed=args.seed + 3)
-        print("training subword vectors ...")
-        subword = train_subword(sentences, vocab.id_to_token, k=100, window=3,
-                                epochs=args.embed_epochs, seed=args.seed + 4)
+    print("training embedding sources ...")
+    sources = train_sources(
+        sentences, vocab.id_to_token, modes, k=100, window=3, negatives=5,
+        epochs=args.embed_epochs, lr=0.025, ngram_min=3, ngram_max=6,
+        bucket=200_000, seed=args.seed,
+    )
 
     hyper_for = lambda n: ModelHyper(k=100, d=d, heights=(3, 4, 5),
                                      n_filters=128, n_channels=n)
@@ -93,11 +77,7 @@ def main() -> int:
     best = {}
     for mode in modes:
         print(f"== {mode.value} ==")
-        channels = assemble(
-            mode,
-            rand=init_random(len(vocab), 100, seed=args.seed + 1),
-            skipgram=skipgram, cooc=cooc, subword=subword,
-        )
+        channels = assemble(mode, **sources)
         result = train_epochs(train_set, test_set, channels,
                               hyper_for(len(channels)), config)
         for rec in result.history:
@@ -121,8 +101,7 @@ def main() -> int:
         params, channels, [(ex.tokens, ex.token_ids) for ex in test_set]
     )
     for i, res in enumerate(results[:6]):
-        doc = from_attention(res)
-        (out / f"{mode}_sample_{i}.html").write_bytes(render_highlight(doc, "html"))
+        (out / f"{mode}_sample_{i}.html").write_bytes(render_highlight(res, "html"))
     table = aggregate_top_words(results, k=5)
     (out / f"{mode}_topwords.txt").write_text(table.to_text(), encoding="utf-8")
     print(f"finished in {time.time() - t0:.0f}s; outputs in {out}")

@@ -20,7 +20,7 @@ from wordcam.attention import attend_sentences
 from wordcam.corpus import prepare
 from wordcam.embed import InputMode, assemble, init_random
 from wordcam.model import ModelHyper, save_checkpoint
-from wordcam.report import aggregate_top_words, from_attention, render_highlight
+from wordcam.report import aggregate_top_words, render_highlight
 from wordcam.synthetic import planted_corpus
 from wordcam.train import TrainConfig, train_epochs
 
@@ -66,9 +66,8 @@ def main() -> int:
     )
 
     for i, res in enumerate(results[:8]):
-        doc = from_attention(res)
-        (out / f"sentence_{i}.html").write_bytes(render_highlight(doc, "html"))
-        sys.stdout.buffer.write(render_highlight(doc, "ansi"))
+        (out / f"sentence_{i}.html").write_bytes(render_highlight(res, "html"))
+        sys.stdout.buffer.write(render_highlight(res, "ansi"))
 
     table = aggregate_top_words(results, k=5)
     (out / "topwords.txt").write_text(table.to_text(), encoding="utf-8")

@@ -23,7 +23,7 @@ import numpy as np
 
 from wordcam.embed.channels import ChannelConfig
 from wordcam.errors import ConfigError, DataError
-from wordcam.model import BATCH_SIZE, ForwardTrace, ModelParams, forward, gather
+from wordcam.model import ForwardTrace, ModelParams, gather, infer
 
 FRACTION = 0.10  # default share of a sentence's words selected as its top words
 
@@ -142,6 +142,7 @@ class AttentionResult:
     raw: np.ndarray  # (d,)
     normalized: np.ndarray  # (d,), zeros at pad positions
     selected: tuple[int, ...]  # positions of the top fraction
+    bottom: tuple[int, ...] = ()  # lowest-scored unselected positions (from_attention)
 
     @property
     def n_words(self) -> int:
@@ -192,14 +193,13 @@ def attend_sentences(
     fraction: float = FRACTION,
 ) -> list[AttentionResult]:
     """``attend`` of each ``(tokens, token_ids)`` sentence, in order, run
-    through the model in forward batches of ``model.BATCH_SIZE`` sentences.
-    When class_index is None each sentence's predicted class is scored."""
+    through the model by ``model.infer``. When class_index is None each
+    sentence's predicted class is scored."""
     if class_index is not None and not 0 <= class_index < params.hyper.n_classes:
         raise ConfigError(f"class index {class_index} out of range")
     results = []
-    for start in range(0, len(sentences), BATCH_SIZE):
-        chunk = sentences[start : start + BATCH_SIZE]
-        trace = forward([ids for _, ids in chunk], params, channels, mode="infer")
+    for start, trace in infer(params, channels, [ids for _, ids in sentences]):
+        chunk = sentences[start : start + trace.batch_size]
         raw, _ = class_scores(trace, params)
         if class_index is None:
             classes = np.argmax(trace.logits, axis=1)

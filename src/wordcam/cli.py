@@ -24,12 +24,9 @@ from wordcam.embed import (
     ChannelConfig,
     InputMode,
     assemble,
-    init_random,
     load_channel,
     save_channel,
-    train_cooc_factor,
-    train_skipgram,
-    train_subword,
+    train_sources,
 )
 from wordcam.errors import ConfigError, DataError, DivergenceError, malformed, read_text
 from wordcam.model import (
@@ -237,39 +234,19 @@ def cmd_prepare(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _embed_channels(cfg: RunConfig, prepared: corpus_mod.PreparedCorpus) -> ChannelConfig:
-    mode = InputMode.parse(cfg.mode)
-    vocab_size = len(prepared.vocab)
-    sentences = prepared.train_sentences
-    rand = skipgram = cooc = subword = None
-    if mode is InputMode.RAND:
-        rand = init_random(vocab_size, cfg.k, seed=cfg.seed)
-    else:
-        skipgram = train_skipgram(
-            sentences, vocab_size, k=cfg.k, window=cfg.window,
-            negatives=cfg.negatives, epochs=cfg.embed_epochs, lr=cfg.embed_lr,
-            seed=cfg.seed + 1,
-        )
-    if mode is InputMode.FOUR_CH:
-        cooc = train_cooc_factor(
-            sentences, vocab_size, k=cfg.k, window=cfg.window,
-            epochs=max(cfg.embed_epochs * 5, 1), seed=cfg.seed + 2,
-        )
-        subword = train_subword(
-            sentences, prepared.vocab.id_to_token, k=cfg.k, window=cfg.window,
-            ngram_min=cfg.ngram_min, ngram_max=cfg.ngram_max, bucket=cfg.bucket,
-            negatives=cfg.negatives, epochs=cfg.embed_epochs, lr=cfg.embed_lr,
-            seed=cfg.seed + 3,
-        )
-    return assemble(mode, rand=rand, skipgram=skipgram, cooc=cooc, subword=subword)
-
-
 def cmd_embed(cfg: RunConfig) -> int:
     if not cfg.corpus:
         raise ConfigError("--corpus is required (output directory of prepare)")
     _log_seed(cfg)
     prepared = corpus_mod.load_prepared(cfg.corpus)
-    config = _embed_channels(cfg, prepared)
+    mode = InputMode.parse(cfg.mode)
+    sources = train_sources(
+        prepared.train_sentences, prepared.vocab.id_to_token, [mode], k=cfg.k,
+        window=cfg.window, negatives=cfg.negatives, epochs=cfg.embed_epochs,
+        lr=cfg.embed_lr, ngram_min=cfg.ngram_min, ngram_max=cfg.ngram_max,
+        bucket=cfg.bucket, seed=cfg.seed,
+    )
+    config = assemble(mode, **sources)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -460,11 +437,11 @@ def cmd_attend(cfg: RunConfig) -> int:
     )
     written = []
     for i, result in enumerate(results):
-        doc = from_attention(result, bottom_fraction=cfg.bottom_fraction)
+        result = from_attention(result, bottom_fraction=cfg.bottom_fraction)
         stem = f"attend_{i:04d}"
         for fmt in formats:
             ext = {"html": "html", "json": "json", "ansi": "ansi.txt"}[fmt]
-            (out / f"{stem}.{ext}").write_bytes(render_highlight(doc, fmt))
+            (out / f"{stem}.{ext}").write_bytes(render_highlight(result, fmt))
         written.append(stem)
         top = [result.tokens[p] for p in result.selected]
         print(f"{stem}: {CLASS_NAMES[result.class_index]} top={top}")

@@ -212,6 +212,7 @@ class Vocabulary:
         self.id_to_token = list(id_to_token)
         self.counts = list(counts)
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
+        self._digest: str | None = None  # nothing changes a vocabulary once built
 
     def __len__(self) -> int:
         return len(self.id_to_token)
@@ -248,8 +249,10 @@ class Vocabulary:
         ]
 
     def digest(self) -> str:
-        payload = "\n".join(self.lines()).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
+        if self._digest is None:
+            payload = "\n".join(self.lines()).encode("utf-8")
+            self._digest = hashlib.sha256(payload).hexdigest()
+        return self._digest
 
     def save(self, path: Path | str) -> None:
         Path(path).write_text("\n".join(self.lines()) + "\n", encoding="utf-8")
@@ -258,16 +261,21 @@ class Vocabulary:
     def load(cls, path: Path | str) -> "Vocabulary":
         id_to_token: list[str] = []
         counts: list[int] = []
-        for lineno, line in enumerate(read_text(path, "vocabulary").splitlines(), 1):
-            if not line:
-                continue
-            with malformed(f"{path}:{lineno}", "vocab line"):
+        lines = read_text(path, "vocabulary").splitlines()
+        try:  # one guard for the file: a context manager per line tripled the load
+            for lineno, line in enumerate(lines, 1):
+                if not line:
+                    continue
                 tok, idx, count = line.split("\t")
                 idx, count = int(idx), int(count)
-            if idx != len(id_to_token):
-                raise DataError(f"{path}:{lineno}: ids out of order")
-            id_to_token.append(tok)
-            counts.append(count)
+                if idx != len(id_to_token):
+                    raise DataError(f"{path}:{lineno}: ids out of order")
+                id_to_token.append(tok)
+                counts.append(count)
+        except DataError:
+            raise
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: malformed vocab line ({exc!r})") from exc
         try:
             return cls(id_to_token, counts)
         except DataError as exc:
@@ -437,6 +445,8 @@ def prepare(
     counts then join the stats. The vocabulary sees only the training split,
     so test-time tokens absent from it encode to the padding id.
     """
+    if d < 1:
+        raise ConfigError(f"d must be >= 1, got {d}")
     stats: dict = {}
     if scheme is not None:
         examples, stats = label_reviews(examples, scheme)

@@ -23,6 +23,37 @@ from wordcam.embed.subword import (
     word_ngrams,
 )
 
+
+def train_sources(
+    sentences, id_to_token, modes, *, k: int, window: int, negatives: int, epochs: int,
+    lr: float, ngram_min: int, ngram_max: int, bucket: int, seed: int,
+) -> dict[str, EmbeddingChannel]:
+    """Train each source table that the input modes ``modes`` need, once,
+    and return them as the keyword arguments of ``assemble``. Each source
+    has its own seed: random init ``seed``, skip-gram ``seed + 1``,
+    co-occurrence ``seed + 2`` and subword ``seed + 3``."""
+    vocab_size = len(id_to_token)
+    sources = {}
+    if InputMode.RAND in modes:
+        sources["rand"] = init_random(vocab_size, k, seed=seed)
+    if any(mode is not InputMode.RAND for mode in modes):
+        sources["skipgram"] = train_skipgram(
+            sentences, vocab_size, k=k, window=window, negatives=negatives,
+            epochs=epochs, lr=lr, seed=seed + 1,
+        )
+    if InputMode.FOUR_CH in modes:
+        sources["cooc"] = train_cooc_factor(
+            sentences, vocab_size, k=k, window=window, epochs=max(epochs * 5, 1),
+            seed=seed + 2,
+        )
+        sources["subword"] = train_subword(
+            sentences, id_to_token, k=k, window=window, ngram_min=ngram_min,
+            ngram_max=ngram_max, bucket=bucket, negatives=negatives, epochs=epochs,
+            lr=lr, seed=seed + 3,
+        )
+    return sources
+
+
 __all__ = [
     "ChannelConfig",
     "EmbeddingChannel",
@@ -46,4 +77,5 @@ __all__ = [
     "ngram_bucket",
     "train_subword",
     "word_ngrams",
+    "train_sources",
 ]

@@ -54,9 +54,8 @@ from wordcam.errors import ConfigError, DataError, malformed
 
 _CKPT_MAGIC = b"WCAMCKPT1\n"
 
-# Sentences per batch: the default training batch, and the batch in which
-# every many-sentence inference (``train.evaluate``,
-# ``attention.attend_sentences``) runs, which keeps the per-height
+# Sentences per batch: the default training batch, and the chunk in which
+# ``infer`` runs every many-sentence inference, which keeps the per-height
 # temporaries of concurrent heights small.
 BATCH_SIZE = 64
 # The smallest batch whose heights run on the pool; a smaller one stays in
@@ -402,6 +401,15 @@ def forward(
         logits=logits,
         mode=mode,
     )
+
+
+def infer(params: ModelParams, channels: ChannelConfig, id_seqs: Sequence):
+    """Yield ``(start, trace)``: the infer-mode trace of the id sequences
+    ``id_seqs[start : start + BATCH_SIZE]``, one chunk at a time, so only
+    one chunk's trace is alive at once."""
+    for start in range(0, len(id_seqs), BATCH_SIZE):
+        chunk = id_seqs[start : start + BATCH_SIZE]
+        yield start, forward(chunk, params, channels, mode="infer")
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ import html
 import io
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -37,44 +37,18 @@ MODE_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class HighlightDoc:
-    tokens: tuple[str, ...]
-    predicted: int  # class index
-    top: frozenset[int]
-    bottom: frozenset[int] = frozenset()
-    scores: tuple[float, ...] = ()
-    normalized: tuple[float, ...] = ()
-
-    def __post_init__(self):
-        n = len(self.tokens)
-        if any(p < 0 or p >= n for p in self.top | self.bottom):
-            raise DataError("selection flags out of token range")
-        if self.top & self.bottom:
-            raise DataError("a token cannot be in both the top and bottom sets")
-        for field_values in (self.scores, self.normalized):
-            if field_values and len(field_values) != n:
-                raise DataError("scores must align 1:1 with tokens")
-
-
 def from_attention(
     result: AttentionResult, bottom_fraction: float | None = None
-) -> HighlightDoc:
-    """Build a highlight doc from an attention result, optionally adding the
-    bottom set for mixed-sentiment views."""
-    bottom: frozenset[int] = frozenset()
+) -> AttentionResult:
+    """``result`` with its bottom set, for mixed-sentiment views: the
+    ``bottom_fraction`` lowest-scored words that are not selected (none when
+    ``bottom_fraction`` is None)."""
+    bottom: tuple[int, ...] = ()
     if bottom_fraction is not None:
-        bottom = frozenset(
-            select_top(result.raw, result.n_words, bottom_fraction, "bottom")
-        ) - frozenset(result.selected)
-    return HighlightDoc(
-        tokens=result.tokens,
-        predicted=result.class_index,
-        top=frozenset(result.selected),
-        bottom=bottom,
-        scores=tuple(float(x) for x in result.raw[: result.n_words]),
-        normalized=tuple(float(x) for x in result.normalized[: result.n_words]),
-    )
+        lowest = select_top(result.raw, result.n_words, bottom_fraction, "bottom")
+        top = set(result.selected)
+        bottom = tuple(p for p in lowest if p not in top)
+    return replace(result, bottom=bottom)
 
 
 def _span_colors(predicted: int) -> tuple[str, str]:
@@ -83,47 +57,49 @@ def _span_colors(predicted: int) -> tuple[str, str]:
     return main, other
 
 
-def render_highlight(doc: HighlightDoc, fmt: str = "html") -> bytes:
-    """Render one sentence with its selected words marked.
+def render_highlight(result: AttentionResult, fmt: str = "html") -> bytes:
+    """Render one sentence with its selected (and bottom) words marked.
 
     html: a standalone UTF-8 document with inline styles only;
-    ansi: terminal colors; json: the flags verbatim.
+    ansi: terminal colors; json: the scores and flags verbatim.
     """
+    predicted = result.class_index
+    top, bottom = set(result.selected), set(result.bottom)
     if fmt == "json":
         payload = {
-            "class": doc.predicted,
-            "class_name": CLASS_NAMES[doc.predicted],
+            "class": predicted,
+            "class_name": CLASS_NAMES[predicted],
             "words": [
                 {
                     "token": tok,
                     "pos": p,
-                    "raw": doc.scores[p] if doc.scores else None,
-                    "norm": doc.normalized[p] if doc.normalized else None,
-                    "selected": p in doc.top,
-                    "bottom": p in doc.bottom,
+                    "raw": float(result.raw[p]),
+                    "norm": float(result.normalized[p]),
+                    "selected": p in top,
+                    "bottom": p in bottom,
                 }
-                for p, tok in enumerate(doc.tokens)
+                for p, tok in enumerate(result.tokens)
             ],
         }
         return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
-    main, other = _span_colors(doc.predicted)
+    main, other = _span_colors(predicted)
     if fmt == "html":
         parts = []
-        for p, tok in enumerate(doc.tokens):
+        for p, tok in enumerate(result.tokens):
             safe = html.escape(tok)
-            if p in doc.top:
+            if p in top:
                 parts.append(
                     f'<span style="background:{main};color:#fff">{safe}</span>'
                 )
-            elif p in doc.bottom:
+            elif p in bottom:
                 parts.append(
                     f'<span style="background:{other};color:#fff">{safe}</span>'
                 )
             else:
                 parts.append(safe)
         body = " ".join(parts)
-        label = CLASS_NAMES[doc.predicted]
+        label = CLASS_NAMES[predicted]
         page = (
             "<!DOCTYPE html>\n"
             '<html><head><meta charset="utf-8">'
@@ -136,17 +112,17 @@ def render_highlight(doc: HighlightDoc, fmt: str = "html") -> bytes:
         return page.encode("utf-8")
 
     if fmt == "ansi":
-        main_code = _ANSI_POSITIVE if doc.predicted == 1 else _ANSI_NEGATIVE
-        other_code = _ANSI_NEGATIVE if doc.predicted == 1 else _ANSI_POSITIVE
+        main_code = _ANSI_POSITIVE if predicted == 1 else _ANSI_NEGATIVE
+        other_code = _ANSI_NEGATIVE if predicted == 1 else _ANSI_POSITIVE
         parts = []
-        for p, tok in enumerate(doc.tokens):
-            if p in doc.top:
+        for p, tok in enumerate(result.tokens):
+            if p in top:
                 parts.append(f"{main_code}{tok}{_ANSI_RESET}")
-            elif p in doc.bottom:
+            elif p in bottom:
                 parts.append(f"{other_code}{tok}{_ANSI_RESET}")
             else:
                 parts.append(tok)
-        line = " ".join(parts) + f"  [{CLASS_NAMES[doc.predicted]}]\n"
+        line = " ".join(parts) + f"  [{CLASS_NAMES[predicted]}]\n"
         return line.encode("utf-8")
 
     raise ConfigError(f"unknown render format {fmt!r} (html, ansi, json)")
@@ -205,6 +181,8 @@ def aggregate_top_words(results: Iterable[AttentionResult], k: int = 5) -> TopWo
     """Pool each sentence's top-k words by its scored (predicted) class and
     rank tokens by frequency, ties lexicographic. Stop words count like any
     other word, to mirror raw model behavior."""
+    if k < 1:
+        raise ConfigError(f"top_k must be >= 1, got {k}")
     counters: dict[int, Counter] = {}
     n_results = 0
     for res in results:

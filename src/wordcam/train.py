@@ -26,6 +26,7 @@ from wordcam.model import (
     backward,
     cross_entropy,
     forward,
+    infer,
     trainable_arrays,
 )
 
@@ -121,13 +122,12 @@ def evaluate(
     c = params.hyper.n_classes
     confusion = np.zeros((c, c), dtype=np.int64)
     loss_sum = 0.0
-    for start in range(0, len(examples), BATCH_SIZE):
-        chunk = examples[start : start + BATCH_SIZE]
-        ids, lengths, labels = batch_arrays(chunk, params.hyper.d)
-        trace = forward(ids, params, channels, mode="infer", n_words=lengths)
+    labels = np.asarray([ex.label.class_index for ex in examples], dtype=np.int64)
+    for start, trace in infer(params, channels, [ex.token_ids for ex in examples]):
+        chunk = labels[start : start + trace.batch_size]
         preds = np.argmax(trace.logits, axis=1)  # argmax takes the first max
-        loss_sum += cross_entropy(trace.logits, labels) * len(chunk)
-        np.add.at(confusion, (labels, preds), 1)
+        loss_sum += cross_entropy(trace.logits, chunk) * len(chunk)
+        np.add.at(confusion, (chunk, preds), 1)
     total = int(confusion.sum())
     correct = int(np.trace(confusion))
     col = confusion.sum(axis=0)

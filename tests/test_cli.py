@@ -775,6 +775,9 @@ _ATTEND = ["attend", "--checkpoint", "{run}/checkpoint.ckpt", "--input", "{tmp}/
 _PREPARE = ["prepare", "--data", "{tmp}/latin1.csv", "--data-format", "csv",
             "--out", "{tmp}/fresh"]
 _EVALUATE = ["evaluate", "--checkpoint", "{run}/checkpoint.ckpt", "--corpus", "{corpus}"]
+_PREPARE_CSV = ["prepare", "--data", "{data}", "--data-format", "csv", "--out", "{tmp}/fresh"]
+_TOPWORDS = ["topwords", "--checkpoint", "{run}/checkpoint.ckpt", "--corpus", "{corpus}",
+             "--out", "{tmp}/top"]
 
 
 @pytest.mark.parametrize("edit, argv, code, names", [
@@ -826,3 +829,30 @@ def test_malformed_input_exits_without_traceback(
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and names in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("argv, key", [
+    (_PREPARE_CSV + ["--d", "0"], "d"),
+    (_PREPARE_CSV + ["--d", "-5"], "d"),
+    (_TOPWORDS + ["--top-k", "0"], "top_k"),
+    (_TOPWORDS + ["--top-k", "-1"], "top_k"),
+], ids=["d-0", "d-negative", "top-k-0", "top-k-negative"])
+def test_out_of_range_d_or_top_k_exits_2(pipeline_dirs, tmp_path, argv, key):
+    """A sentence length or a per-sentence word count below 1 is a
+    configuration error (exit 2, one line naming the key), not an empty
+    result or a data error further on."""
+    dirs = dict(pipeline_dirs, tmp=tmp_path)
+    if argv[0] == "topwords":
+        assert _prepare(dirs) == 0
+        assert _embed(dirs) == 0
+        assert _train(dirs, extra=["--epochs", "1"]) == 0
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "wordcam.cli", *(a.format(**dirs) for a in argv)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and f"{key} must be >= 1" in proc.stderr, proc.stderr
+    assert not (tmp_path / "fresh").exists() and not (tmp_path / "top").exists()

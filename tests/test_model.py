@@ -667,3 +667,42 @@ def test_checkpoint_rejects_junk(tmp_path):
     path.write_bytes(b"nonsense")
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+def test_infer_chunks_feed_attend_sentences_and_evaluate(tiny_setup):
+    """2·BATCH_SIZE+1 sentences, so the last chunk holds one sentence: the
+    read side's results are those of one forward per chunk."""
+    from wordcam.attention import attend, attend_sentences
+    from wordcam.corpus import LabeledExample, Polarity
+    from wordcam.train import evaluate
+
+    hyper, params, config = tiny_setup()
+    rng = np.random.default_rng(5)
+    n = 2 * model.BATCH_SIZE + 1
+    id_seqs = [tuple(int(i) for i in rng.integers(1, 30, size=rng.integers(1, hyper.d + 1)))
+               for _ in range(n)]
+    tokens = [tuple(f"w{i}" for i in ids) for ids in id_seqs]
+    labels = rng.integers(0, 2, size=n)
+
+    starts = range(0, n, model.BATCH_SIZE)
+    traces = [forward(id_seqs[s : s + model.BATCH_SIZE], params, config, mode="infer")
+              for s in starts]
+    b = model.BATCH_SIZE
+    chunks = [(s, t.batch_size) for s, t in model.infer(params, config, id_seqs)]
+    assert chunks == [(0, b), (b, b), (2 * b, 1)]
+
+    results = attend_sentences(params, config, list(zip(tokens, id_seqs)))
+    assert [r.tokens for r in results] == tokens
+    for i, got in enumerate(results):
+        j, row = divmod(i, model.BATCH_SIZE)
+        want = attend(traces[j], params, tokens[i], item=row)
+        assert got.raw.tobytes() == want.raw.tobytes()
+        assert got.selected == want.selected
+        assert got.class_index == want.class_index
+
+    examples = [LabeledExample(ids, Polarity(int(y)), toks)
+                for ids, y, toks in zip(id_seqs, labels, tokens)]
+    want = np.zeros((2, 2), dtype=np.int64)
+    for s, trace in zip(starts, traces):
+        np.add.at(want, (labels[s : s + model.BATCH_SIZE], np.argmax(trace.logits, axis=1)), 1)
+    assert np.array_equal(evaluate(params, config, examples).confusion, want)

@@ -9,7 +9,6 @@ import pytest
 from wordcam.attention import AttentionResult
 from wordcam.errors import ConfigError, DataError
 from wordcam.report import (
-    HighlightDoc,
     MODE_LABELS,
     accuracy_table,
     aggregate_top_words,
@@ -20,17 +19,7 @@ from wordcam.report import (
 from wordcam.train import EvalReport
 
 
-def _doc(tokens=("an", "excellent", "film"), predicted=1, top=(1,), bottom=()):
-    return HighlightDoc(
-        tokens=tuple(tokens),
-        predicted=predicted,
-        top=frozenset(top),
-        bottom=frozenset(bottom),
-        scores=tuple(float(i) for i in range(len(tokens))),
-    )
-
-
-def _result(tokens, raw, class_index=1, d=None, selected=None):
+def _result(tokens, raw, class_index=1, d=None, selected=None, bottom=()):
     d = d or len(tokens)
     raw = np.asarray(raw, dtype=float)
     full = np.zeros(d)
@@ -46,7 +35,14 @@ def _result(tokens, raw, class_index=1, d=None, selected=None):
         raw=full,
         normalized=norm,
         selected=tuple(selected),
+        bottom=tuple(bottom),
     )
+
+
+def _doc(tokens=("an", "excellent", "film"), class_index=1, top=(1,), bottom=()):
+    """A rendered sentence whose raw scores are its positions."""
+    raw = [float(i) for i in range(len(tokens))]
+    return _result(tokens, raw, class_index=class_index, selected=top, bottom=bottom)
 
 
 class TagBalanceChecker(HTMLParser):
@@ -82,11 +78,7 @@ def test_render_html_span_counts():
 
 
 def test_render_html_well_formed_and_utf8_clean():
-    doc = HighlightDoc(
-        tokens=("최고의", "영화", "<script>", "b&w"),
-        predicted=0,
-        top=frozenset({0}),
-    )
+    doc = _doc(tokens=("최고의", "영화", "<script>", "b&w"), class_index=0, top=(0,))
     payload = render_highlight(doc, "html")
     text = payload.decode("utf-8")  # must be valid UTF-8
     checker = TagBalanceChecker()
@@ -119,20 +111,15 @@ def test_render_unknown_format():
         render_highlight(_doc(), "pdf")
 
 
-def test_highlight_doc_validation():
-    with pytest.raises(DataError):
-        HighlightDoc(("a",), 1, top=frozenset({3}))
-    with pytest.raises(DataError):
-        HighlightDoc(("a", "b"), 1, top=frozenset({0}), bottom=frozenset({0}))
-
-
 def test_from_attention_builds_disjoint_sets():
     res = _result(["dull", "plot", "shine"], [5.0, -2.0, 1.0], selected=(0,))
     doc = from_attention(res, bottom_fraction=0.3)  # ceil(0.9) = 1 position
-    assert doc.top == {0}
-    assert doc.bottom == {1}  # lowest score, minus any overlap with top
+    assert doc.selected == (0,)
+    assert doc.bottom == (1,)  # lowest score, minus any overlap with top
     wide = from_attention(res, bottom_fraction=0.9)  # ceil(2.7) = 3, minus top
-    assert wide.bottom == {1, 2}
+    assert wide.bottom == (1, 2)
+    assert not set(wide.selected) & set(wide.bottom)
+    assert from_attention(wide).bottom == ()
 
 
 # ---------------------------------------------------------------------------
