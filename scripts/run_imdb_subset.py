@@ -64,22 +64,18 @@ def main() -> int:
 
     print("training embedding sources ...")
     sources = train_sources(
-        sentences, vocab.id_to_token, modes, k=100, window=3, negatives=5,
-        epochs=args.embed_epochs, lr=0.025, ngram_min=3, ngram_max=6,
-        bucket=200_000, seed=args.seed,
+        sentences, vocab.id_to_token, modes, k=100, epochs=args.embed_epochs,
+        seed=args.seed,
     )
 
-    hyper_for = lambda n: ModelHyper(k=100, d=d, heights=(3, 4, 5),
-                                     n_filters=128, n_channels=n)
-    config = TrainConfig(batch_size=64, epochs=args.epochs, lr=1e-3, lam=0.1,
-                         keep=0.5, seed=args.seed)
+    config = TrainConfig(epochs=args.epochs, seed=args.seed)
     reports = {}
     best = {}
     for mode in modes:
         print(f"== {mode.value} ==")
         channels = assemble(mode, **sources)
-        result = train_epochs(train_set, test_set, channels,
-                              hyper_for(len(channels)), config)
+        hyper = ModelHyper(k=100, d=d, n_channels=len(channels))
+        result = train_epochs(train_set, test_set, channels, hyper, config)
         for rec in result.history:
             print(f"  epoch {rec.epoch}: loss={rec.train_loss:.4f} "
                   f"acc={rec.test_accuracy:.4f}")
@@ -97,9 +93,9 @@ def main() -> int:
     mode = modes[0].value
     params = best[mode].best_params
     channels = best[mode].best_channels
-    results = attend_sentences(
+    results = list(attend_sentences(
         params, channels, [(ex.tokens, ex.token_ids) for ex in test_set]
-    )
+    ))
     for i, res in enumerate(results[:6]):
         (out / f"{mode}_sample_{i}.html").write_bytes(render_highlight(res, "html"))
     table = aggregate_top_words(results, k=5)

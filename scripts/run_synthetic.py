@@ -47,10 +47,7 @@ def main() -> int:
     channels = assemble(
         InputMode.RAND, rand=init_random(len(vocab), 24, seed=args.seed + 1)
     )
-    config = TrainConfig(
-        batch_size=64, epochs=args.epochs, lr=1e-3, lam=1e-3, keep=0.5,
-        seed=args.seed,
-    )
+    config = TrainConfig(epochs=args.epochs, lam=1e-3, seed=args.seed)
     result = train_epochs(train_set, test_set, channels, hyper, config)
     for rec in result.history:
         print(f"epoch {rec.epoch}: loss={rec.train_loss:.4f} "
@@ -61,9 +58,9 @@ def main() -> int:
     vocab.save(out / "vocab.tsv")
     save_checkpoint(out / "checkpoint.ckpt", params, trained, vocab.digest())
 
-    results = attend_sentences(
+    results = list(attend_sentences(
         params, trained, [(ex.tokens, ex.token_ids) for ex in test_set]
-    )
+    ))
 
     for i, res in enumerate(results[:8]):
         (out / f"sentence_{i}.html").write_bytes(render_highlight(res, "html"))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -25,7 +26,7 @@ from wordcam.embed.channels import ChannelConfig
 from wordcam.errors import ConfigError, DataError
 from wordcam.model import ForwardTrace, ModelParams, gather, infer
 
-FRACTION = 0.10  # default share of a sentence's words selected as its top words
+FRACTION = 0.10  # share of a sentence's words selected as its top words
 
 
 def _score_vectors(trace: ForwardTrace, params: ModelParams, rows, classes):
@@ -149,14 +150,14 @@ class AttentionResult:
         return len(self.tokens)
 
 
-def _readout(raw, tokens: tuple, class_index: int, fraction: float) -> AttentionResult:
+def _readout(raw, tokens: tuple, class_index: int) -> AttentionResult:
     n_words = len(tokens)
     return AttentionResult(
         class_index=class_index,
         tokens=tokens,
         raw=raw,
         normalized=normalize_scores(raw, n_words),
-        selected=tuple(select_top(raw, n_words, fraction=fraction)),
+        selected=tuple(select_top(raw, n_words)),
     )
 
 
@@ -165,7 +166,6 @@ def attend(
     params: ModelParams,
     tokens,
     class_index: int | None = None,
-    fraction: float = FRACTION,
     item: int = 0,
 ) -> AttentionResult:
     """Full attention readout for one sentence in an infer-mode trace.
@@ -182,7 +182,7 @@ def attend(
     if not 0 <= class_index < params.hyper.n_classes:
         raise ConfigError(f"class index {class_index} out of range")
     raw, _ = class_scores(trace, params, slice(item, item + 1), [class_index])
-    return _readout(raw[0, :, 0], tokens, class_index, fraction)
+    return _readout(raw[0, :, 0], tokens, class_index)
 
 
 def attend_sentences(
@@ -190,23 +190,22 @@ def attend_sentences(
     channels: ChannelConfig,
     sentences,
     class_index: int | None = None,
-    fraction: float = FRACTION,
-) -> list[AttentionResult]:
-    """``attend`` of each ``(tokens, token_ids)`` sentence, in order, run
-    through the model by ``model.infer``. When class_index is None each
-    sentence's predicted class is scored."""
+) -> Iterator[AttentionResult]:
+    """``attend`` of each ``(tokens, token_ids)`` sentence, yielded in order
+    as ``model.infer`` runs the sentences through the model, one chunk at a
+    time. When class_index is None each sentence's predicted class is
+    scored; each row is scored for its own class only."""
     if class_index is not None and not 0 <= class_index < params.hyper.n_classes:
         raise ConfigError(f"class index {class_index} out of range")
-    results = []
     for start, trace in infer(params, channels, [ids for _, ids in sentences]):
         chunk = sentences[start : start + trace.batch_size]
-        raw, _ = class_scores(trace, params)
         if class_index is None:
             classes = np.argmax(trace.logits, axis=1)
         else:
             classes = np.full(len(chunk), class_index)
-        results += [
-            _readout(raw[j, :, c], tuple(tokens), int(c), fraction)
-            for j, ((tokens, _), c) in enumerate(zip(chunk, classes))
-        ]
-    return results
+        raw = np.empty((len(chunk), params.hyper.d))
+        for c in np.unique(classes):
+            rows = np.flatnonzero(classes == c)
+            raw[rows] = class_scores(trace, params, rows, [c])[0][:, :, 0]
+        for (tokens, _), r, c in zip(chunk, raw, classes):
+            yield _readout(r, tuple(tokens), int(c))

@@ -55,7 +55,7 @@ class RunConfig:
     # inputs and outputs
     data: str | None = None
     data_format: str = "imdb"  # imdb | csv | tsv
-    scheme: str = "imdb"  # imdb | watcha | generic
+    scheme: str = "imdb"  # imdb | watcha
     out: str = "run"
     corpus: str | None = None
     channels: str | None = None
@@ -63,23 +63,12 @@ class RunConfig:
     vocab: str | None = None
     mode: str = "rand"
     seed: int = 0
-    # generic rating scheme thresholds
-    scale_lo: float = 1.0
-    scale_hi: float = 10.0
-    neg_max: float = 4.0
-    pos_min: float = 7.0
     # corpus
     d: int = 100
     ratio: float = 0.7
     # embeddings
     k: int = 100
-    window: int = 3
-    negatives: int = 5
     embed_epochs: int = 5
-    embed_lr: float = 0.025
-    ngram_min: int = 3
-    ngram_max: int = 6
-    bucket: int = 200000
     # model
     heights: str = "3,4,5"
     n_filters: int = 128
@@ -88,12 +77,10 @@ class RunConfig:
     epochs: int = 5
     lr: float = 1e-3
     lam: float = 0.1
-    dropout_keep: float = 0.5
     # attention and reports
     sentence: str | None = None
     input: str | None = None
     label: str = "auto"  # auto | positive | negative
-    fraction: float = 0.1
     bottom_fraction: float | None = None
     formats: str = "html,json"
     top_k: int = 5
@@ -187,10 +174,6 @@ def _parse_heights(spec: str) -> tuple[int, ...]:
 def _scheme_from_config(cfg: RunConfig) -> corpus_mod.LabelScheme:
     if cfg.scheme in corpus_mod.SCHEMES:
         return corpus_mod.SCHEMES[cfg.scheme]
-    if cfg.scheme == "generic":
-        return corpus_mod.generic_scheme(
-            cfg.scale_lo, cfg.scale_hi, cfg.neg_max, cfg.pos_min
-        )
     raise ConfigError(f"unknown rating scheme {cfg.scheme!r}")
 
 
@@ -242,9 +225,7 @@ def cmd_embed(cfg: RunConfig) -> int:
     mode = InputMode.parse(cfg.mode)
     sources = train_sources(
         prepared.train_sentences, prepared.vocab.id_to_token, [mode], k=cfg.k,
-        window=cfg.window, negatives=cfg.negatives, epochs=cfg.embed_epochs,
-        lr=cfg.embed_lr, ngram_min=cfg.ngram_min, ngram_max=cfg.ngram_max,
-        bucket=cfg.bucket, seed=cfg.seed,
+        epochs=cfg.embed_epochs, seed=cfg.seed,
     )
     config = assemble(mode, **sources)
     out = Path(cfg.out)
@@ -291,7 +272,6 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
         epochs=cfg.epochs,
         lr=cfg.lr,
         lam=cfg.lam,
-        keep=cfg.dropout_keep,
         seed=cfg.seed,
     )
 
@@ -432,9 +412,7 @@ def cmd_attend(cfg: RunConfig) -> int:
         if not tokens:
             raise DataError(f"sentence {i} has no tokens after tokenization")
         sentences.append((tokens, vocab.encode(tokens, d)))
-    results = attend_sentences(
-        params, channels, sentences, class_index=class_index, fraction=cfg.fraction
-    )
+    results = attend_sentences(params, channels, sentences, class_index=class_index)
     written = []
     for i, result in enumerate(results):
         result = from_attention(result, bottom_fraction=cfg.bottom_fraction)
@@ -506,11 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "data", help="dataset path (IMDB directory or CSV/TSV file); "
          f"falls back to ${DATA_DIR_ENV}")
     _add(p, "data_format", help="imdb, csv, or tsv")
-    _add(p, "scheme", help="rating scheme: imdb, watcha, or generic")
-    _add(p, "scale_lo", help="generic scheme: smallest rating")
-    _add(p, "scale_hi", help="generic scheme: largest rating")
-    _add(p, "neg_max", help="generic scheme: ratings <= this are negative")
-    _add(p, "pos_min", help="generic scheme: ratings >= this are positive")
+    _add(p, "scheme", help="rating scheme: imdb or watcha")
     _add(p, "out", help="output directory for corpus artifacts")
     _add(p, "seed", help="split shuffling seed")
     _add(p, "d", help="maximum words per sentence")
@@ -523,13 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "out", help="output directory for channel files")
     _add(p, "seed", help="embedding training seed")
     _add(p, "k", help="embedding dimension")
-    _add(p, "window", help="context window size")
-    _add(p, "negatives", help="negative samples per pair")
     _add(p, "embed_epochs", help="embedding training epochs")
-    _add(p, "embed_lr", help="embedding learning rate")
-    _add(p, "ngram_min", help="smallest subword n-gram")
-    _add(p, "ngram_max", help="largest subword n-gram")
-    _add(p, "bucket", help="subword hash buckets")
 
     p = sub.add_parser("train", help="train the CNN classifier")
     p.add_argument("--config", help="key=value config file")
@@ -543,7 +511,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "epochs", help="training epochs")
     _add(p, "lr", help="Adam learning rate")
     _add(p, "lam", help="L2 weight penalty")
-    _add(p, "dropout_keep", help="dropout keep probability on the pooled vector")
 
     p = sub.add_parser("attend", help="score words of sentences with a checkpoint")
     p.add_argument("--config", help="key=value config file")
@@ -552,7 +519,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "sentence", help="one sentence to score")
     _add(p, "input", help="file with one sentence per line")
     _add(p, "label", help="class to score: auto, positive, or negative")
-    _add(p, "fraction", help="top fraction of words to highlight")
     _add(p, "bottom_fraction",
          help="also mark this bottom fraction in the opposite color")
     _add(p, "formats", help="comma-separated output formats: html,json,ansi")

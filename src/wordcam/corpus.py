@@ -101,8 +101,8 @@ class LabelScheme:
     """Maps a numeric rating to a polarity.
 
     ``rating <= neg_max`` is negative, ``rating >= pos_min`` is positive,
-    anything in between is excluded. ``step`` restricts ratings to multiples
-    of that value (measured from ``lo``).
+    anything in between is excluded. Ratings must be multiples of ``step``
+    (measured from ``lo``).
     """
 
     name: str
@@ -110,7 +110,7 @@ class LabelScheme:
     hi: float
     neg_max: float
     pos_min: float
-    step: float | None = None
+    step: float
 
     def validate(self, rating: float) -> None:
         if not np.isfinite(rating):
@@ -119,25 +119,15 @@ class LabelScheme:
             raise DataError(
                 f"{self.name}: rating {rating} outside scale [{self.lo}, {self.hi}]"
             )
-        if self.step is not None:
-            steps = (rating - self.lo) / self.step
-            if abs(steps - round(steps)) > 1e-9:
-                raise DataError(
-                    f"{self.name}: rating {rating} is not a multiple of {self.step}"
-                )
+        steps = (rating - self.lo) / self.step
+        if abs(steps - round(steps)) > 1e-9:
+            raise DataError(
+                f"{self.name}: rating {rating} is not a multiple of {self.step}"
+            )
 
 
 IMDB_SCHEME = LabelScheme("imdb", lo=1, hi=10, neg_max=4, pos_min=7, step=1)
 WATCHA_SCHEME = LabelScheme("watcha", lo=0.5, hi=5.0, neg_max=2.0, pos_min=5.0, step=0.5)
-
-
-def generic_scheme(lo: float, hi: float, neg_max: float, pos_min: float) -> LabelScheme:
-    if not (lo <= neg_max < pos_min <= hi):
-        raise ConfigError(
-            f"thresholds must satisfy lo <= neg_max < pos_min <= hi, "
-            f"got lo={lo} neg_max={neg_max} pos_min={pos_min} hi={hi}"
-        )
-    return LabelScheme("generic", lo=lo, hi=hi, neg_max=neg_max, pos_min=pos_min)
 
 
 SCHEMES = {"imdb": IMDB_SCHEME, "watcha": WATCHA_SCHEME}

@@ -7,8 +7,6 @@ from wordcam.embed.channels import (
     InputMode,
     Source,
     assemble,
-    export_text,
-    import_text,
     init_random,
     load_channel,
     save_channel,
@@ -22,34 +20,34 @@ from wordcam.embed.subword import (
     train_subword,
     word_ngrams,
 )
+from wordcam.errors import ConfigError
 
 
 def train_sources(
-    sentences, id_to_token, modes, *, k: int, window: int, negatives: int, epochs: int,
-    lr: float, ngram_min: int, ngram_max: int, bucket: int, seed: int,
+    sentences, id_to_token, modes, *, k: int, epochs: int, seed: int
 ) -> dict[str, EmbeddingChannel]:
     """Train each source table that the input modes ``modes`` need, once,
     and return them as the keyword arguments of ``assemble``. Each source
     has its own seed: random init ``seed``, skip-gram ``seed + 1``,
-    co-occurrence ``seed + 2`` and subword ``seed + 3``."""
+    co-occurrence ``seed + 2`` and subword ``seed + 3``. The trainers run at
+    their default window, negatives, rate and n-gram settings; co-occurrence
+    runs ``5 * epochs`` epochs, at least one."""
+    if epochs < 0:
+        raise ConfigError(f"embedding epochs must be >= 0, got {epochs}")
     vocab_size = len(id_to_token)
     sources = {}
     if InputMode.RAND in modes:
         sources["rand"] = init_random(vocab_size, k, seed=seed)
     if any(mode is not InputMode.RAND for mode in modes):
         sources["skipgram"] = train_skipgram(
-            sentences, vocab_size, k=k, window=window, negatives=negatives,
-            epochs=epochs, lr=lr, seed=seed + 1,
+            sentences, vocab_size, k=k, epochs=epochs, seed=seed + 1
         )
     if InputMode.FOUR_CH in modes:
         sources["cooc"] = train_cooc_factor(
-            sentences, vocab_size, k=k, window=window, epochs=max(epochs * 5, 1),
-            seed=seed + 2,
+            sentences, vocab_size, k=k, epochs=max(epochs * 5, 1), seed=seed + 2
         )
         sources["subword"] = train_subword(
-            sentences, id_to_token, k=k, window=window, ngram_min=ngram_min,
-            ngram_max=ngram_max, bucket=bucket, negatives=negatives, epochs=epochs,
-            lr=lr, seed=seed + 3,
+            sentences, id_to_token, k=k, epochs=epochs, seed=seed + 3
         )
     return sources
 
@@ -60,8 +58,6 @@ __all__ = [
     "InputMode",
     "Source",
     "assemble",
-    "export_text",
-    "import_text",
     "init_random",
     "load_channel",
     "save_channel",

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from wordcam.corpus import Vocabulary
 from wordcam.errors import ConfigError, DataError, malformed
 
 _MAGIC = b"WEMB2\n"
@@ -200,7 +199,7 @@ def assemble(
 
 
 # ---------------------------------------------------------------------------
-# Persistence: binary container and text interop
+# Persistence: the binary container
 # ---------------------------------------------------------------------------
 
 
@@ -290,42 +289,3 @@ def load_channel(path: Path | str) -> EmbeddingChannel:
         return EmbeddingChannel(
             arrays["table"], bool(meta["trainable"]), Source(meta["source"])
         )
-
-
-def export_text(channel: EmbeddingChannel, vocab: Vocabulary, path: Path | str) -> None:
-    """One ``token v1 ... vk`` line per vocabulary entry, pad row included."""
-    if len(vocab) != channel.vocab_size:
-        raise DataError("vocabulary size does not match channel table")
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, tok in enumerate(vocab.id_to_token):
-            vec = " ".join(repr(float(x)) for x in channel.table[i])
-            fh.write(f"{tok} {vec}\n")
-
-
-def import_text(
-    path: Path | str,
-    vocab: Vocabulary,
-    trainable: bool = True,
-    source: Source = Source.RAND,
-) -> EmbeddingChannel:
-    """Load ``token v1 ... vk`` lines; tokens missing from the file stay zero."""
-    rows: dict[str, np.ndarray] = {}
-    k = None
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        parts = line.split(" ")
-        vec = np.array([float(x) for x in parts[1:]], dtype=np.float32)
-        if k is None:
-            k = vec.size
-        elif vec.size != k:
-            raise DataError(f"{path}: inconsistent vector lengths")
-        rows[parts[0]] = vec
-    if k is None:
-        raise DataError(f"{path}: no vectors found")
-    table = np.zeros((len(vocab), k), dtype=np.float32)
-    for tok, vec in rows.items():
-        idx = vocab.token_to_id.get(tok)
-        if idx is not None and idx != 0:
-            table[idx] = vec
-    return EmbeddingChannel(table, trainable=trainable, source=source)

@@ -19,7 +19,7 @@ import numpy as np
 
 from wordcam.corpus import PAD_ID
 from wordcam.embed.channels import EmbeddingChannel, Source, scatter_add
-from wordcam.embed.skipgram import context_pairs
+from wordcam.embed.skipgram import WINDOW, context_pairs
 from wordcam.errors import ConfigError
 
 _CHUNK = 4096
@@ -125,7 +125,7 @@ def train_cooc_factor(
     sentences: Sequence[Sequence[int]],
     vocab_size: int,
     k: int = 100,
-    window: int = 3,
+    window: int = WINDOW,
     epochs: int = 25,
     seed: int = 0,
     dtype=np.float32,

@@ -6,6 +6,11 @@ Pairs are processed in chunks (``sgns_chunks``) so the update arithmetic is
 vectorized; within a chunk, repeated rows accumulate through
 ``channels.scatter_add``, in pair order.
 Deterministic given (sentence order, seed).
+
+``WINDOW``, ``NEGATIVES`` and ``LR`` are the context window, negative
+samples per pair and starting rate of every trainer here and in the subword
+and co-occurrence modules; 5 negatives and rate 0.025 are those of Mikolov
+et al. 2013.
 """
 
 from __future__ import annotations
@@ -21,6 +26,9 @@ from wordcam.embed.channels import EmbeddingChannel, Source, scatter_add
 from wordcam.errors import ConfigError, DataError
 
 _CHUNK = 2048
+WINDOW = 3
+NEGATIVES = 5
+LR = 0.025
 
 
 def _flat_tokens(sentences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
@@ -146,10 +154,10 @@ def fit_skipgram(
     sentences: Sequence[Sequence[int]],
     vocab_size: int,
     k: int = 100,
-    window: int = 3,
-    negatives: int = 5,
+    window: int = WINDOW,
+    negatives: int = NEGATIVES,
     epochs: int = 5,
-    lr: float = 0.025,
+    lr: float = LR,
     seed: int = 0,
     chunk: int = _CHUNK,
 ) -> SkipGramFit:
@@ -177,10 +185,10 @@ def train_skipgram(
     sentences: Sequence[Sequence[int]],
     vocab_size: int,
     k: int = 100,
-    window: int = 3,
-    negatives: int = 5,
+    window: int = WINDOW,
+    negatives: int = NEGATIVES,
     epochs: int = 5,
-    lr: float = 0.025,
+    lr: float = LR,
     seed: int = 0,
     dtype=np.float32,
     chunk: int = _CHUNK,

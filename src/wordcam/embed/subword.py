@@ -3,15 +3,17 @@ its character n-gram bucket vectors plus a whole-word vector (Bojanowski et
 al. 2017).
 
 N-grams are taken from the word wrapped in boundary markers ("<word>") and
-hashed into a fixed number of buckets. Only vocabulary words get vectors:
-an out-of-vocabulary token encodes to the pad id, so the CNN never sees one.
+hashed into ``BUCKET`` buckets. The n-gram lengths ``NGRAM_MIN``..
+``NGRAM_MAX`` = 3..6 are the published ones; window, negatives and rate are
+skip-gram's. Only vocabulary words get vectors: an out-of-vocabulary token
+encodes to the pad id, so the CNN never sees one.
 
 Every bucket's vector starts as one row of a (bucket, k) uniform draw, but
 only the buckets the vocabulary's n-grams hash to are ever trained or read,
-so only their rows are stored: a few percent of the default 200,000. The
-rows are read from the generator at their place in the draw, and the
-generator then skips to where the whole draw would end, so the training
-that follows and the vectors it gives are those of the whole table.
+so only their rows are stored: a few percent of ``BUCKET``. The rows are
+read from the generator at their place in the draw, and the generator then
+skips to where the whole draw would end, so the training that follows and
+the vectors it gives are those of the whole table.
 """
 
 from __future__ import annotations
@@ -24,6 +26,9 @@ import numpy as np
 from wordcam.corpus import PAD_ID
 from wordcam.embed.channels import EmbeddingChannel, Source, scatter_add
 from wordcam.embed.skipgram import (
+    LR,
+    NEGATIVES,
+    WINDOW,
     NoiseTable,
     check_sgns,
     context_pairs,
@@ -34,6 +39,9 @@ from wordcam.errors import ConfigError
 
 _CHUNK = 1024
 _BLOCK_ENTRIES = 1 << 15  # largest initial-row draw, in floats
+NGRAM_MIN = 3
+NGRAM_MAX = 6
+BUCKET = 200_000
 
 
 def word_ngrams(word: str, ngram_min: int, ngram_max: int) -> list[str]:
@@ -108,13 +116,13 @@ def fit_subword(
     sentences: Sequence[Sequence[int]],
     id_to_token: Sequence[str],
     k: int = 100,
-    window: int = 3,
-    ngram_min: int = 3,
-    ngram_max: int = 6,
-    bucket: int = 200_000,
-    negatives: int = 5,
+    window: int = WINDOW,
+    ngram_min: int = NGRAM_MIN,
+    ngram_max: int = NGRAM_MAX,
+    bucket: int = BUCKET,
+    negatives: int = NEGATIVES,
     epochs: int = 5,
-    lr: float = 0.025,
+    lr: float = LR,
     seed: int = 0,
     chunk: int = _CHUNK,
 ) -> SubwordFit:
@@ -163,13 +171,13 @@ def train_subword(
     sentences: Sequence[Sequence[int]],
     id_to_token: Sequence[str],
     k: int = 100,
-    window: int = 3,
-    ngram_min: int = 3,
-    ngram_max: int = 6,
-    bucket: int = 200_000,
-    negatives: int = 5,
+    window: int = WINDOW,
+    ngram_min: int = NGRAM_MIN,
+    ngram_max: int = NGRAM_MAX,
+    bucket: int = BUCKET,
+    negatives: int = NEGATIVES,
     epochs: int = 5,
-    lr: float = 0.025,
+    lr: float = LR,
     seed: int = 0,
     dtype=np.float32,
     chunk: int = _CHUNK,

@@ -383,8 +383,7 @@ def _run_pipeline(base: Path, data: Path, tag: str) -> dict[str, str]:
         ["prepare", "--data", data, "--data-format", "csv", "--scheme", "imdb",
          "--out", corpus_dir, "--seed", 5, "--d", 10],
         ["embed", "--corpus", corpus_dir, "--mode", "2ch", "--out", channels_dir,
-         "--seed", 5, "--k", 8, "--embed-epochs", 1, "--window", 2,
-         "--negatives", 2],
+         "--seed", 5, "--k", 8, "--embed-epochs", 1],
         ["train", "--corpus", corpus_dir, "--channels", channels_dir,
          "--out", run_dir, "--seed", 5, "--heights", "2,3", "--n-filters", 3,
          "--epochs", 2, "--batch-size", 8, "--lam", 0.01],

@@ -5,14 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wordcam.corpus import Vocabulary
 from wordcam.embed import (
     EmbeddingChannel,
     InputMode,
     Source,
     assemble,
-    export_text,
-    import_text,
     init_random,
     load_channel,
     save_channel,
@@ -139,21 +136,6 @@ def test_channel_binary_rejects_other_files(tmp_path):
     path.write_bytes(b"not a channel")
     with pytest.raises(DataError):
         load_channel(path)
-
-
-def test_text_export_import(tmp_path):
-    vocab = Vocabulary.build([["ant", "bee", "cat"]])
-    ch = init_random(len(vocab), 4, seed=2)
-    path = tmp_path / "vectors.txt"
-    export_text(ch, vocab, path)
-    loaded = import_text(path, vocab)
-    assert np.allclose(loaded.table, ch.table)
-    # tokens missing from the file stay zero
-    partial = tmp_path / "partial.txt"
-    partial.write_text("bee 1.0 2.0 3.0 4.0\n", encoding="utf-8")
-    got = import_text(partial, vocab)
-    assert np.allclose(got.table[vocab.token_to_id["bee"]], [1, 2, 3, 4])
-    assert np.all(got.table[vocab.token_to_id["ant"]] == 0.0)
 
 
 @given(

@@ -82,7 +82,7 @@ def _embed(dirs, mode="rand", seed=3):
     return run([
         "embed", "--corpus", dirs["corpus"], "--mode", mode,
         "--out", dirs["channels"], "--seed", seed, "--k", "12",
-        "--embed-epochs", "2", "--window", "2", "--negatives", "2",
+        "--embed-epochs", "2",
     ])
 
 
@@ -186,6 +186,15 @@ def test_prepare_all_excluded_exits_3(tmp_path, capsys):
     assert "no labeled examples" in capsys.readouterr().err
 
 
+def test_unknown_scheme_exits_2(pipeline_dirs, capsys):
+    """Only the named schemes label ratings; there is no generic one."""
+    rc = run(["prepare", "--data", pipeline_dirs["data"], "--data-format", "csv",
+              "--scheme", "generic", "--out", pipeline_dirs["corpus"]])
+    assert rc == 2
+    assert "unknown rating scheme 'generic'" in capsys.readouterr().err
+    assert not pipeline_dirs["corpus"].exists()
+
+
 def test_unknown_mode_exits_2(pipeline_dirs):
     dirs = pipeline_dirs
     assert _prepare(dirs) == 0
@@ -222,11 +231,15 @@ def test_config_file_unknown_key_exits_2(pipeline_dirs, tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     # a misspelt key, and keys that were once options and are now constants
     for line in ("optimiser=adam", "optimizer=adam", "beta2=0.99", "x_max=50",
-                 "eval_every=2", "keep_case=true"):
+                 "eval_every=2", "keep_case=true", "scale_lo=1", "scale_hi=10",
+                 "neg_max=4", "pos_min=7", "window=3", "negatives=5",
+                 "embed_lr=0.025", "ngram_min=3", "ngram_max=6", "bucket=200000",
+                 "dropout_keep=0.5", "fraction=0.1"):
         conf.write_text(line + "\n", encoding="utf-8")
         rc = run(["train", "--config", conf, "--corpus", "x", "--channels", "y"])
         assert rc == 2, line
-        assert "unknown config key" in capsys.readouterr().err
+        key = line.split("=")[0]
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_read_config_file_types(tmp_path):
@@ -489,8 +502,7 @@ def test_embed_four_channel_end_to_end(pipeline_dirs):
     rc = run([
         "embed", "--corpus", dirs["corpus"], "--mode", "4ch",
         "--out", dirs["channels"], "--seed", "3", "--k", "8",
-        "--embed-epochs", "1", "--window", "2", "--negatives", "2",
-        "--bucket", "512",
+        "--embed-epochs", "1",
     ])
     assert rc == 0
     meta = json.loads((dirs["channels"] / "channels.json").read_text())
@@ -512,7 +524,7 @@ def test_malformed_embed_corpus_exits_3(pipeline_dirs, capsys, bad):
     capsys.readouterr()
     rc = run([
         "embed", "--corpus", dirs["corpus"], "--mode", "4ch",
-        "--out", dirs["channels"], "--k", "8", "--embed-epochs", "1", "--bucket", "512",
+        "--out", dirs["channels"], "--k", "8", "--embed-epochs", "1",
     ])
     assert rc == 3
     assert "embed_corpus.txt:2:" in capsys.readouterr().err
@@ -776,6 +788,8 @@ _PREPARE = ["prepare", "--data", "{tmp}/latin1.csv", "--data-format", "csv",
             "--out", "{tmp}/fresh"]
 _EVALUATE = ["evaluate", "--checkpoint", "{run}/checkpoint.ckpt", "--corpus", "{corpus}"]
 _PREPARE_CSV = ["prepare", "--data", "{data}", "--data-format", "csv", "--out", "{tmp}/fresh"]
+_EMBED_FRESH = ["embed", "--corpus", "{corpus}", "--mode", "4ch", "--k", "8",
+                "--out", "{tmp}/fresh"]
 _TOPWORDS = ["topwords", "--checkpoint", "{run}/checkpoint.ckpt", "--corpus", "{corpus}",
              "--out", "{tmp}/top"]
 
@@ -831,19 +845,22 @@ def test_malformed_input_exits_without_traceback(
     assert proc.stderr.count("\n") == 1 and names in proc.stderr, proc.stderr
 
 
-@pytest.mark.parametrize("argv, key", [
-    (_PREPARE_CSV + ["--d", "0"], "d"),
-    (_PREPARE_CSV + ["--d", "-5"], "d"),
-    (_TOPWORDS + ["--top-k", "0"], "top_k"),
-    (_TOPWORDS + ["--top-k", "-1"], "top_k"),
-], ids=["d-0", "d-negative", "top-k-0", "top-k-negative"])
-def test_out_of_range_d_or_top_k_exits_2(pipeline_dirs, tmp_path, argv, key):
-    """A sentence length or a per-sentence word count below 1 is a
-    configuration error (exit 2, one line naming the key), not an empty
-    result or a data error further on."""
+@pytest.mark.parametrize("argv, message", [
+    (_PREPARE_CSV + ["--d", "0"], "d must be >= 1"),
+    (_PREPARE_CSV + ["--d", "-5"], "d must be >= 1"),
+    (_TOPWORDS + ["--top-k", "0"], "top_k must be >= 1"),
+    (_TOPWORDS + ["--top-k", "-1"], "top_k must be >= 1"),
+    (_EMBED_FRESH + ["--embed-epochs", "-1"], "epochs must be >= 0"),
+], ids=["d-0", "d-negative", "top-k-0", "top-k-negative", "embed-epochs-negative"])
+def test_out_of_range_d_or_top_k_exits_2(pipeline_dirs, tmp_path, argv, message):
+    """A sentence length or a per-sentence word count below 1, or a
+    negative number of embedding epochs, is a configuration error (exit 2,
+    one line naming the setting), not an empty result, a silent no-op or a
+    data error further on."""
     dirs = dict(pipeline_dirs, tmp=tmp_path)
-    if argv[0] == "topwords":
+    if argv[0] != "prepare":
         assert _prepare(dirs) == 0
+    if argv[0] == "topwords":
         assert _embed(dirs) == 0
         assert _train(dirs, extra=["--epochs", "1"]) == 0
     src = Path(__file__).resolve().parent.parent / "src"
@@ -854,5 +871,29 @@ def test_out_of_range_d_or_top_k_exits_2(pipeline_dirs, tmp_path, argv, key):
     )
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
-    assert proc.stderr.count("\n") == 1 and f"{key} must be >= 1" in proc.stderr, proc.stderr
+    assert proc.stderr.count("\n") == 1 and message in proc.stderr, proc.stderr
     assert not (tmp_path / "fresh").exists() and not (tmp_path / "top").exists()
+
+
+def test_topwords_top_k_0_exits_2_before_any_forward_pass(pipeline_dirs, monkeypatch, capsys):
+    dirs = pipeline_dirs
+    assert _prepare(dirs) == 0
+    assert _embed(dirs) == 0
+    assert _train(dirs, extra=["--epochs", "1"]) == 0
+    calls = []
+
+    def no_forward(*args):
+        calls.append(args)
+        raise AssertionError("forward pass")
+
+    monkeypatch.setattr("wordcam.attention.infer", no_forward)
+    argv = ["topwords", "--checkpoint", dirs["run"] / "checkpoint.ckpt",
+            "--corpus", dirs["corpus"], "--out", dirs["reports"]]
+    capsys.readouterr()
+    assert run(argv + ["--top-k", "0"]) == 2
+    assert "top_k must be >= 1" in capsys.readouterr().err
+    assert calls == [] and not dirs["reports"].exists()
+    # the patched function is the one topwords runs its sentences through
+    with pytest.raises(AssertionError, match="forward pass"):
+        run(argv + ["--top-k", "1"])
+    assert len(calls) == 1

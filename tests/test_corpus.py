@@ -16,7 +16,6 @@ from wordcam.corpus import (
     TokenizedExample,
     Vocabulary,
     encode_example,
-    generic_scheme,
     label_from_rating,
     label_reviews,
     load_delimited,
@@ -27,7 +26,7 @@ from wordcam.corpus import (
     split,
     tokenize,
 )
-from wordcam.errors import ConfigError, DataError
+from wordcam.errors import DataError
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +129,6 @@ def test_imdb_rating_must_be_integer_in_scale():
 )
 def test_watcha_rating_bands(rating, expected):
     assert label_from_rating(rating, WATCHA_SCHEME) is expected
-
-
-def test_generic_scheme():
-    scheme = generic_scheme(0, 100, neg_max=30, pos_min=70)
-    assert label_from_rating(10, scheme) is Polarity.NEGATIVE
-    assert label_from_rating(50, scheme) is Polarity.EXCLUDED
-    assert label_from_rating(99, scheme) is Polarity.POSITIVE
-    with pytest.raises(ConfigError):
-        generic_scheme(0, 10, neg_max=8, pos_min=3)
 
 
 @given(st.integers(min_value=1, max_value=10))

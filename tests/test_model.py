@@ -691,7 +691,7 @@ def test_infer_chunks_feed_attend_sentences_and_evaluate(tiny_setup):
     chunks = [(s, t.batch_size) for s, t in model.infer(params, config, id_seqs)]
     assert chunks == [(0, b), (b, b), (2 * b, 1)]
 
-    results = attend_sentences(params, config, list(zip(tokens, id_seqs)))
+    results = list(attend_sentences(params, config, list(zip(tokens, id_seqs))))
     assert [r.tokens for r in results] == tokens
     for i, got in enumerate(results):
         j, row = divmod(i, model.BATCH_SIZE)
