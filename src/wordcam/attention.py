@@ -29,27 +29,6 @@ from wordcam.model import ForwardTrace, ModelParams, gather, infer
 FRACTION = 0.10  # share of a sentence's words selected as its top words
 
 
-def _score_vectors(trace: ForwardTrace, params: ModelParams, rows, classes):
-    """Per height, ``(h, v)`` with v the (b, len(classes), d+h-1) float64
-    score vectors of the trace rows ``rows``: the feature map times each
-    class's FC weight slice."""
-    if trace.mode != "infer":
-        raise ConfigError("attention needs an infer-mode trace (no dropout)")
-    hyper = params.hyper
-    for h in hyper.heights:
-        fmap = trace.fmaps[h][rows].astype(np.float64)
-        fc_w = params.fc_w[classes, hyper.feature_slice(h)].astype(np.float64)
-        # one matvec per class: bit-identical to scoring each row or class
-        # alone, which a single (..., n) @ (n, c) GEMM is not
-        yield h, np.stack([fmap @ w for w in fc_w], axis=1)
-
-
-def _logit_gap(means, trace: ForwardTrace, params: ModelParams, rows, classes):
-    """|sum of the per-height score-vector means - (logit - fc bias)|."""
-    logits = trace.logits[rows][:, classes].astype(np.float64)
-    return np.abs(sum(means, 0.0) - (logits - params.fc_b[classes].astype(np.float64)))
-
-
 def class_scores(
     trace: ForwardTrace, params: ModelParams, rows=slice(None), classes=slice(None)
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -62,29 +41,38 @@ def class_scores(
     Requires an infer-mode trace; a dropout mask would break the relation
     between feature maps and the logits being explained.
     """
+    if trace.mode != "infer":
+        raise ConfigError("attention needs an infer-mode trace (no dropout)")
+    hyper = params.hyper
     raw = 0.0
     means = []
-    for h, v in _score_vectors(trace, params, rows, classes):
+    for h in hyper.heights:
+        fmap = trace.fmaps[h][rows].astype(np.float64)
+        fc_w = params.fc_w[classes, hyper.feature_slice(h)].astype(np.float64)
+        # the (b, c, d+h-1) score vectors, one matvec per class: bit-identical
+        # to scoring each row or class alone, which a single (..., n) @ (n, c)
+        # GEMM is not
+        v = np.stack([fmap @ w for w in fc_w], axis=1)
         # classes ride in gather's batch axis, so the window mean reduces a
         # contiguous axis; with classes last it is strided and slower
         s = gather(v.reshape(-1, v.shape[2], 1), h).mean(axis=2)
         raw = raw + s.reshape(v.shape[0], v.shape[1], -1).transpose(0, 2, 1)
         means.append(v.mean(axis=2))
-    return raw, _logit_gap(means, trace, params, rows, classes)
+    logits = trace.logits[rows][:, classes].astype(np.float64)
+    gap = np.abs(sum(means, 0.0) - (logits - params.fc_b[classes].astype(np.float64)))
+    return raw, gap
 
 
 def consistency_gap(
     trace: ForwardTrace, params: ModelParams, class_index: int, item: int = 0
 ) -> float:
-    """The score/logit gap of one trace row and class, with the bits of that
-    entry of ``class_scores``' gap; no word scores are computed.
+    """Entry [0, 0] of the gap that ``class_scores`` returns for trace row
+    ``item`` and class ``class_index``.
 
     Algebraically zero for any parameters: average pooling makes each score
     vector's positional mean equal that height's contribution to the logit.
     """
-    rows, classes = slice(item, item + 1), [class_index]
-    vectors = _score_vectors(trace, params, rows, classes)
-    gap = _logit_gap((v.mean(axis=2) for _, v in vectors), trace, params, rows, classes)
+    _, gap = class_scores(trace, params, slice(item, item + 1), [class_index])
     return float(gap[0, 0])
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 
 from wordcam import corpus as corpus_mod
 from wordcam.attention import attend_sentences
+from wordcam.corpus import CLASS_NAMES
 from wordcam.embed import (
     ChannelConfig,
     InputMode,
@@ -37,12 +38,7 @@ from wordcam.model import (
     params_digest,
     save_checkpoint,
 )
-from wordcam.report import (
-    CLASS_NAMES,
-    aggregate_top_words,
-    from_attention,
-    render_highlight,
-)
+from wordcam.report import aggregate_top_words, from_attention, render_highlight
 from wordcam.train import TrainConfig, evaluate, history_csv, train_epochs
 
 DATA_DIR_ENV = "WORDCAM_DATA_DIR"

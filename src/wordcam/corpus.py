@@ -28,17 +28,13 @@ PAD_ID = 0
 
 
 class Polarity(Enum):
-    """Binary sentiment class; EXCLUDED marks ratings outside both bands."""
+    """Binary sentiment class; its value is the class index."""
 
     NEGATIVE = 0
     POSITIVE = 1
-    EXCLUDED = 2
 
-    @property
-    def class_index(self) -> int:
-        if self is Polarity.EXCLUDED:
-            raise ValueError("excluded examples carry no class index")
-        return self.value
+
+CLASS_NAMES = tuple(p.name.lower() for p in Polarity)  # by class index
 
 
 # ---------------------------------------------------------------------------
@@ -133,14 +129,15 @@ WATCHA_SCHEME = LabelScheme("watcha", lo=0.5, hi=5.0, neg_max=2.0, pos_min=5.0, 
 SCHEMES = {"imdb": IMDB_SCHEME, "watcha": WATCHA_SCHEME}
 
 
-def label_from_rating(rating: float, scheme: LabelScheme) -> Polarity:
-    """Classify a rating as Positive, Negative, or Excluded under a scheme."""
+def label_from_rating(rating: float, scheme: LabelScheme) -> Polarity | None:
+    """Classify a rating as Positive or Negative under a scheme; None for a
+    rating in the excluded band between them."""
     scheme.validate(rating)
     if rating <= scheme.neg_max:
         return Polarity.NEGATIVE
     if rating >= scheme.pos_min:
         return Polarity.POSITIVE
-    return Polarity.EXCLUDED
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +157,7 @@ class RawReview:
 
 @dataclass(frozen=True)
 class TokenizedExample:
-    """A tokenized review with its resolved polarity (never EXCLUDED)."""
+    """A tokenized review with its polarity."""
 
     tokens: tuple[str, ...]
     label: Polarity
@@ -168,8 +165,6 @@ class TokenizedExample:
     def __post_init__(self):
         if not self.tokens:
             raise DataError("example has no tokens")
-        if self.label is Polarity.EXCLUDED:
-            raise DataError("excluded examples cannot enter the corpus")
 
 
 @dataclass(frozen=True)
@@ -409,7 +404,7 @@ def label_reviews(
     n_empty = 0
     for rv in reviews:
         label = label_from_rating(rv.rating, scheme)
-        if label is Polarity.EXCLUDED:
+        if label is None:
             n_excluded += 1
             continue
         toks = tokenize(rv.text)

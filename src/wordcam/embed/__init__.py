@@ -29,9 +29,9 @@ def train_sources(
     """Train each source table that the input modes ``modes`` need, once,
     and return them as the keyword arguments of ``assemble``. Each source
     has its own seed: random init ``seed``, skip-gram ``seed + 1``,
-    co-occurrence ``seed + 2`` and subword ``seed + 3``. The trainers run at
-    their default window, negatives, rate and n-gram settings; co-occurrence
-    runs ``5 * epochs`` epochs, at least one."""
+    co-occurrence ``seed + 2`` and subword ``seed + 3``. Skip-gram and
+    subword train ``epochs`` epochs and co-occurrence ``5 * epochs``, so
+    ``epochs=0`` leaves every table at its initial values."""
     if epochs < 0:
         raise ConfigError(f"embedding epochs must be >= 0, got {epochs}")
     vocab_size = len(id_to_token)
@@ -44,7 +44,7 @@ def train_sources(
         )
     if InputMode.FOUR_CH in modes:
         sources["cooc"] = train_cooc_factor(
-            sentences, vocab_size, k=k, epochs=max(epochs * 5, 1), seed=seed + 2
+            sentences, vocab_size, k=k, epochs=5 * epochs, seed=seed + 2
         )
         sources["subword"] = train_subword(
             sentences, id_to_token, k=k, epochs=epochs, seed=seed + 3

@@ -37,11 +37,11 @@ class InputMode(Enum):
 
     @classmethod
     def parse(cls, s: str) -> "InputMode":
-        for m in cls:
-            if m.value == s.lower():
-                return m
-        raise ConfigError(f"unknown input mode {s!r} (choose from "
-                          f"{', '.join(m.value for m in cls)})")
+        try:
+            return cls(s.lower())
+        except ValueError:
+            raise ConfigError(f"unknown input mode {s!r} (choose from "
+                              f"{', '.join(m.value for m in cls)})") from None
 
 
 @dataclass

@@ -59,6 +59,11 @@ class CoocFit:
         """Model value for an entry: should approach ln(count) when trained."""
         return float(self.w[i] @ self.u[j] + self.b[i] + self.c[j])
 
+    def channel(self, dtype=np.float32) -> EmbeddingChannel:
+        """The word + context vector sums as an embedding channel."""
+        table = (self.w + self.u).astype(dtype)
+        return EmbeddingChannel(table, trainable=True, source=Source.COOC)
+
 
 def fit_cooc(
     cooc: tuple[np.ndarray, np.ndarray],
@@ -122,17 +127,9 @@ def fit_cooc(
 
 
 def train_cooc_factor(
-    sentences: Sequence[Sequence[int]],
-    vocab_size: int,
-    k: int = 100,
-    window: int = WINDOW,
-    epochs: int = 25,
-    seed: int = 0,
-    dtype=np.float32,
+    sentences: Sequence[Sequence[int]], vocab_size: int, *, k: int, epochs: int, seed: int
 ) -> EmbeddingChannel:
-    """Build counts, factorize, and materialize word + context vector sums."""
-    cooc = build_cooc(sentences, window)
-    fit = fit_cooc(cooc, vocab_size, k=k, epochs=epochs, seed=seed)
-    table = (fit.w + fit.u).astype(dtype)
-    table[PAD_ID] = 0.0
-    return EmbeddingChannel(table, trainable=True, source=Source.COOC)
+    """Build counts within skip-gram's window, factorize, and materialize
+    word + context vector sums."""
+    cooc = build_cooc(sentences, WINDOW)
+    return fit_cooc(cooc, vocab_size, k=k, epochs=epochs, seed=seed).channel()

@@ -149,6 +149,11 @@ class SkipGramFit:
     w_out: np.ndarray
     epoch_losses: list[float] = field(default_factory=list)
 
+    def channel(self, dtype=np.float32) -> EmbeddingChannel:
+        """The center-word table as an embedding channel."""
+        table = self.w_in.astype(dtype)
+        return EmbeddingChannel(table, trainable=True, source=Source.SKIPGRAM)
+
 
 def fit_skipgram(
     sentences: Sequence[Sequence[int]],
@@ -182,22 +187,8 @@ def fit_skipgram(
 
 
 def train_skipgram(
-    sentences: Sequence[Sequence[int]],
-    vocab_size: int,
-    k: int = 100,
-    window: int = WINDOW,
-    negatives: int = NEGATIVES,
-    epochs: int = 5,
-    lr: float = LR,
-    seed: int = 0,
-    dtype=np.float32,
-    chunk: int = _CHUNK,
+    sentences: Sequence[Sequence[int]], vocab_size: int, *, k: int, epochs: int, seed: int
 ) -> EmbeddingChannel:
-    """Train and materialize the center-word table as an embedding channel."""
-    fit = fit_skipgram(
-        sentences, vocab_size, k=k, window=window, negatives=negatives,
-        epochs=epochs, lr=lr, seed=seed, chunk=chunk,
-    )
-    table = fit.w_in.astype(dtype)
-    table[PAD_ID] = 0.0
-    return EmbeddingChannel(table, trainable=True, source=Source.SKIPGRAM)
+    """Train at the module's window, negatives and rate, and materialize the
+    center-word table as an embedding channel."""
+    return fit_skipgram(sentences, vocab_size, k=k, epochs=epochs, seed=seed).channel()

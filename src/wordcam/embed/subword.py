@@ -111,6 +111,16 @@ class SubwordFit:
     grams: np.ndarray
     epoch_losses: list[float]
 
+    def channel(self, dtype=np.float32) -> EmbeddingChannel:
+        """Each vocabulary word's n-gram vectors summed with its whole-word
+        vector, as an embedding channel; the pad row stays zero."""
+        table = np.zeros(self.word_vecs.shape, dtype=np.float64)
+        for i in range(1, len(table)):
+            rows = self.grams[self.offsets[i] : self.offsets[i + 1]]
+            table[i] = self.gram_vecs[rows].sum(axis=0) + self.word_vecs[i]
+        table = table.astype(dtype)
+        return EmbeddingChannel(table, trainable=True, source=Source.SUBWORD)
+
 
 def fit_subword(
     sentences: Sequence[Sequence[int]],
@@ -168,30 +178,9 @@ def fit_subword(
 
 
 def train_subword(
-    sentences: Sequence[Sequence[int]],
-    id_to_token: Sequence[str],
-    k: int = 100,
-    window: int = WINDOW,
-    ngram_min: int = NGRAM_MIN,
-    ngram_max: int = NGRAM_MAX,
-    bucket: int = BUCKET,
-    negatives: int = NEGATIVES,
-    epochs: int = 5,
-    lr: float = LR,
-    seed: int = 0,
-    dtype=np.float32,
-    chunk: int = _CHUNK,
+    sentences: Sequence[Sequence[int]], id_to_token: Sequence[str], *, k: int, epochs: int,
+    seed: int,
 ) -> EmbeddingChannel:
-    """Train, then sum each vocabulary word's n-gram and whole-word vectors."""
-    fit = fit_subword(
-        sentences, id_to_token, k=k, window=window, ngram_min=ngram_min,
-        ngram_max=ngram_max, bucket=bucket, negatives=negatives,
-        epochs=epochs, lr=lr, seed=seed, chunk=chunk,
-    )
-    table = np.zeros((len(id_to_token), k), dtype=np.float64)
-    for i in range(1, len(id_to_token)):
-        rows = fit.grams[fit.offsets[i] : fit.offsets[i + 1]]
-        table[i] = fit.gram_vecs[rows].sum(axis=0) + fit.word_vecs[i]
-    table = table.astype(dtype)
-    table[PAD_ID] = 0.0
-    return EmbeddingChannel(table, trainable=True, source=Source.SUBWORD)
+    """Train at the module's n-gram, bucket and skip-gram settings, then sum
+    each vocabulary word's n-gram and whole-word vectors."""
+    return fit_subword(sentences, id_to_token, k=k, epochs=epochs, seed=seed).channel()

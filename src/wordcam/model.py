@@ -53,6 +53,7 @@ from wordcam.embed.channels import (
 from wordcam.errors import ConfigError, DataError, malformed
 
 _CKPT_MAGIC = b"WCAMCKPT1\n"
+_CONV_B_INIT = 0.1  # every convolution bias at initialization
 
 # Sentences per batch: the default training batch, and the chunk in which
 # ``infer`` runs every many-sentence inference, which keeps the per-height
@@ -122,7 +123,6 @@ class ModelParams:
         hyper: ModelHyper,
         seed: int = 0,
         w_scale: float = 0.1,
-        b_init: float = 0.1,
         dtype=np.float32,
     ) -> "ModelParams":
         rng = np.random.default_rng(seed)
@@ -132,7 +132,7 @@ class ModelParams:
             conv_w[h] = rng.normal(
                 0.0, w_scale, size=(hyper.n_channels, hyper.n_filters, h * hyper.k)
             ).astype(dtype)
-            conv_b[h] = np.full(hyper.n_filters, b_init, dtype=dtype)
+            conv_b[h] = np.full(hyper.n_filters, _CONV_B_INIT, dtype=dtype)
         fc_w = rng.normal(0.0, w_scale, size=(hyper.n_classes, hyper.n_features))
         return cls(hyper, conv_w, conv_b, fc_w.astype(dtype), np.zeros(hyper.n_classes, dtype=dtype))
 

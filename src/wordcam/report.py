@@ -14,6 +14,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from wordcam.attention import AttentionResult, select_top
+from wordcam.corpus import CLASS_NAMES
+from wordcam.embed.channels import InputMode
 from wordcam.errors import ConfigError, DataError
 from wordcam.train import EvalReport
 
@@ -25,9 +27,6 @@ _ANSI_POSITIVE = "\x1b[44;97m"
 _ANSI_NEGATIVE = "\x1b[41;97m"
 _ANSI_RESET = "\x1b[0m"
 
-CLASS_NAMES = ("negative", "positive")
-
-MODE_ORDER = ("rand", "static", "non-static", "2ch", "4ch")
 MODE_LABELS = {
     "rand": "CNN-Rand",
     "static": "CNN-Static",
@@ -202,23 +201,14 @@ def aggregate_top_words(results: Iterable[AttentionResult], k: int = 5) -> TopWo
 
 
 def accuracy_table(reports: Mapping[str, EvalReport]) -> tuple[str, str]:
-    """Aligned-text and CSV accuracy tables, one row per input mode.
-
-    Rows follow the canonical order rand, static, non-static, 2ch, 4ch;
-    unknown mode names come last in sorted order.
-    """
-    def order_key(name: str):
-        try:
-            return (0, MODE_ORDER.index(name))
-        except ValueError:
-            return (1, name)
-
-    names = sorted(reports, key=order_key)
-    label_w = max([len(MODE_LABELS.get(n, n)) for n in names] + [len("Mode")]) + 2
+    """Aligned-text and CSV accuracy tables, one row per input mode (keyed
+    by its value), in ``InputMode`` order."""
+    names = sorted(reports, key=[m.value for m in InputMode].index)
+    label_w = max([len(MODE_LABELS[n]) for n in names] + [len("Mode")]) + 2
     text_lines = [f"{'Mode':<{label_w}}Accuracy"]
     csv_lines = ["mode,accuracy"]
     for name in names:
         acc = reports[name].accuracy
-        text_lines.append(f"{MODE_LABELS.get(name, name):<{label_w}}{acc:.4f}")
+        text_lines.append(f"{MODE_LABELS[name]:<{label_w}}{acc:.4f}")
         csv_lines.append(f"{name},{acc:.4f}")
     return "\n".join(text_lines) + "\n", "\r\n".join(csv_lines) + "\r\n"

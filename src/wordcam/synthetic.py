@@ -15,6 +15,13 @@ import numpy as np
 from wordcam.corpus import Polarity, TokenizedExample
 
 
+_N_FILLER = 50
+_MIN_LEN = 8
+_MAX_LEN = 16
+_POSITIVE_TOKEN = "good"
+_NEGATIVE_TOKEN = "bad"
+
+
 @dataclass(frozen=True)
 class PlantedCorpus:
     examples: tuple[TokenizedExample, ...]
@@ -22,24 +29,16 @@ class PlantedCorpus:
     negative_token: str
 
 
-def planted_corpus(
-    n_sentences: int = 2000,
-    n_filler: int = 50,
-    min_len: int = 8,
-    max_len: int = 16,
-    positive_token: str = "good",
-    negative_token: str = "bad",
-    seed: int = 0,
-) -> PlantedCorpus:
+def planted_corpus(n_sentences: int = 2000, seed: int = 0) -> PlantedCorpus:
     rng = np.random.default_rng(seed)
-    filler = [f"filler{i:02d}" for i in range(n_filler)]
+    filler = [f"filler{i:02d}" for i in range(_N_FILLER)]
     examples = []
     for i in range(n_sentences):
         positive = i % 2 == 0
-        planted = positive_token if positive else negative_token
-        length = int(rng.integers(min_len, max_len + 1))
-        words = [filler[int(j)] for j in rng.integers(0, n_filler, size=length)]
+        planted = _POSITIVE_TOKEN if positive else _NEGATIVE_TOKEN
+        length = int(rng.integers(_MIN_LEN, _MAX_LEN + 1))
+        words = [filler[int(j)] for j in rng.integers(0, _N_FILLER, size=length)]
         words[int(rng.integers(0, length))] = planted
         label = Polarity.POSITIVE if positive else Polarity.NEGATIVE
         examples.append(TokenizedExample(tuple(words), label))
-    return PlantedCorpus(tuple(examples), positive_token, negative_token)
+    return PlantedCorpus(tuple(examples), _POSITIVE_TOKEN, _NEGATIVE_TOKEN)

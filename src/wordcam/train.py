@@ -51,10 +51,10 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.lr < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.lr}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
+        if not 0 <= self.lr < math.inf:  # false for nan too
+            raise ConfigError(f"learning rate must be finite and >= 0, got {self.lr}")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lam}")
         if not 0.0 < self.keep <= 1.0:
             raise ConfigError(f"dropout keep must be in (0, 1], got {self.keep}")
 
@@ -91,7 +91,7 @@ def batch_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stack examples into (ids, lengths, labels) matrices."""
     ids, lengths = _as_batch([ex.token_ids for ex in examples], d)
-    labels = np.asarray([ex.label.class_index for ex in examples], dtype=np.int64)
+    labels = np.asarray([ex.label.value for ex in examples], dtype=np.int64)
     return ids, lengths, labels
 
 
@@ -122,7 +122,7 @@ def evaluate(
     c = params.hyper.n_classes
     confusion = np.zeros((c, c), dtype=np.int64)
     loss_sum = 0.0
-    labels = np.asarray([ex.label.class_index for ex in examples], dtype=np.int64)
+    labels = np.asarray([ex.label.value for ex in examples], dtype=np.int64)
     for start, trace in infer(params, channels, [ex.token_ids for ex in examples]):
         chunk = labels[start : start + trace.batch_size]
         preds = np.argmax(trace.logits, axis=1)  # argmax takes the first max

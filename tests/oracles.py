@@ -256,8 +256,8 @@ def subword_dense(
     with the package, since only the table's storage is under test.
 
     Returns a namespace with word_vecs, gram_vecs (bucket, k), w_out,
-    epoch_losses, offsets, grams and ``table``: train_subword's float64
-    table before its dtype cast.
+    epoch_losses, offsets, grams and ``table``: ``SubwordFit.channel``'s
+    float64 table before its dtype cast.
     """
     from types import SimpleNamespace
 

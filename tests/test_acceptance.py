@@ -30,6 +30,7 @@ from wordcam.embed import (
     InputMode,
     Source,
     assemble,
+    fit_skipgram,
     init_random,
     train_skipgram,
 )
@@ -242,7 +243,7 @@ def test_criterion_5_planted_token_attention():
     # the predicted class, top 10% default; misclassified sentences skipped
     sentences = [(ex.tokens, ex.token_ids) for ex in test_set]
     for ex, res in zip(test_set, attend_sentences(params, trained_channels, sentences)):
-        if res.class_index != ex.label.class_index:
+        if res.class_index != ex.label.value:
             continue
         attention_results.append(res)
         planted = (
@@ -317,7 +318,7 @@ def test_criterion_6_imdb_subset_accuracy():
     rand_acc = rand_result.best_accuracy
 
     skipgram = train_skipgram(prepared.train_sentences, len(vocab), k=100,
-                              window=3, negatives=5, epochs=3, seed=2)
+                              epochs=3, seed=2)
     static_channels = assemble(InputMode.STATIC, skipgram=skipgram)
     static_result = train_epochs(train_set, test_set, static_channels, hyper,
                                  config)
@@ -432,8 +433,8 @@ def test_criterion_9_frozen_channel_invariance():
     d = 16
     prepared = prepare(corpus.examples, d=d, ratio=0.7, seed=2)
     vocab, train_set, test_set = prepared.vocab, prepared.train, prepared.test
-    skipgram = train_skipgram(prepared.train_sentences, len(vocab), k=8,
-                              window=2, negatives=2, epochs=1, seed=1, chunk=64)
+    skipgram = fit_skipgram(prepared.train_sentences, len(vocab), k=8, window=2,
+                            negatives=2, epochs=1, seed=1, chunk=64).channel()
     config = TrainConfig(batch_size=16, epochs=3, seed=4, lam=0.01)
 
     static = assemble(InputMode.STATIC, skipgram=skipgram)

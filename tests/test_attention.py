@@ -210,9 +210,9 @@ def test_consistency_gap_random_models(tiny_setup):
 
 
 def test_consistency_gap_has_the_bits_of_class_scores(tiny_setup):
-    # the gap-only path and attend's one-class scores share class_scores'
-    # per-class matvecs: the same bits for every row and class, in both
-    # dtypes, with three classes
+    # consistency_gap and attend score one row and class through
+    # class_scores: the same bits as scoring every row and class at once, in
+    # both dtypes, with three classes
     for dtype in (np.float32, np.float64):
         hyper, _, config = tiny_setup(d=8, dtype=dtype)
         params = ModelParams.init(

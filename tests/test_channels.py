@@ -10,12 +10,19 @@ from wordcam.embed import (
     InputMode,
     Source,
     assemble,
+    build_cooc,
+    fit_cooc,
     init_random,
     load_channel,
     save_channel,
+    train_cooc_factor,
+    train_skipgram,
+    train_sources,
+    train_subword,
 )
 from wordcam.embed import channels
 from wordcam.embed.channels import scatter_add
+from wordcam.embed.skipgram import WINDOW
 from wordcam.errors import ConfigError, DataError
 
 
@@ -108,6 +115,35 @@ def test_assemble_missing_channel():
         assemble(InputMode.STATIC, rand=_sources()["rand"])
     with pytest.raises(ConfigError):
         assemble(InputMode.FOUR_CH, skipgram=_sources()["skipgram"])
+
+
+def test_train_sources_recipe():
+    """Each table is its own trainer's at its documented seed, co-occurrence
+    trained for 5 * epochs epochs; at epochs=0 that is none, so its table is
+    the initial w + u."""
+    tokens = ["<pad>", "care", "core", "dare", "mist", "mast"]
+    rng = np.random.default_rng(0)
+    sentences = [rng.integers(1, len(tokens), size=5).tolist() for _ in range(30)]
+    k, seed = 6, 4
+    for epochs in (0, 2):
+        got = train_sources(sentences, tokens, [InputMode.RAND, InputMode.FOUR_CH],
+                            k=k, epochs=epochs, seed=seed)
+        want = {
+            "rand": init_random(len(tokens), k, seed=seed),
+            "skipgram": train_skipgram(sentences, len(tokens), k=k, epochs=epochs,
+                                       seed=seed + 1),
+            "cooc": train_cooc_factor(sentences, len(tokens), k=k, epochs=5 * epochs,
+                                      seed=seed + 2),
+            "subword": train_subword(sentences, tokens, k=k, epochs=epochs, seed=seed + 3),
+        }
+        assert got.keys() == want.keys()
+        for name, channel in want.items():
+            assert got[name].source is channel.source
+            assert np.array_equal(got[name].table, channel.table), (name, epochs)
+        if epochs == 0:
+            fit = fit_cooc(build_cooc(sentences, WINDOW), len(tokens), k=k, epochs=0,
+                           seed=seed + 2)
+            assert np.array_equal(got["cooc"].table, (fit.w + fit.u).astype(np.float32))
 
 
 def test_mode_parse():

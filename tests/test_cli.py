@@ -790,6 +790,8 @@ _EVALUATE = ["evaluate", "--checkpoint", "{run}/checkpoint.ckpt", "--corpus", "{
 _PREPARE_CSV = ["prepare", "--data", "{data}", "--data-format", "csv", "--out", "{tmp}/fresh"]
 _EMBED_FRESH = ["embed", "--corpus", "{corpus}", "--mode", "4ch", "--k", "8",
                 "--out", "{tmp}/fresh"]
+_TRAIN_FRESH = ["train", "--corpus", "{corpus}", "--channels", "{channels}",
+                "--out", "{tmp}/fresh"]
 _TOPWORDS = ["topwords", "--checkpoint", "{run}/checkpoint.ckpt", "--corpus", "{corpus}",
              "--out", "{tmp}/top"]
 
@@ -851,16 +853,22 @@ def test_malformed_input_exits_without_traceback(
     (_TOPWORDS + ["--top-k", "0"], "top_k must be >= 1"),
     (_TOPWORDS + ["--top-k", "-1"], "top_k must be >= 1"),
     (_EMBED_FRESH + ["--embed-epochs", "-1"], "epochs must be >= 0"),
-], ids=["d-0", "d-negative", "top-k-0", "top-k-negative", "embed-epochs-negative"])
+    (_TRAIN_FRESH + ["--lr", "nan"], "learning rate must be finite and >= 0"),
+    (_TRAIN_FRESH + ["--lr", "inf"], "learning rate must be finite and >= 0"),
+    (_TRAIN_FRESH + ["--lam", "nan"], "lambda must be finite and >= 0"),
+    (_TRAIN_FRESH + ["--lam", "inf"], "lambda must be finite and >= 0"),
+], ids=["d-0", "d-negative", "top-k-0", "top-k-negative", "embed-epochs-negative",
+        "lr-nan", "lr-inf", "lam-nan", "lam-inf"])
 def test_out_of_range_d_or_top_k_exits_2(pipeline_dirs, tmp_path, argv, message):
-    """A sentence length or a per-sentence word count below 1, or a
-    negative number of embedding epochs, is a configuration error (exit 2,
-    one line naming the setting), not an empty result, a silent no-op or a
-    data error further on."""
+    """A sentence length or a per-sentence word count below 1, a negative
+    number of embedding epochs, or a learning rate or L2 weight that is not
+    a finite number >= 0, is a configuration error (exit 2, one line naming
+    the setting), not an empty result, a silent no-op or a data error or
+    divergence further on."""
     dirs = dict(pipeline_dirs, tmp=tmp_path)
     if argv[0] != "prepare":
         assert _prepare(dirs) == 0
-    if argv[0] == "topwords":
+    if argv[0] in ("train", "topwords"):
         assert _embed(dirs) == 0
         assert _train(dirs, extra=["--epochs", "1"]) == 0
     src = Path(__file__).resolve().parent.parent / "src"

@@ -100,8 +100,8 @@ def test_tokenize_korean_untouched_by_folding():
         (4, Polarity.NEGATIVE),
         (7, Polarity.POSITIVE),
         (10, Polarity.POSITIVE),
-        (5, Polarity.EXCLUDED),
-        (6, Polarity.EXCLUDED),
+        (5, None),
+        (6, None),
     ],
 )
 def test_imdb_rating_bands(rating, expected):
@@ -122,8 +122,8 @@ def test_imdb_rating_must_be_integer_in_scale():
     [
         (0.5, Polarity.NEGATIVE),
         (2.0, Polarity.NEGATIVE),
-        (2.5, Polarity.EXCLUDED),
-        (4.5, Polarity.EXCLUDED),
+        (2.5, None),
+        (4.5, None),
         (5.0, Polarity.POSITIVE),
     ],
 )
@@ -134,7 +134,7 @@ def test_watcha_rating_bands(rating, expected):
 @given(st.integers(min_value=1, max_value=10))
 def test_imdb_partitions_the_scale(rating):
     label = label_from_rating(rating, IMDB_SCHEME)
-    assert label in (Polarity.NEGATIVE, Polarity.POSITIVE, Polarity.EXCLUDED)
+    assert label in (Polarity.NEGATIVE, Polarity.POSITIVE, None)
     assert (label is Polarity.NEGATIVE) == (rating <= 4)
     assert (label is Polarity.POSITIVE) == (rating >= 7)
 
@@ -377,8 +377,6 @@ def test_prepared_roundtrip(tmp_path):
 def test_labeled_example_invariants():
     with pytest.raises(DataError):
         LabeledExample((), Polarity.POSITIVE, ())
-    with pytest.raises(DataError):
-        TokenizedExample(("word",), Polarity.EXCLUDED)
 
 
 def test_imdb_subset_protocol_scaled(tmp_path):

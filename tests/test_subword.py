@@ -9,7 +9,6 @@ from wordcam.embed import subword
 from wordcam.embed.subword import (
     fit_subword,
     ngram_bucket,
-    train_subword,
     word_ngrams,
 )
 from wordcam.errors import ConfigError
@@ -33,8 +32,7 @@ def test_ngram_bucket_deterministic():
 
 
 def _toy_fit(**kwargs):
-    """The toy vocabulary, its fit, and train_subword's float64 table of the
-    same run."""
+    """The toy vocabulary, its fit, and the fit's float64 channel table."""
     tokens = ["<pad>", "care", "core", "dare", "mist", "mast"]
     rng = np.random.default_rng(0)
     sentences = [rng.integers(1, 6, size=5).tolist() for _ in range(40)]
@@ -44,7 +42,7 @@ def _toy_fit(**kwargs):
     )
     defaults.update(kwargs)
     fit = fit_subword(sentences, tokens, **defaults)
-    table = train_subword(sentences, tokens, dtype=np.float64, **defaults).table
+    table = fit.channel(dtype=np.float64).table
     return tokens, fit, table
 
 
@@ -95,8 +93,8 @@ def test_train_subword_channel_deterministic():
     sentences = [rng.integers(1, 5, size=6).tolist() for _ in range(30)]
     kwargs = dict(k=6, window=2, ngram_min=3, ngram_max=5, bucket=256,
                   negatives=2, epochs=2, seed=7)
-    a = train_subword(sentences, tokens, **kwargs)
-    b = train_subword(sentences, tokens, **kwargs)
+    a = fit_subword(sentences, tokens, **kwargs).channel()
+    b = fit_subword(sentences, tokens, **kwargs).channel()
     assert np.array_equal(a.table, b.table)
     assert np.all(a.table[0] == 0.0)
     assert a.table.shape == (5, 6)
@@ -137,7 +135,7 @@ def test_fit_matches_the_dense_table(bucket, epochs, block):
         assert np.array_equal(fit.buckets, np.unique(want.grams))
         assert np.array_equal(fit.gram_vecs, want.gram_vecs[fit.buckets])
         assert np.array_equal(fit.buckets[fit.grams], want.grams)
-        channel = train_subword(sentences, tokens, dtype=np.float64, **kwargs)
+        channel = fit.channel(dtype=np.float64)
         assert np.array_equal(channel.table, want.table)
 
 

@@ -224,5 +224,8 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(keep=0.0)
-    with pytest.raises(ConfigError):
-        TrainConfig(lr=-1)
+    for bad in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ConfigError):
+            TrainConfig(lr=bad)
+        with pytest.raises(ConfigError):
+            TrainConfig(lam=bad)
