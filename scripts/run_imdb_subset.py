@@ -35,7 +35,7 @@ def main() -> int:
     parser.add_argument("--imdb", default="data/aclImdb")
     parser.add_argument("--out", default="runs/imdb_subset")
     parser.add_argument("--modes", default="rand,static",
-                        help="comma list from rand,static,non-static,2ch,4ch")
+                        help="comma list from " + ",".join(m.value for m in InputMode))
     parser.add_argument("--per-class", type=int, default=3000,
                         help="reviews sampled per class before the 5/6 split")
     parser.add_argument("--epochs", type=int, default=6)

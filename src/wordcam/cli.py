@@ -38,7 +38,7 @@ from wordcam.model import (
     params_digest,
     save_checkpoint,
 )
-from wordcam.report import aggregate_top_words, from_attention, render_highlight
+from wordcam.report import FORMATS, aggregate_top_words, from_attention, render_highlight
 from wordcam.train import TrainConfig, evaluate, history_csv, train_epochs
 
 DATA_DIR_ENV = "WORDCAM_DATA_DIR"
@@ -395,8 +395,8 @@ def cmd_attend(cfg: RunConfig) -> int:
             raise DataError(f"input file has no sentences: {path}")
     formats = [f.strip() for f in cfg.formats.split(",") if f.strip()]
     for fmt in formats:
-        if fmt not in ("html", "json", "ansi"):
-            raise ConfigError(f"unknown output format {fmt!r}")
+        if fmt not in FORMATS:
+            raise ConfigError(f"unknown output format {fmt!r} ({', '.join(FORMATS)})")
     class_index = _class_index(cfg.label)
 
     out = Path(cfg.out)
@@ -414,8 +414,7 @@ def cmd_attend(cfg: RunConfig) -> int:
         result = from_attention(result, bottom_fraction=cfg.bottom_fraction)
         stem = f"attend_{i:04d}"
         for fmt in formats:
-            ext = {"html": "html", "json": "json", "ansi": "ansi.txt"}[fmt]
-            (out / f"{stem}.{ext}").write_bytes(render_highlight(result, fmt))
+            (out / f"{stem}.{FORMATS[fmt]}").write_bytes(render_highlight(result, fmt))
         written.append(stem)
         top = [result.tokens[p] for p in result.selected]
         print(f"{stem}: {CLASS_NAMES[result.class_index]} top={top}")
@@ -489,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("embed", help="train embedding channels for a mode")
     p.add_argument("--config", help="key=value config file")
     _add(p, "corpus", help="prepared corpus directory")
-    _add(p, "mode", help="rand, static, non-static, 2ch, or 4ch")
+    _add(p, "mode", help=", ".join(m.value for m in InputMode))
     _add(p, "out", help="output directory for channel files")
     _add(p, "seed", help="embedding training seed")
     _add(p, "k", help="embedding dimension")
@@ -517,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add(p, "label", help="class to score: auto, positive, or negative")
     _add(p, "bottom_fraction",
          help="also mark this bottom fraction in the opposite color")
-    _add(p, "formats", help="comma-separated output formats: html,json,ansi")
+    _add(p, "formats", help="comma-separated output formats: " + ",".join(FORMATS))
     _add(p, "out", help="output directory for reports")
     _add(p, "seed", help="logged for provenance; attention is deterministic")
 

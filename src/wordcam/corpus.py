@@ -504,7 +504,7 @@ def save_prepared(corpus: PreparedCorpus, out_dir: Path | str) -> dict[str, Path
     corpus.vocab.save(paths["vocab"])
     for name in ("train", "test"):
         body = "\n".join(
-            f"{ex.label.name.lower()}\t{' '.join(ex.tokens)}"
+            f"{CLASS_NAMES[ex.label.value]}\t{' '.join(ex.tokens)}"
             for ex in getattr(corpus, name)
         )
         paths[name].write_text(body + "\n", encoding="utf-8")
@@ -523,11 +523,12 @@ def save_prepared(corpus: PreparedCorpus, out_dir: Path | str) -> dict[str, Path
 
 
 def load_prepared(out_dir: Path | str) -> PreparedCorpus:
-    """Read the four files ``save_prepared`` wrote. ``vocab.tsv`` must have
-    the digest that ``meta.json`` records. Each example is encoded from its
-    tokens as ``prepare`` encodes it; a training token (in ``train.tsv`` or
-    ``embed_corpus.txt``) must be a vocabulary word. A file that breaks any
-    of this raises DataError naming it."""
+    """Read the four files ``save_prepared`` wrote. ``meta.json``'s ``d``
+    must be >= 1, and ``vocab.tsv`` must have the digest that ``meta.json``
+    records. Each example is encoded from its tokens as ``prepare`` encodes
+    it; a training token (in ``train.tsv`` or ``embed_corpus.txt``) must be
+    a vocabulary word. A file that breaks any of this raises DataError
+    naming it."""
     out = Path(out_dir)
     meta_path = out / "meta.json"
     if not meta_path.is_file():
@@ -535,6 +536,8 @@ def load_prepared(out_dir: Path | str) -> PreparedCorpus:
     with malformed(meta_path, "corpus metadata"):
         meta = json.loads(read_text(meta_path, "corpus metadata"))
         seed, d = operator.index(meta["seed"]), operator.index(meta["d"])
+        if d < 1:
+            raise DataError(f"{meta_path}: d must be >= 1, got {d}")
         stats = meta["stats"]
         vocab_sha256 = meta["vocab_sha256"]
     vocab_path = out / "vocab.tsv"
@@ -544,7 +547,9 @@ def load_prepared(out_dir: Path | str) -> PreparedCorpus:
 
     def example(line: str) -> LabeledExample:
         label, tokens = line.split("\t")
-        ex = TokenizedExample(tuple(tokens.split()), Polarity[label.upper()])
+        if label not in CLASS_NAMES:
+            raise DataError(f"label {label!r} is not one of {', '.join(CLASS_NAMES)}")
+        ex = TokenizedExample(tuple(tokens.split()), Polarity(CLASS_NAMES.index(label)))
         return encode_example(ex, vocab, d)
 
     def train_example(line: str) -> LabeledExample:

@@ -2,6 +2,7 @@
 factorization, and subword n-gram variants."""
 
 from wordcam.embed.channels import (
+    STACKS,
     ChannelConfig,
     EmbeddingChannel,
     InputMode,
@@ -26,8 +27,8 @@ from wordcam.errors import ConfigError
 def train_sources(
     sentences, id_to_token, modes, *, k: int, epochs: int, seed: int
 ) -> dict[str, EmbeddingChannel]:
-    """Train each source table that the input modes ``modes`` need, once,
-    and return them as the keyword arguments of ``assemble``. Each source
+    """Train each source table that the stacks of ``modes`` name, once, and
+    return them as the keyword arguments of ``assemble``. Each source
     has its own seed: random init ``seed``, skip-gram ``seed + 1``,
     co-occurrence ``seed + 2`` and subword ``seed + 3``. Skip-gram and
     subword train ``epochs`` epochs and co-occurrence ``5 * epochs``, so
@@ -35,17 +36,19 @@ def train_sources(
     if epochs < 0:
         raise ConfigError(f"embedding epochs must be >= 0, got {epochs}")
     vocab_size = len(id_to_token)
+    needed = {source for mode in modes for source, _ in STACKS[mode]}
     sources = {}
-    if InputMode.RAND in modes:
+    if Source.RAND in needed:
         sources["rand"] = init_random(vocab_size, k, seed=seed)
-    if any(mode is not InputMode.RAND for mode in modes):
+    if Source.SKIPGRAM in needed:
         sources["skipgram"] = train_skipgram(
             sentences, vocab_size, k=k, epochs=epochs, seed=seed + 1
         )
-    if InputMode.FOUR_CH in modes:
+    if Source.COOC in needed:
         sources["cooc"] = train_cooc_factor(
             sentences, vocab_size, k=k, epochs=5 * epochs, seed=seed + 2
         )
+    if Source.SUBWORD in needed:
         sources["subword"] = train_subword(
             sentences, id_to_token, k=k, epochs=epochs, seed=seed + 3
         )
@@ -53,6 +56,7 @@ def train_sources(
 
 
 __all__ = [
+    "STACKS",
     "ChannelConfig",
     "EmbeddingChannel",
     "InputMode",

@@ -44,6 +44,18 @@ class InputMode(Enum):
                               f"{', '.join(m.value for m in cls)})") from None
 
 
+# Each input mode's channel stack, in channel order: the source table that
+# each channel copies, and whether that channel trains.
+STACKS: dict[InputMode, tuple[tuple[Source, bool], ...]] = {
+    InputMode.RAND: ((Source.RAND, True),),
+    InputMode.STATIC: ((Source.SKIPGRAM, False),),
+    InputMode.NON_STATIC: ((Source.SKIPGRAM, True),),
+    InputMode.TWO_CH: ((Source.SKIPGRAM, False), (Source.SKIPGRAM, True)),
+    InputMode.FOUR_CH: ((Source.SKIPGRAM, True), (Source.COOC, True),
+                        (Source.SUBWORD, True), (Source.SKIPGRAM, True)),
+}
+
+
 @dataclass
 class EmbeddingChannel:
     table: np.ndarray  # (V, k)
@@ -82,13 +94,7 @@ class ChannelConfig:
     channels: tuple[EmbeddingChannel, ...]
 
     def __post_init__(self):
-        expected = {
-            InputMode.RAND: 1,
-            InputMode.STATIC: 1,
-            InputMode.NON_STATIC: 1,
-            InputMode.TWO_CH: 2,
-            InputMode.FOUR_CH: 4,
-        }[self.mode]
+        expected = len(STACKS[self.mode])
         if len(self.channels) != expected:
             raise ConfigError(
                 f"mode {self.mode.value} needs {expected} channel(s), "
@@ -166,36 +172,17 @@ def assemble(
     cooc: EmbeddingChannel | None = None,
     subword: EmbeddingChannel | None = None,
 ) -> ChannelConfig:
-    """Build the channel stack for an input mode from trained source tables.
-
-    Two-channel mode pairs a frozen and a trainable copy of the same
-    skip-gram table; four-channel mode stacks skip-gram, co-occurrence, and
-    subword tables plus a second independent skip-gram copy, all trainable.
-    """
-
-    def need(ch: EmbeddingChannel | None, what: str) -> EmbeddingChannel:
-        if ch is None:
-            raise ConfigError(f"mode {mode.value} requires a {what} channel")
-        return ch
-
-    if mode is InputMode.RAND:
-        chans = (need(rand, "random-init").copy(trainable=True),)
-    elif mode is InputMode.STATIC:
-        chans = (need(skipgram, "skip-gram").copy(trainable=False),)
-    elif mode is InputMode.NON_STATIC:
-        chans = (need(skipgram, "skip-gram").copy(trainable=True),)
-    elif mode is InputMode.TWO_CH:
-        sg = need(skipgram, "skip-gram")
-        chans = (sg.copy(trainable=False), sg.copy(trainable=True))
-    else:  # FOUR_CH
-        sg = need(skipgram, "skip-gram")
-        chans = (
-            sg.copy(trainable=True),
-            need(cooc, "co-occurrence").copy(trainable=True),
-            need(subword, "subword").copy(trainable=True),
-            sg.copy(trainable=True),
-        )
-    return ChannelConfig(mode, chans)
+    """The channel stack of ``mode`` (``STACKS``): an independent copy of
+    each source table it names, with that channel's trainable flag. A source
+    the stack names and the caller did not give raises ConfigError."""
+    given = {Source.RAND: rand, Source.SKIPGRAM: skipgram, Source.COOC: cooc,
+             Source.SUBWORD: subword}
+    chans = []
+    for source, trainable in STACKS[mode]:
+        if given[source] is None:
+            raise ConfigError(f"mode {mode.value} requires a {source.value} channel")
+        chans.append(given[source].copy(trainable=trainable))
+    return ChannelConfig(mode, tuple(chans))
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,9 @@ _ANSI_POSITIVE = "\x1b[44;97m"
 _ANSI_NEGATIVE = "\x1b[41;97m"
 _ANSI_RESET = "\x1b[0m"
 
+# each render format and the suffix of the file that `attend` writes it to
+FORMATS = {"html": "html", "json": "json", "ansi": "ansi.txt"}
+
 MODE_LABELS = {
     "rand": "CNN-Rand",
     "static": "CNN-Static",
@@ -124,7 +127,7 @@ def render_highlight(result: AttentionResult, fmt: str = "html") -> bytes:
         line = " ".join(parts) + f"  [{CLASS_NAMES[predicted]}]\n"
         return line.encode("utf-8")
 
-    raise ConfigError(f"unknown render format {fmt!r} (html, ansi, json)")
+    raise ConfigError(f"unknown render format {fmt!r} ({', '.join(FORMATS)})")
 
 
 # ---------------------------------------------------------------------------

@@ -64,57 +64,47 @@ def _sources(v=8, k=5):
     }
 
 
-def test_assemble_rand():
+# each mode's channel stack as (source, trainable) pairs in channel order,
+# written out here rather than read from channels.STACKS
+_STACKS = {
+    InputMode.RAND: [(Source.RAND, True)],
+    InputMode.STATIC: [(Source.SKIPGRAM, False)],
+    InputMode.NON_STATIC: [(Source.SKIPGRAM, True)],
+    InputMode.TWO_CH: [(Source.SKIPGRAM, False), (Source.SKIPGRAM, True)],
+    InputMode.FOUR_CH: [
+        (Source.SKIPGRAM, True), (Source.COOC, True),
+        (Source.SUBWORD, True), (Source.SKIPGRAM, True),
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", list(InputMode), ids=lambda m: m.value)
+def test_assemble_stack(mode):
+    """Each channel is an independent copy of its source table with the
+    mode's trainable flag: updating one leaks into no other channel and no
+    source."""
     src = _sources()
-    cfg = assemble(InputMode.RAND, rand=src["rand"])
-    assert len(cfg.channels) == 1
-    assert cfg.channels[0].trainable
-
-
-def test_assemble_static_and_non_static():
-    src = _sources()
-    static = assemble(InputMode.STATIC, skipgram=src["skipgram"])
-    assert not static.channels[0].trainable
-    non_static = assemble(InputMode.NON_STATIC, skipgram=src["skipgram"])
-    assert non_static.channels[0].trainable
-
-
-def test_assemble_two_channel_copies():
-    src = _sources()
-    cfg = assemble(InputMode.TWO_CH, skipgram=src["skipgram"])
-    frozen, trainable = cfg.channels
-    assert (frozen.trainable, trainable.trainable) == (False, True)
-    assert np.array_equal(frozen.table, trainable.table)
-    # independent copies: updating one must not leak into the other
-    trainable.table[1] += 1.0
-    assert not np.array_equal(frozen.table, trainable.table)
-    assert np.array_equal(frozen.table, src["skipgram"].table)
-
-
-def test_assemble_four_channels_all_trainable():
-    src = _sources()
-    cfg = assemble(
-        InputMode.FOUR_CH,
-        skipgram=src["skipgram"],
-        cooc=src["cooc"],
-        subword=src["subword"],
-    )
-    assert len(cfg.channels) == 4
-    assert all(ch.trainable for ch in cfg.channels)
-    assert [ch.source for ch in cfg.channels] == [
-        Source.SKIPGRAM, Source.COOC, Source.SUBWORD, Source.SKIPGRAM,
-    ]
-    # first and fourth start from the same table but are independent
-    assert np.array_equal(cfg.channels[0].table, cfg.channels[3].table)
-    cfg.channels[0].table[2] += 1.0
-    assert not np.array_equal(cfg.channels[0].table, cfg.channels[3].table)
+    before = {name: ch.table.copy() for name, ch in src.items()}
+    cfg = assemble(mode, **src)
+    assert cfg.mode is mode
+    assert [(ch.source, ch.trainable) for ch in cfg.channels] == _STACKS[mode]
+    for ch in cfg.channels:
+        assert np.array_equal(ch.table, before[ch.source.value])
+    for i, ch in enumerate(cfg.channels):
+        ch.table[1] += 1.0
+        for other in cfg.channels[i + 1:]:
+            assert np.array_equal(other.table, before[other.source.value])
+    for name, ch in src.items():
+        assert np.array_equal(ch.table, before[name])
 
 
 def test_assemble_missing_channel():
-    with pytest.raises(ConfigError):
-        assemble(InputMode.STATIC, rand=_sources()["rand"])
-    with pytest.raises(ConfigError):
-        assemble(InputMode.FOUR_CH, skipgram=_sources()["skipgram"])
+    """Leaving out any one source that a mode's stack names is a ConfigError."""
+    for mode, stack in _STACKS.items():
+        for source in {source for source, _ in stack}:
+            given = {name: ch for name, ch in _sources().items() if name != source.value}
+            with pytest.raises(ConfigError, match=f"mode {mode.value} requires"):
+                assemble(mode, **given)
 
 
 def test_train_sources_recipe():
@@ -136,7 +126,7 @@ def test_train_sources_recipe():
                                       seed=seed + 2),
             "subword": train_subword(sentences, tokens, k=k, epochs=epochs, seed=seed + 3),
         }
-        assert got.keys() == want.keys()
+        assert list(got) == list(want)  # in this order
         for name, channel in want.items():
             assert got[name].source is channel.source
             assert np.array_equal(got[name].table, channel.table), (name, epochs)
@@ -144,6 +134,21 @@ def test_train_sources_recipe():
             fit = fit_cooc(build_cooc(sentences, WINDOW), len(tokens), k=k, epochs=0,
                            seed=seed + 2)
             assert np.array_equal(got["cooc"].table, (fit.w + fit.u).astype(np.float32))
+
+
+@pytest.mark.parametrize("mode, names", [
+    pytest.param(InputMode.RAND, ["rand"], id="rand"),
+    pytest.param(InputMode.STATIC, ["skipgram"], id="static"),
+    pytest.param(InputMode.NON_STATIC, ["skipgram"], id="non-static"),
+    pytest.param(InputMode.TWO_CH, ["skipgram"], id="2ch"),
+    pytest.param(InputMode.FOUR_CH, ["skipgram", "cooc", "subword"], id="4ch"),
+])
+def test_train_sources_trains_what_the_mode_stacks(mode, names):
+    tokens = ["<pad>", "care", "core", "dare"]
+    sentences = [[1, 2, 3, 1], [3, 2, 1]]
+    got = train_sources(sentences, tokens, [mode], k=4, epochs=0, seed=0)
+    assert list(got) == names
+    assert all(got[name].source.value == name for name in names)
 
 
 def test_mode_parse():

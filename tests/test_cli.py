@@ -485,15 +485,23 @@ def test_attend_wrong_vocab_detected(pipeline_dirs, tmp_path):
     assert rc == 3
 
 
-def test_embed_two_channel_writes_two_files(pipeline_dirs):
+@pytest.mark.parametrize("mode, stack", [
+    ("rand", [("rand", True)]),
+    ("static", [("skipgram", False)]),
+    ("non-static", [("skipgram", True)]),
+    ("2ch", [("skipgram", False), ("skipgram", True)]),
+    ("4ch", [("skipgram", True), ("cooc", True), ("subword", True), ("skipgram", True)]),
+], ids=["rand", "static", "non-static", "2ch", "4ch"])
+def test_embed_writes_the_mode_stack(pipeline_dirs, mode, stack):
+    """One .emb file per channel of the mode, in channel order, each with
+    its source and trainable flag."""
     dirs = pipeline_dirs
     assert _prepare(dirs) == 0
-    assert _embed(dirs, mode="2ch") == 0
+    assert _embed(dirs, mode=mode) == 0
     meta = json.loads((dirs["channels"] / "channels.json").read_text())
-    assert meta["mode"] == "2ch"
-    assert len(meta["files"]) == 2
-    for name in meta["files"]:
-        assert (dirs["channels"] / name).is_file()
+    assert meta["mode"] == mode
+    chans = [load_channel(dirs["channels"] / name) for name in meta["files"]]
+    assert [(ch.source.value, ch.trainable) for ch in chans] == stack
 
 
 def test_embed_four_channel_end_to_end(pipeline_dirs):
@@ -753,11 +761,13 @@ def _edit_vocab_line(field, value):
     return edit
 
 
-def _drop_meta_seed(dirs):
-    path = dirs["corpus"] / "meta.json"
-    meta = json.loads(path.read_text(encoding="utf-8"))
-    del meta["seed"]
-    path.write_text(json.dumps(meta), encoding="utf-8")
+def _edit_meta(change):
+    def edit(dirs):
+        path = dirs["corpus"] / "meta.json"
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        change(meta)
+        path.write_text(json.dumps(meta), encoding="utf-8")
+    return edit
 
 
 def _edit_corpus_line(name, lineno, edit):
@@ -792,6 +802,8 @@ _EMBED_FRESH = ["embed", "--corpus", "{corpus}", "--mode", "4ch", "--k", "8",
                 "--out", "{tmp}/fresh"]
 _TRAIN_FRESH = ["train", "--corpus", "{corpus}", "--channels", "{channels}",
                 "--out", "{tmp}/fresh"]
+_ATTEND_FRESH = ["attend", "--checkpoint", "{run}/checkpoint.ckpt", "--sentence", "a film",
+                 "--out", "{tmp}/fresh"]
 _TOPWORDS = ["topwords", "--checkpoint", "{run}/checkpoint.ckpt", "--corpus", "{corpus}",
              "--out", "{tmp}/top"]
 
@@ -801,7 +813,7 @@ _TOPWORDS = ["topwords", "--checkpoint", "{run}/checkpoint.ckpt", "--corpus", "{
     (_edit_vocab_line(2, "many"), _EMBED, 3, "vocab.tsv:2"),
     (lambda dirs: (dirs["corpus"] / "meta.json").write_text("{not json"), _EMBED, 3,
      "meta.json"),
-    (_drop_meta_seed, _EMBED, 3, "meta.json"),
+    (_edit_meta(lambda meta: meta.pop("seed")), _EMBED, 3, "meta.json"),
     (lambda dirs: (dirs["corpus"] / "vocab.tsv").unlink(), _EMBED, 3, "vocab.tsv"),
     (lambda dirs: (dirs["corpus"] / "train.tsv").unlink(), _EMBED, 3, "train.tsv"),
     (lambda dirs: (dirs["tmp"] / "bad.cfg").write_text("mode=rand\nk=abc\n"),
@@ -813,17 +825,20 @@ _TOPWORDS = ["topwords", "--checkpoint", "{run}/checkpoint.ckpt", "--corpus", "{
     (lambda dirs: (dirs["tmp"] / "latin1.csv").write_bytes(b"text,rating\ncaf\xe9 night,9\n"),
      _PREPARE, 3, "latin1.csv"),
     (_edit_corpus_line("test.tsv", 1, lambda l: "excluded\t" + l.split("\t", 1)[1]),
-     _EVALUATE, 3, "test.tsv:1:"),
+     _EVALUATE, 3, "test.tsv:1: label 'excluded'"),
     (_swap_two_vocab_tokens, _EMBED, 3, "vocab.tsv"),
     (lambda dirs: (dirs["corpus"] / "embed_corpus.txt").unlink(), _EMBED, 3,
      "embed_corpus.txt"),
     (_edit_corpus_line("train.tsv", 2, lambda l: l + " unseenword"), _EMBED, 3,
      "train.tsv:2:"),
     (_edit_corpus_line("train.tsv", 1, _old_three_field_line), _EMBED, 3, "train.tsv:1:"),
+    (_edit_meta(lambda meta: meta.update(d=-1)), _TOPWORDS, 3,
+     "meta.json: d must be >= 1"),
+    (_edit_meta(lambda meta: meta.update(d=0)), _EMBED, 3, "meta.json: d must be >= 1"),
 ], ids=["vocab-id", "vocab-count", "meta-not-json", "meta-no-seed", "no-vocab",
         "no-train", "config-value", "config-not-utf8", "attend-input-not-utf8",
         "csv-not-utf8", "test-excluded-label", "vocab-not-meta-digest", "no-embed-corpus",
-        "train-unknown-token", "train-old-three-fields"])
+        "train-unknown-token", "train-old-three-fields", "meta-d-negative", "meta-d-zero"])
 def test_malformed_input_exits_without_traceback(
     pipeline_dirs, tmp_path, edit, argv, code, names
 ):
@@ -832,7 +847,7 @@ def test_malformed_input_exits_without_traceback(
     traceback would show."""
     dirs = dict(pipeline_dirs, tmp=tmp_path)
     assert _prepare(dirs) == 0
-    if argv in (_ATTEND, _EVALUATE):
+    if argv in (_ATTEND, _EVALUATE, _TOPWORDS):
         assert _embed(dirs) == 0
         assert _train(dirs, extra=["--epochs", "1"]) == 0
     edit(dirs)
@@ -857,18 +872,19 @@ def test_malformed_input_exits_without_traceback(
     (_TRAIN_FRESH + ["--lr", "inf"], "learning rate must be finite and >= 0"),
     (_TRAIN_FRESH + ["--lam", "nan"], "lambda must be finite and >= 0"),
     (_TRAIN_FRESH + ["--lam", "inf"], "lambda must be finite and >= 0"),
+    (_ATTEND_FRESH + ["--formats", "html,pdf"], "unknown output format 'pdf'"),
 ], ids=["d-0", "d-negative", "top-k-0", "top-k-negative", "embed-epochs-negative",
-        "lr-nan", "lr-inf", "lam-nan", "lam-inf"])
+        "lr-nan", "lr-inf", "lam-nan", "lam-inf", "attend-format-unknown"])
 def test_out_of_range_d_or_top_k_exits_2(pipeline_dirs, tmp_path, argv, message):
     """A sentence length or a per-sentence word count below 1, a negative
     number of embedding epochs, or a learning rate or L2 weight that is not
-    a finite number >= 0, is a configuration error (exit 2, one line naming
-    the setting), not an empty result, a silent no-op or a data error or
-    divergence further on."""
+    a finite number >= 0, or an unknown attend format, is a configuration
+    error (exit 2, one line naming the setting), not an empty result, a
+    silent no-op or a data error or divergence further on."""
     dirs = dict(pipeline_dirs, tmp=tmp_path)
     if argv[0] != "prepare":
         assert _prepare(dirs) == 0
-    if argv[0] in ("train", "topwords"):
+    if argv[0] in ("train", "topwords", "attend"):
         assert _embed(dirs) == 0
         assert _train(dirs, extra=["--epochs", "1"]) == 0
     src = Path(__file__).resolve().parent.parent / "src"
