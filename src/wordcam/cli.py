@@ -380,10 +380,15 @@ def _class_index(label: str) -> int | None:
 
 
 def cmd_attend(cfg: RunConfig) -> int:
-    params, channels, vocab = _load_model(cfg)
-    _log_seed(cfg)
     if (cfg.sentence is None) == (cfg.input is None):
         raise ConfigError("pass exactly one of --sentence or --input")
+    formats = [f.strip() for f in cfg.formats.split(",") if f.strip()]
+    for fmt in formats:
+        if fmt not in FORMATS:
+            raise ConfigError(f"unknown output format {fmt!r} ({', '.join(FORMATS)})")
+    class_index = _class_index(cfg.label)
+    params, channels, vocab = _load_model(cfg)
+    _log_seed(cfg)
     if cfg.sentence is not None:
         lines = [cfg.sentence]
     else:
@@ -393,11 +398,6 @@ def cmd_attend(cfg: RunConfig) -> int:
         lines = [l for l in read_text(path, "input file").splitlines() if l.strip()]
         if not lines:
             raise DataError(f"input file has no sentences: {path}")
-    formats = [f.strip() for f in cfg.formats.split(",") if f.strip()]
-    for fmt in formats:
-        if fmt not in FORMATS:
-            raise ConfigError(f"unknown output format {fmt!r} ({', '.join(FORMATS)})")
-    class_index = _class_index(cfg.label)
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -125,6 +125,11 @@ class ChannelConfig:
         return self.channels[0].dim
 
 
+def scatter_rows(k: int) -> int:
+    """Rows of a k-wide table that one ``scatter_add`` block covers."""
+    return max(1, _SCATTER_ENTRIES // k)
+
+
 def scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None:
     """``table[rows[i]] += values[i]`` for each i in order, so repeated rows
     accumulate: the additions and their order are those of
@@ -147,7 +152,7 @@ def scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None
     rows = np.asarray(rows, dtype=np.intp)
     values = np.ascontiguousarray(values, dtype=table.dtype)
     flat_table, cols = table.reshape(-1), np.arange(k)
-    block = max(1, _SCATTER_ENTRIES // k)
+    block = scatter_rows(k)
     for lo in range(0, len(rows), block):
         flat_rows = rows[lo : lo + block, None] * k + cols
         np.add.at(flat_table, flat_rows.reshape(-1), values[lo : lo + block].reshape(-1))

@@ -3,7 +3,10 @@ counts.
 
 The objective per (i, j) entry is f(x) * (w_i . u_j + b_i + c_j - ln x)^2
 with f(x) = min(1, (x / 100)^0.75), optimized by AdaGrad with step 0.05.
-The final word vector is the sum of the word and context vectors.
+The final word vector is the sum of the word and context vectors. Each chunk
+of entries gathers its word and context rows once, and its gradients and
+steps are computed in those rows' buffers and one more, each operation as
+in the plain expression, so no bit changes.
 
 The weighting cutoff 100 and exponent 0.75 are the published values of
 Pennington et al. 2014 (GloVe); they and the step are the module constants
@@ -65,6 +68,19 @@ class CoocFit:
         return EmbeddingChannel(table, trainable=True, source=Source.COOC)
 
 
+def _gather(table: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``table[rows]``, written into ``out``. The rows are in range, so
+    "clip" changes none; it lets ``take`` write ``out`` without a copy."""
+    return np.take(table, rows, axis=0, out=out, mode="clip")
+
+
+def _adagrad_step(grad: np.ndarray, acc: np.ndarray, rows: np.ndarray, buf: np.ndarray):
+    """``-_LR * grad / np.sqrt(acc[rows])``, computed in ``grad`` and ``buf``."""
+    np.sqrt(_gather(acc, rows, buf), out=buf)
+    np.multiply(-_LR, grad, out=grad)
+    return np.divide(grad, buf, out=grad)
+
+
 def fit_cooc(
     cooc: tuple[np.ndarray, np.ndarray],
     vocab_size: int,
@@ -97,6 +113,8 @@ def fit_cooc(
 
     fit = CoocFit(w, u, b, c)
     n = len(rows)
+    # a chunk's (n, k) rows, gradients and steps live in these three buffers
+    bufs = np.empty((3, min(n, _CHUNK), k))
     for _ in range(epochs):
         order = rng.permutation(n)
         loss_sum = 0.0
@@ -104,18 +122,22 @@ def fit_cooc(
             sel = order[start : start + _CHUNK]
             i, j = rows[sel], cols[sel]
             f = weight[sel]
-            diff = np.einsum("nk,nk->n", w[i], u[j]) + b[i] + c[j] - logx[sel]
+            wi, uj, buf = bufs[:, : len(sel)]
+            _gather(w, i, wi)
+            _gather(u, j, uj)
+            diff = np.einsum("nk,nk->n", wi, uj) + b[i] + c[j] - logx[sel]
             loss_sum += float((f * diff**2).sum())
             g = 2.0 * f * diff  # (n,)
 
-            grad_wi = g[:, None] * u[j]
-            grad_uj = g[:, None] * w[i]
-            scatter_add(gw, i, grad_wi**2)
-            scatter_add(gu, j, grad_uj**2)
-            scatter_add(gb, i, g**2)
-            scatter_add(gc, j, g**2)
-            scatter_add(w, i, -_LR * grad_wi / np.sqrt(gw[i]))
-            scatter_add(u, j, -_LR * grad_uj / np.sqrt(gu[j]))
+            grad_wi = np.multiply(g[:, None], uj, out=uj)
+            grad_uj = np.multiply(g[:, None], wi, out=wi)
+            scatter_add(gw, i, np.square(grad_wi, out=buf))
+            scatter_add(gu, j, np.square(grad_uj, out=buf))
+            g_sq = g**2
+            scatter_add(gb, i, g_sq)
+            scatter_add(gc, j, g_sq)
+            scatter_add(w, i, _adagrad_step(grad_wi, gw, i, buf))
+            scatter_add(u, j, _adagrad_step(grad_uj, gu, j, buf))
             scatter_add(b, i, -_LR * g / np.sqrt(gb[i]))
             scatter_add(c, j, -_LR * g / np.sqrt(gc[j]))
         fit.epoch_losses.append(loss_sum / n)

@@ -4,7 +4,9 @@ enumeration, and ``sgns_step``, the one negative-sampling step.
 
 Pairs are processed in chunks (``sgns_chunks``) so the update arithmetic is
 vectorized; within a chunk, repeated rows accumulate through
-``channels.scatter_add``, in pair order.
+``channels.scatter_add``, in pair order. ``sgns_step`` builds the negative
+samples' update values for one scatter block of rows at a time, so they
+never take a (chunk * negatives, k) array.
 Deterministic given (sentence order, seed).
 
 ``WINDOW``, ``NEGATIVES`` and ``LR`` are the context window, negative
@@ -22,7 +24,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from wordcam.corpus import PAD_ID
-from wordcam.embed.channels import EmbeddingChannel, Source, scatter_add
+from wordcam.embed.channels import EmbeddingChannel, Source, scatter_add, scatter_rows
 from wordcam.errors import ConfigError, DataError
 
 _CHUNK = 2048
@@ -65,6 +67,9 @@ class NoiseTable:
         if total <= 0:
             raise DataError("empty corpus: no tokens to sample negatives from")
         self.cdf = np.cumsum(weights / total)
+        # the rounded sum can end below 1.0; from the last id that has a
+        # count on, the cdf is 1.0, so every draw in [0, 1) maps to a real id
+        self.cdf[np.flatnonzero(weights)[-1] :] = 1.0
 
     def sample(self, rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
         return np.searchsorted(self.cdf, rng.random(shape), side="right")
@@ -133,11 +138,12 @@ def sgns_step(
 
     grad_h = g_pos[:, None] * u_pos + np.einsum("nj,njk->nk", g_neg, u_neg)
     scatter_add(w_out, contexts, -step_lr * g_pos[:, None] * h)
-    scatter_add(
-        w_out,
-        negs.reshape(-1),
-        (-step_lr * g_neg[..., None] * h[:, None, :]).reshape(-1, h.shape[1]),
-    )
+    # the negatives' update values, built for one scatter block at a time
+    k = h.shape[1]
+    block = max(1, scatter_rows(k) // negatives)
+    for lo in range(0, len(h), block):
+        values = -step_lr * g_neg[lo : lo + block, :, None] * h[lo : lo + block, None, :]
+        scatter_add(w_out, negs[lo : lo + block].reshape(-1), values.reshape(-1, k))
     return grad_h, loss
 
 

@@ -8,6 +8,12 @@ hashed into ``BUCKET`` buckets. The n-gram lengths ``NGRAM_MIN``..
 skip-gram's. Only vocabulary words get vectors: an out-of-vocabulary token
 encodes to the pad id, so the CNN never sees one.
 
+Training is skip-gram's chunked negative sampling (``skipgram.sgns_step``)
+with the center's vector as that sum. Within a chunk the sum is taken once
+per distinct center, since every pair of a center reads the same stale rows,
+and the n-gram rows' updates are built one ``scatter_add`` block at a time,
+so a chunk's memory does not grow with word length.
+
 Every bucket's vector starts as one row of a (bucket, k) uniform draw, but
 only the buckets the vocabulary's n-grams hash to are ever trained or read,
 so only their rows are stored: a few percent of ``BUCKET``. The rows are
@@ -19,12 +25,12 @@ the vectors it gives are those of the whole table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from wordcam.corpus import PAD_ID
-from wordcam.embed.channels import EmbeddingChannel, Source, scatter_add
+from wordcam.embed.channels import EmbeddingChannel, Source, scatter_add, scatter_rows
 from wordcam.embed.skipgram import (
     LR,
     NEGATIVES,
@@ -95,6 +101,23 @@ def _initial_rows(state: dict, rows: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _ngram_blocks(
+    words: np.ndarray, offsets: np.ndarray, grams: np.ndarray, block: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The n-gram rows of ``words`` end to end, each word's in the CSR
+    index's order, in blocks of at most ``block``: for each block, the
+    position in ``words`` that each row belongs to, and the row."""
+    starts = offsets[words]
+    counts = offsets[words + 1] - starts
+    ends = np.cumsum(counts)  # one past each word's last row, end to end
+    shift = starts - (ends - counts)  # from a place end to end to its CSR index
+    total = int(ends[-1])
+    for lo in range(0, total, block):
+        pos = np.arange(lo, min(lo + block, total))
+        seg = np.searchsorted(ends, pos, side="right")
+        yield seg, grams[pos + shift[seg]]
+
+
 @dataclass
 class SubwordFit:
     """The trained tables of ``fit_subword``."""
@@ -157,20 +180,21 @@ def fit_subword(
     pairs = context_pairs(sentences, window)
     noise = NoiseTable(sentences, vocab_size)
 
+    block = scatter_rows(k)
     losses = [0.0] * epochs
     for epoch, centers, contexts, step_lr in sgns_chunks(pairs, epochs, lr, chunk):
-        # the centers' n-gram rows end to end; seg names each row's center
-        starts = offsets[centers]
-        counts = offsets[centers + 1] - starts
-        seg = np.repeat(np.arange(len(centers)), counts)
-        first = np.cumsum(counts) - counts
-        gram_rows = grams[starts[seg] + np.arange(len(seg)) - first[seg]]
-        h = word_vecs[centers]
-        scatter_add(h, seg, gram_vecs[gram_rows])
+        # each distinct center's whole-word vector plus its n-gram vectors,
+        # in n-gram order, summed once for all the pairs it centers
+        distinct, center_of = np.unique(centers, return_inverse=True)
+        h = word_vecs[distinct]
+        for seg, gram_rows in _ngram_blocks(distinct, offsets, grams, block):
+            scatter_add(h, seg, gram_vecs[gram_rows])
 
-        grad_h, loss = sgns_step(h, contexts, w_out, noise, rng, negatives, step_lr)
-        scatter_add(word_vecs, centers, -step_lr * grad_h)
-        scatter_add(gram_vecs, gram_rows, (-step_lr * grad_h)[seg])
+        grad_h, loss = sgns_step(h[center_of], contexts, w_out, noise, rng, negatives, step_lr)
+        step = -step_lr * grad_h
+        scatter_add(word_vecs, centers, step)
+        for seg, gram_rows in _ngram_blocks(centers, offsets, grams, block):
+            scatter_add(gram_vecs, gram_rows, step[seg])
         losses[epoch] += loss
     word_vecs[PAD_ID] = 0.0
     epoch_losses = [s / len(pairs) for s in losses]

@@ -2,10 +2,12 @@
 
 Everything here is written from first principles (scalar loops, explicit
 window enumeration, central finite differences) and deliberately shares no
-code with the package internals it verifies. The one exception,
-``subword_dense``, checks only how the subword trainer stores its table, and
-calls the package's hashing and skip-gram kernels, which have tests of
-their own.
+code with the package internals it verifies. The exceptions are the
+embedding trainers' references (``sgns_step_whole``, ``skipgram_whole``,
+``cooc_unfused`` and ``subword_dense``): they keep each trainer's arithmetic
+as plain whole-array numpy, with ``np.add.at`` for every scatter, and call
+the package's pair builder, noise table, chunk schedule and n-gram hashing,
+which have tests of their own.
 """
 
 from __future__ import annotations
@@ -252,8 +254,9 @@ def subword_dense(
     the bit-exact reference for ``embed.subword.fit_subword``, which stores
     only the rows of the buckets the vocabulary hashes to: every bucket's
     row drawn in one ``uniform`` call and kept, and the CSR index holding
-    bucket numbers. It shares the n-gram hashing and the skip-gram kernels
-    with the package, since only the table's storage is under test.
+    bucket numbers. Each pair sums its center's n-gram vectors itself, and
+    every update is one whole array, scattered by ``np.add.at``; the
+    negative-sampling step is ``sgns_step_whole``.
 
     Returns a namespace with word_vecs, gram_vecs (bucket, k), w_out,
     epoch_losses, offsets, grams and ``table``: ``SubwordFit.channel``'s
@@ -261,8 +264,7 @@ def subword_dense(
     """
     from types import SimpleNamespace
 
-    from wordcam.embed.channels import scatter_add
-    from wordcam.embed.skipgram import NoiseTable, context_pairs, sgns_chunks, sgns_step
+    from wordcam.embed.skipgram import NoiseTable, context_pairs, sgns_chunks
     from wordcam.embed.subword import ngram_bucket, word_ngrams
 
     def gram_ids(word):
@@ -288,10 +290,10 @@ def subword_dense(
         first = np.cumsum(counts) - counts
         gram_rows = grams[starts[seg] + np.arange(len(seg)) - first[seg]]
         h = word_vecs[centers]
-        scatter_add(h, seg, gram_vecs[gram_rows])
-        grad_h, loss = sgns_step(h, contexts, w_out, noise, rng, negatives, step_lr)
-        scatter_add(word_vecs, centers, -step_lr * grad_h)
-        scatter_add(gram_vecs, gram_rows, -step_lr * grad_h[seg])
+        np.add.at(h, seg, gram_vecs[gram_rows])
+        grad_h, loss = sgns_step_whole(h, contexts, w_out, noise, rng, negatives, step_lr)
+        np.add.at(word_vecs, centers, -step_lr * grad_h)
+        np.add.at(gram_vecs, gram_rows, -step_lr * grad_h[seg])
         losses[epoch] += loss
     word_vecs[0] = 0.0
 
@@ -303,3 +305,122 @@ def subword_dense(
         epoch_losses=[s / len(pairs) for s in losses], offsets=offsets,
         grams=grams, table=table,
     )
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _log_sigmoid(x: np.ndarray) -> np.ndarray:
+    return -np.logaddexp(0.0, -x)
+
+
+def sgns_step_whole(h, contexts, w_out, noise, rng, negatives, step_lr):
+    """One negative-sampling step with each update built as one whole array,
+    kept as the bit-exact reference for ``embed.skipgram.sgns_step``: the
+    (n * negatives, k) negative-sample update is made in one expression and
+    scattered onto ``w_out`` by ``np.add.at``. Returns (grad_h, loss)."""
+    u_pos = w_out[contexts]
+    negs = noise.sample(rng, (len(h), negatives))
+    u_neg = w_out[negs]
+    pos_score = np.einsum("nk,nk->n", h, u_pos)
+    neg_score = np.einsum("nk,njk->nj", h, u_neg)
+    live = negs != contexts[:, None]
+    g_pos = _sigmoid(pos_score) - 1.0
+    g_neg = _sigmoid(neg_score) * live
+    loss = -(_log_sigmoid(pos_score).sum() + (_log_sigmoid(-neg_score) * live).sum())
+    grad_h = g_pos[:, None] * u_pos + np.einsum("nj,njk->nk", g_neg, u_neg)
+    np.add.at(w_out, contexts, -step_lr * g_pos[:, None] * h)
+    np.add.at(
+        w_out,
+        negs.reshape(-1),
+        (-step_lr * g_neg[..., None] * h[:, None, :]).reshape(-1, h.shape[1]),
+    )
+    return grad_h, loss
+
+
+def skipgram_whole(sentences, vocab_size, k, window, negatives, epochs, lr, seed, chunk):
+    """``embed.skipgram.fit_skipgram``'s chunk loop over ``sgns_step_whole``,
+    kept as its bit-exact reference. Returns a namespace with w_in, w_out
+    and epoch_losses."""
+    from types import SimpleNamespace
+
+    from wordcam.embed.skipgram import NoiseTable, context_pairs, sgns_chunks
+
+    rng = np.random.default_rng(seed)
+    w_in = rng.uniform(-0.5 / k, 0.5 / k, size=(vocab_size, k))
+    w_in[0] = 0.0
+    w_out = np.zeros((vocab_size, k))
+    pairs = context_pairs(sentences, window)
+    noise = NoiseTable(sentences, vocab_size)
+    losses = [0.0] * epochs
+    for epoch, centers, contexts, step_lr in sgns_chunks(pairs, epochs, lr, chunk):
+        grad_v, loss = sgns_step_whole(
+            w_in[centers], contexts, w_out, noise, rng, negatives, step_lr
+        )
+        np.add.at(w_in, centers, -step_lr * grad_v)
+        losses[epoch] += loss
+    w_in[0] = 0.0
+    return SimpleNamespace(
+        w_in=w_in, w_out=w_out, epoch_losses=[s / len(pairs) for s in losses]
+    )
+
+
+def cooc_unfused(cooc, vocab_size, k, epochs, seed, chunk):
+    """The co-occurrence factorisation with every (n, k) value a fresh array
+    and each row gathered where it is used, kept as the bit-exact reference
+    for ``embed.cooccur.fit_cooc`` (whose chunk is its module's ``_CHUNK``):
+    AdaGrad at step 0.05 on f(x) = min(1, (x / 100)^0.75). Returns a
+    namespace with w, u, b, c and epoch_losses."""
+    from types import SimpleNamespace
+
+    x_max, alpha, step = 100.0, 0.75, 0.05
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-0.5 / k, 0.5 / k, size=(vocab_size, k))
+    u = rng.uniform(-0.5 / k, 0.5 / k, size=(vocab_size, k))
+    b = np.zeros(vocab_size)
+    c = np.zeros(vocab_size)
+    gw = np.ones_like(w)
+    gu = np.ones_like(u)
+    gb = np.ones_like(b)
+    gc = np.ones_like(c)
+
+    keys, counts = cooc
+    mirrored = keys[:, 0] != keys[:, 1]
+    keep = np.stack([np.ones_like(mirrored), mirrored], axis=1)
+    rows, cols = np.stack([keys, keys[:, ::-1]], axis=1)[keep].T
+    xs = np.repeat(counts, 1 + mirrored).astype(np.float64)
+    logx = np.log(xs)
+    weight = np.minimum(1.0, (xs / x_max) ** alpha)
+
+    epoch_losses = []
+    n = len(rows)
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, chunk):
+            sel = order[start : start + chunk]
+            i, j = rows[sel], cols[sel]
+            f = weight[sel]
+            diff = np.einsum("nk,nk->n", w[i], u[j]) + b[i] + c[j] - logx[sel]
+            loss_sum += float((f * diff**2).sum())
+            g = 2.0 * f * diff
+            grad_wi = g[:, None] * u[j]
+            grad_uj = g[:, None] * w[i]
+            np.add.at(gw, i, grad_wi**2)
+            np.add.at(gu, j, grad_uj**2)
+            np.add.at(gb, i, g**2)
+            np.add.at(gc, j, g**2)
+            np.add.at(w, i, -step * grad_wi / np.sqrt(gw[i]))
+            np.add.at(u, j, -step * grad_uj / np.sqrt(gu[j]))
+            np.add.at(b, i, -step * g / np.sqrt(gb[i]))
+            np.add.at(c, j, -step * g / np.sqrt(gc[j]))
+        epoch_losses.append(loss_sum / n)
+    for table in (w, u, b, c):
+        table[0] = 0.0
+    return SimpleNamespace(w=w, u=u, b=b, c=c, epoch_losses=epoch_losses)

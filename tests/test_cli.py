@@ -899,6 +899,21 @@ def test_out_of_range_d_or_top_k_exits_2(pipeline_dirs, tmp_path, argv, message)
     assert not (tmp_path / "fresh").exists() and not (tmp_path / "top").exists()
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--sentence", "a film", "--input", "in.txt"], "pass exactly one of --sentence or --input"),
+    ([], "pass exactly one of --sentence or --input"),
+    (["--sentence", "a film", "--formats", "pdf"], "unknown output format 'pdf'"),
+    (["--sentence", "a film", "--label", "neutral"], "--label must be auto, positive, or negative"),
+], ids=["sentence-and-input", "no-sentence-or-input", "format-unknown", "label-unknown"])
+def test_attend_configuration_error_precedes_artifact_reads(tmp_path, capsys, extra, message):
+    """A bad attend setting exits 2 before the checkpoint is read, so a
+    missing checkpoint does not hide it behind exit 3."""
+    argv = ["attend", "--checkpoint", tmp_path / "nothere.ckpt", "--out", tmp_path / "out"]
+    assert run(argv + extra) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_topwords_top_k_0_exits_2_before_any_forward_pass(pipeline_dirs, monkeypatch, capsys):
     dirs = pipeline_dirs
     assert _prepare(dirs) == 0

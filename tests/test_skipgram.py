@@ -118,3 +118,20 @@ def test_noise_table_excludes_pad():
     samples = table.sample(rng, (500,))
     assert samples.min() >= 1
     assert set(np.unique(samples)) <= {1, 2, 3}
+
+
+class _TopDraw:
+    """A generator stub whose every uniform draw is the largest below 1.0."""
+
+    def random(self, shape):
+        return np.full(shape, np.nextafter(1.0, 0.0))
+
+
+def test_noise_table_top_draw_is_the_last_counted_id():
+    """Counts 5, 2, 1: their unigram^0.75 shares sum to 0.9999999999999999
+    in float64. The largest draw must still give id 3, not the zero-count id
+    4 or the out-of-table id 5."""
+    weights = np.array([5.0, 2.0, 1.0]) ** 0.75
+    assert np.cumsum(weights / weights.sum())[-1] < 1.0
+    table = NoiseTable([[1, 1, 1, 1, 1, 2, 2, 3]], vocab_size=5)
+    assert table.sample(_TopDraw(), (4,)).tolist() == [3, 3, 3, 3]
