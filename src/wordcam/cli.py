@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 import typing
 from dataclasses import dataclass
@@ -40,8 +39,6 @@ from wordcam.model import (
 )
 from wordcam.report import FORMATS, aggregate_top_words, from_attention, render_highlight
 from wordcam.train import TrainConfig, evaluate, history_csv, train_epochs
-
-DATA_DIR_ENV = "WORDCAM_DATA_DIR"
 
 
 @dataclass(frozen=True)
@@ -162,8 +159,8 @@ def _parse_heights(spec: str) -> tuple[int, ...]:
         hs = tuple(int(x) for x in spec.split(",") if x.strip())
     except ValueError as exc:
         raise ConfigError(f"cannot parse heights {spec!r}") from exc
-    if not hs:
-        raise ConfigError("heights must name at least one filter height")
+    if not hs or min(hs) < 1 or len(set(hs)) != len(hs):
+        raise ConfigError(f"heights must be distinct and >= 1, got {spec!r}")
     return hs
 
 
@@ -183,16 +180,15 @@ def _log_seed(cfg: RunConfig) -> None:
 
 
 def cmd_prepare(cfg: RunConfig) -> int:
-    data = cfg.data or os.environ.get(DATA_DIR_ENV)
-    if not data:
-        raise ConfigError(f"--data is required (or set {DATA_DIR_ENV})")
+    if not cfg.data:
+        raise ConfigError("--data is required")
     _log_seed(cfg)
     scheme = _scheme_from_config(cfg)
     if cfg.data_format == "imdb":
-        reviews = corpus_mod.load_imdb_dir(data)
+        reviews = corpus_mod.load_imdb_dir(cfg.data)
     elif cfg.data_format in ("csv", "tsv"):
         delim = "\t" if cfg.data_format == "tsv" else ","
-        reviews = corpus_mod.load_delimited(data, delimiter=delim)
+        reviews = corpus_mod.load_delimited(cfg.data, delimiter=delim)
     else:
         raise ConfigError(f"unknown data format {cfg.data_format!r}")
     prepared = corpus_mod.prepare(
@@ -216,9 +212,9 @@ def cmd_prepare(cfg: RunConfig) -> int:
 def cmd_embed(cfg: RunConfig) -> int:
     if not cfg.corpus:
         raise ConfigError("--corpus is required (output directory of prepare)")
+    mode = InputMode.parse(cfg.mode)
     _log_seed(cfg)
     prepared = corpus_mod.load_prepared(cfg.corpus)
-    mode = InputMode.parse(cfg.mode)
     sources = train_sources(
         prepared.train_sentences, prepared.vocab.id_to_token, [mode], k=cfg.k,
         epochs=cfg.embed_epochs, seed=cfg.seed,
@@ -277,12 +273,13 @@ def cmd_train(cfg: RunConfig) -> int:
         raise ConfigError("--corpus is required")
     if not cfg.channels:
         raise ConfigError("--channels is required (output directory of embed)")
+    heights = _parse_heights(cfg.heights)
+    tconfig = _train_config(cfg)
     _log_seed(cfg)
     prepared = corpus_mod.load_prepared(cfg.corpus)
     channels, channels_meta = load_channels_dir(cfg.channels)
     if channels_meta.get("vocab_sha256") != prepared.vocab.digest():
         raise DataError("channels were trained against a different vocabulary")
-    heights = _parse_heights(cfg.heights)
     hyper = ModelHyper(
         k=channels.dim,
         d=prepared.d,
@@ -290,7 +287,6 @@ def cmd_train(cfg: RunConfig) -> int:
         n_filters=cfg.n_filters,
         n_channels=len(channels.channels),
     )
-    tconfig = _train_config(cfg)
     echo = {
         "mode": channels.mode.value,
         "heights": "/".join(str(h) for h in heights),
@@ -387,6 +383,8 @@ def cmd_attend(cfg: RunConfig) -> int:
         if fmt not in FORMATS:
             raise ConfigError(f"unknown output format {fmt!r} ({', '.join(FORMATS)})")
     class_index = _class_index(cfg.label)
+    if cfg.bottom_fraction is not None and not 0.0 < cfg.bottom_fraction <= 1.0:
+        raise ConfigError(f"--bottom-fraction must be in (0, 1], got {cfg.bottom_fraction}")
     params, channels, vocab = _load_model(cfg)
     _log_seed(cfg)
     if cfg.sentence is not None:
@@ -476,8 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prepare", help="tokenize, label, split, and encode a dataset")
     p.add_argument("--config", help="key=value config file")
-    _add(p, "data", help="dataset path (IMDB directory or CSV/TSV file); "
-         f"falls back to ${DATA_DIR_ENV}")
+    _add(p, "data", help="dataset path (IMDB directory or CSV/TSV file)")
     _add(p, "data_format", help="imdb, csv, or tsv")
     _add(p, "scheme", help="rating scheme: imdb or watcha")
     _add(p, "out", help="output directory for corpus artifacts")

@@ -1,12 +1,15 @@
-"""Skip-gram embeddings trained with negative sampling, and the pieces the
-subword and co-occurrence trainers share: ``context_pairs``, the one window
-enumeration, and ``sgns_step``, the one negative-sampling step.
+"""Skip-gram embeddings trained with negative sampling (Mikolov et al.
+2013). In the subword model (Bojanowski et al. 2017) a word's vector is its
+own row plus the sum of its n-gram rows; skip-gram is that model with no
+n-grams. So ``fit_sgns`` is the one training loop of both: it takes the
+n-grams as a CSR index, and ``fit_skipgram`` passes an empty one.
+``context_pairs``, the one window enumeration, also serves co-occurrence.
 
 Pairs are processed in chunks (``sgns_chunks``) so the update arithmetic is
 vectorized; within a chunk, repeated rows accumulate through
-``channels.scatter_add``, in pair order. ``sgns_step`` builds the negative
-samples' update values for one scatter block of rows at a time, so they
-never take a (chunk * negatives, k) array.
+``channels.scatter_add``, in pair order. A center's vector is summed once
+per chunk, and the n-gram and negative-sample updates are built one scatter
+block of rows at a time, so a chunk's memory does not grow with word length.
 Deterministic given (sentence order, seed).
 
 ``WINDOW``, ``NEGATIVES`` and ``LR`` are the context window, negative
@@ -161,6 +164,54 @@ class SkipGramFit:
         return EmbeddingChannel(table, trainable=True, source=Source.SKIPGRAM)
 
 
+def _ngram_blocks(
+    words: np.ndarray, offsets: np.ndarray, grams: np.ndarray, block: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The n-gram rows of ``words`` end to end, each word's in the CSR
+    index's order, in blocks of at most ``block``: for each block, the
+    position in ``words`` that each row belongs to, and the row."""
+    starts = offsets[words]
+    counts = offsets[words + 1] - starts
+    ends = np.cumsum(counts)  # one past each word's last row, end to end
+    shift = starts - (ends - counts)  # from a place end to end to its CSR index
+    total = int(ends[-1])
+    for lo in range(0, total, block):
+        pos = np.arange(lo, min(lo + block, total))
+        seg = np.searchsorted(ends, pos, side="right")
+        yield seg, grams[pos + shift[seg]]
+
+
+def fit_sgns(
+    sentences: Sequence[Sequence[int]], word_vecs: np.ndarray, offsets: np.ndarray,
+    grams: np.ndarray, gram_vecs: np.ndarray, rng: np.random.Generator, window: int,
+    negatives: int, epochs: int, lr: float, chunk: int,
+) -> tuple[np.ndarray, list[float]]:
+    """Train ``word_vecs`` (V, k) and ``gram_vecs`` in place, where word i's
+    center vector is its row plus the sum of its n-gram rows
+    ``gram_vecs[grams[offsets[i] : offsets[i + 1]]]``, in that order.
+    Returns the output table and the per-epoch mean pair loss."""
+    pairs = context_pairs(sentences, window)
+    noise = NoiseTable(sentences, len(word_vecs))
+    w_out = np.zeros_like(word_vecs)
+    block = scatter_rows(word_vecs.shape[1])
+    losses = [0.0] * epochs
+    for epoch, centers, contexts, step_lr in sgns_chunks(pairs, epochs, lr, chunk):
+        # each distinct center's row plus its n-gram rows, in n-gram order,
+        # summed once for all the pairs it centers
+        distinct, center_of = np.unique(centers, return_inverse=True)
+        h = word_vecs[distinct]
+        for seg, gram_rows in _ngram_blocks(distinct, offsets, grams, block):
+            scatter_add(h, seg, gram_vecs[gram_rows])
+        grad_h, loss = sgns_step(h[center_of], contexts, w_out, noise, rng, negatives, step_lr)
+        step = -step_lr * grad_h
+        scatter_add(word_vecs, centers, step)
+        for seg, gram_rows in _ngram_blocks(centers, offsets, grams, block):
+            scatter_add(gram_vecs, gram_rows, step[seg])
+        losses[epoch] += loss
+    word_vecs[PAD_ID] = 0.0
+    return w_out, [s / len(pairs) for s in losses]
+
+
 def fit_skipgram(
     sentences: Sequence[Sequence[int]],
     vocab_size: int,
@@ -178,18 +229,10 @@ def fit_skipgram(
     rng = np.random.default_rng(seed)
     w_in = rng.uniform(-0.5 / k, 0.5 / k, size=(vocab_size, k))
     w_in[PAD_ID] = 0.0
-    w_out = np.zeros((vocab_size, k))
-    pairs = context_pairs(sentences, window)
-    noise = NoiseTable(sentences, vocab_size)
-    losses = [0.0] * epochs
-    for epoch, centers, contexts, step_lr in sgns_chunks(pairs, epochs, lr, chunk):
-        grad_v, loss = sgns_step(
-            w_in[centers], contexts, w_out, noise, rng, negatives, step_lr
-        )
-        scatter_add(w_in, centers, -step_lr * grad_v)
-        losses[epoch] += loss
-    w_in[PAD_ID] = 0.0
-    return SkipGramFit(w_in, w_out, [s / len(pairs) for s in losses])
+    no_grams = np.zeros(vocab_size + 1, dtype=np.int64)  # an empty CSR index
+    w_out, losses = fit_sgns(sentences, w_in, no_grams, no_grams[:0], np.zeros((0, k)),
+                             rng, window, negatives, epochs, lr, chunk)
+    return SkipGramFit(w_in, w_out, losses)
 
 
 def train_skipgram(

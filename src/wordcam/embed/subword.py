@@ -1,6 +1,5 @@
-"""Subword embeddings: skip-gram where a word is represented by the sum of
-its character n-gram bucket vectors plus a whole-word vector (Bojanowski et
-al. 2017).
+"""Subword embeddings: a word is represented by the sum of its character
+n-gram bucket vectors plus a whole-word vector (Bojanowski et al. 2017).
 
 N-grams are taken from the word wrapped in boundary markers ("<word>") and
 hashed into ``BUCKET`` buckets. The n-gram lengths ``NGRAM_MIN``..
@@ -8,11 +7,9 @@ hashed into ``BUCKET`` buckets. The n-gram lengths ``NGRAM_MIN``..
 skip-gram's. Only vocabulary words get vectors: an out-of-vocabulary token
 encodes to the pad id, so the CNN never sees one.
 
-Training is skip-gram's chunked negative sampling (``skipgram.sgns_step``)
-with the center's vector as that sum. Within a chunk the sum is taken once
-per distinct center, since every pair of a center reads the same stale rows,
-and the n-gram rows' updates are built one ``scatter_add`` block at a time,
-so a chunk's memory does not grow with word length.
+Skip-gram is this model with no n-grams, so training is skip-gram's one
+negative-sampling loop, ``skipgram.fit_sgns``, given the vocabulary's CSR
+n-gram index; the channel sums each word's vectors in the same order.
 
 Every bucket's vector starts as one row of a (bucket, k) uniform draw, but
 only the buckets the vocabulary's n-grams hash to are ever trained or read,
@@ -25,7 +22,7 @@ the vectors it gives are those of the whole table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,16 +32,13 @@ from wordcam.embed.skipgram import (
     LR,
     NEGATIVES,
     WINDOW,
-    NoiseTable,
+    _ngram_blocks,
     check_sgns,
-    context_pairs,
-    sgns_chunks,
-    sgns_step,
+    fit_sgns,
 )
 from wordcam.errors import ConfigError
 
 _CHUNK = 1024
-_BLOCK_ENTRIES = 1 << 15  # largest initial-row draw, in floats
 NGRAM_MIN = 3
 NGRAM_MAX = 6
 BUCKET = 200_000
@@ -78,44 +72,20 @@ def _initial_rows(state: dict, rows: np.ndarray, k: int) -> np.ndarray:
     drawn from a PCG64 generator in ``state``, for any n above the last row.
 
     Each uniform takes one 64-bit draw, so row r starts r*k draws after
-    ``state``. Rows less than a block apart are drawn in one call and the
-    unused ones dropped; the generator skips every longer gap with
+    ``state``. The generator skips each gap between used rows with
     ``advance``, which is exact and costs a few microseconds whatever its
-    length.
+    length, and draws each used row alone.
     """
     bitgen = np.random.PCG64()
     bitgen.state = state
     gen = np.random.Generator(bitgen)
     out = np.empty((len(rows), k))
-    block = max(1, _BLOCK_ENTRIES // k)
-    drawn = i = 0  # rows of the draw consumed; rows[:i] filled
-    while i < len(rows):
-        start = int(rows[i])
-        j = int(np.searchsorted(rows, start + block))
-        stop = int(rows[j - 1]) + 1
-        if start > drawn:
-            bitgen.advance((start - drawn) * k)
-        values = gen.uniform(-0.5 / k, 0.5 / k, size=(stop - start, k))
-        out[i:j] = values[rows[i:j] - start]
-        drawn, i = stop, j
+    drawn = 0  # rows of the draw consumed
+    for i, row in enumerate(rows.tolist()):
+        bitgen.advance((row - drawn) * k)
+        out[i] = gen.uniform(-0.5 / k, 0.5 / k, size=k)
+        drawn = row + 1
     return out
-
-
-def _ngram_blocks(
-    words: np.ndarray, offsets: np.ndarray, grams: np.ndarray, block: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The n-gram rows of ``words`` end to end, each word's in the CSR
-    index's order, in blocks of at most ``block``: for each block, the
-    position in ``words`` that each row belongs to, and the row."""
-    starts = offsets[words]
-    counts = offsets[words + 1] - starts
-    ends = np.cumsum(counts)  # one past each word's last row, end to end
-    shift = starts - (ends - counts)  # from a place end to end to its CSR index
-    total = int(ends[-1])
-    for lo in range(0, total, block):
-        pos = np.arange(lo, min(lo + block, total))
-        seg = np.searchsorted(ends, pos, side="right")
-        yield seg, grams[pos + shift[seg]]
 
 
 @dataclass
@@ -137,11 +107,11 @@ class SubwordFit:
     def channel(self, dtype=np.float32) -> EmbeddingChannel:
         """Each vocabulary word's n-gram vectors summed with its whole-word
         vector, as an embedding channel; the pad row stays zero."""
-        table = np.zeros(self.word_vecs.shape, dtype=np.float64)
-        for i in range(1, len(table)):
-            rows = self.grams[self.offsets[i] : self.offsets[i + 1]]
-            table[i] = self.gram_vecs[rows].sum(axis=0) + self.word_vecs[i]
-        table = table.astype(dtype)
+        table = np.zeros(self.word_vecs.shape)
+        words, block = np.arange(len(table)), scatter_rows(table.shape[1])
+        for seg, gram_rows in _ngram_blocks(words, self.offsets, self.grams, block):
+            scatter_add(table, seg, self.gram_vecs[gram_rows])
+        table = (table + self.word_vecs).astype(dtype)
         return EmbeddingChannel(table, trainable=True, source=Source.SUBWORD)
 
 
@@ -166,7 +136,6 @@ def fit_subword(
     rng = np.random.default_rng(seed)
     word_vecs = rng.uniform(-0.5 / k, 0.5 / k, size=(vocab_size, k))
     word_vecs[PAD_ID] = 0.0
-    w_out = np.zeros((vocab_size, k))
     per_word = [[]] + [
         [ngram_bucket(g, bucket) for g in word_ngrams(tok, ngram_min, ngram_max)]
         for tok in id_to_token[1:]
@@ -177,27 +146,8 @@ def fit_subword(
     gram_vecs = _initial_rows(rng.bit_generator.state, buckets, k)
     # the noise draws below start where the whole (bucket, k) draw ends
     rng.bit_generator.advance(bucket * k)
-    pairs = context_pairs(sentences, window)
-    noise = NoiseTable(sentences, vocab_size)
-
-    block = scatter_rows(k)
-    losses = [0.0] * epochs
-    for epoch, centers, contexts, step_lr in sgns_chunks(pairs, epochs, lr, chunk):
-        # each distinct center's whole-word vector plus its n-gram vectors,
-        # in n-gram order, summed once for all the pairs it centers
-        distinct, center_of = np.unique(centers, return_inverse=True)
-        h = word_vecs[distinct]
-        for seg, gram_rows in _ngram_blocks(distinct, offsets, grams, block):
-            scatter_add(h, seg, gram_vecs[gram_rows])
-
-        grad_h, loss = sgns_step(h[center_of], contexts, w_out, noise, rng, negatives, step_lr)
-        step = -step_lr * grad_h
-        scatter_add(word_vecs, centers, step)
-        for seg, gram_rows in _ngram_blocks(centers, offsets, grams, block):
-            scatter_add(gram_vecs, gram_rows, step[seg])
-        losses[epoch] += loss
-    word_vecs[PAD_ID] = 0.0
-    epoch_losses = [s / len(pairs) for s in losses]
+    w_out, epoch_losses = fit_sgns(sentences, word_vecs, offsets, grams, gram_vecs, rng,
+                                   window, negatives, epochs, lr, chunk)
     return SubwordFit(word_vecs, w_out, buckets, gram_vecs, offsets, grams, epoch_losses)
 
 

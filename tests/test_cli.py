@@ -518,6 +518,23 @@ def test_embed_four_channel_end_to_end(pipeline_dirs):
     assert _train(dirs, extra=["--epochs", "1"]) == 0
 
 
+def test_embed_four_channel_reruns_are_byte_identical(pipeline_dirs, tmp_path):
+    """Every file of the skip-gram, co-occurrence and subword channels, and
+    channels.json, comes out the same on a second run."""
+    dirs = pipeline_dirs
+    assert _prepare(dirs) == 0
+    outs = [tmp_path / "first", tmp_path / "second"]
+    for out in outs:
+        assert run([
+            "embed", "--corpus", dirs["corpus"], "--mode", "4ch", "--out", out,
+            "--seed", "3", "--k", "8", "--embed-epochs", "1",
+        ]) == 0
+    first, second = ({p.name: p.read_bytes() for p in out.iterdir()} for out in outs)
+    assert sorted(first) == ["channel_0.emb", "channel_1.emb", "channel_2.emb",
+                             "channel_3.emb", "channels.json"]
+    assert first == second
+
+
 @pytest.mark.parametrize("bad", ["x7", "999999", "-5"])
 def test_malformed_embed_corpus_exits_3(pipeline_dirs, capsys, bad):
     """A training token that is not a vocabulary word (these once were
@@ -557,12 +574,12 @@ def test_divergence_exits_4(pipeline_dirs, capsys):
     assert "divergence" in capsys.readouterr().err
 
 
-def test_data_dir_env_var(pipeline_dirs, monkeypatch):
+def test_prepare_without_data_exits_2(pipeline_dirs, capsys):
     dirs = pipeline_dirs
-    monkeypatch.setenv("WORDCAM_DATA_DIR", str(dirs["data"]))
-    rc = run(["prepare", "--data-format", "csv", "--out", dirs["corpus"],
-              "--d", "12"])
-    assert rc == 0
+    rc = run(["prepare", "--data-format", "csv", "--out", dirs["corpus"], "--d", "12"])
+    assert rc == 2
+    assert "--data is required" in capsys.readouterr().err
+    assert not dirs["corpus"].exists()
 
 
 def test_topwords_empty_test_split_exits_3(pipeline_dirs):
@@ -904,12 +921,34 @@ def test_out_of_range_d_or_top_k_exits_2(pipeline_dirs, tmp_path, argv, message)
     ([], "pass exactly one of --sentence or --input"),
     (["--sentence", "a film", "--formats", "pdf"], "unknown output format 'pdf'"),
     (["--sentence", "a film", "--label", "neutral"], "--label must be auto, positive, or negative"),
-], ids=["sentence-and-input", "no-sentence-or-input", "format-unknown", "label-unknown"])
+    (["--sentence", "a film", "--bottom-fraction", "2"], "--bottom-fraction must be in (0, 1]"),
+    (["--sentence", "a film", "--bottom-fraction", "0"], "--bottom-fraction must be in (0, 1]"),
+], ids=["sentence-and-input", "no-sentence-or-input", "format-unknown", "label-unknown",
+        "bottom-fraction-2", "bottom-fraction-0"])
 def test_attend_configuration_error_precedes_artifact_reads(tmp_path, capsys, extra, message):
     """A bad attend setting exits 2 before the checkpoint is read, so a
     missing checkpoint does not hide it behind exit 3."""
     argv = ["attend", "--checkpoint", tmp_path / "nothere.ckpt", "--out", tmp_path / "out"]
     assert run(argv + extra) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--lr", "-1"], "learning rate must be finite and >= 0"),
+    (["train", "--heights", "0"], "heights must be distinct and >= 1"),
+    (["train", "--batch-size", "0"], "batch_size must be >= 1"),
+    (["train", "--epochs", "-1"], "epochs must be >= 0"),
+    (["embed", "--mode", "bogus"], "unknown input mode 'bogus'"),
+], ids=["train-lr-negative", "train-heights-0", "train-batch-size-0",
+        "train-epochs-negative", "embed-mode-unknown"])
+def test_configuration_error_precedes_corpus_reads(tmp_path, capsys, argv, message):
+    """A bad train or embed setting exits 2 before the corpus is read, so a
+    missing corpus does not hide it behind exit 3."""
+    paths = ["--corpus", tmp_path / "nothere", "--out", tmp_path / "out"]
+    if argv[0] == "train":
+        paths += ["--channels", tmp_path / "nothere"]
+    assert run(argv + paths) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 

@@ -1,11 +1,9 @@
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
 from oracles import subword_dense
 
-from wordcam.embed import subword
 from wordcam.embed.subword import (
     fit_subword,
     ngram_bucket,
@@ -111,13 +109,13 @@ def _last_bucket_used(tokens, lo):
     return next(b for b in range(lo, lo + 10_000) if b - 1 in {ngram_bucket(g, b) for g in grams})
 
 
-@pytest.mark.parametrize("bucket, epochs, block", [
-    (1, 2, None),  # every n-gram in one bucket
-    (200_000, 2, None),  # sparse: the vocabulary uses a few dozen rows
-    (512, 0, None),  # no training: the tables are the initial draw
-    (_last_bucket_used(_TOY_TOKENS, 300), 2, 3),  # blocks of 3 rows; the last row is used
+@pytest.mark.parametrize("bucket, epochs", [
+    (1, 2),  # every n-gram in one bucket
+    (200_000, 2),  # sparse: the vocabulary uses a few dozen rows
+    (512, 0),  # no training: the tables are the initial draw
+    (_last_bucket_used(_TOY_TOKENS, 300), 2),  # the last row is used
 ])
-def test_fit_matches_the_dense_table(bucket, epochs, block):
+def test_fit_matches_the_dense_table(bucket, epochs):
     """Storing only the used buckets' rows changes no bit: the trained
     tables, the channel and the losses (so the noise draws) all equal the
     dense trainer's."""
@@ -125,18 +123,16 @@ def test_fit_matches_the_dense_table(bucket, epochs, block):
     rng = np.random.default_rng(0)
     sentences = [rng.integers(1, len(tokens), size=5).tolist() for _ in range(40)]
     kwargs = dict(_TOY_SETTINGS, bucket=bucket, epochs=epochs)
-    entries = subword._BLOCK_ENTRIES if block is None else block * kwargs["k"]
-    with mock.patch.object(subword, "_BLOCK_ENTRIES", entries):
-        fit = fit_subword(sentences, tokens, **kwargs)
-        want = subword_dense(sentences, tokens, **kwargs)
-        assert np.array_equal(fit.word_vecs, want.word_vecs)
-        assert np.array_equal(fit.w_out, want.w_out)
-        assert fit.epoch_losses == want.epoch_losses
-        assert np.array_equal(fit.buckets, np.unique(want.grams))
-        assert np.array_equal(fit.gram_vecs, want.gram_vecs[fit.buckets])
-        assert np.array_equal(fit.buckets[fit.grams], want.grams)
-        channel = fit.channel(dtype=np.float64)
-        assert np.array_equal(channel.table, want.table)
+    fit = fit_subword(sentences, tokens, **kwargs)
+    want = subword_dense(sentences, tokens, **kwargs)
+    assert np.array_equal(fit.word_vecs, want.word_vecs)
+    assert np.array_equal(fit.w_out, want.w_out)
+    assert fit.epoch_losses == want.epoch_losses
+    assert np.array_equal(fit.buckets, np.unique(want.grams))
+    assert np.array_equal(fit.gram_vecs, want.gram_vecs[fit.buckets])
+    assert np.array_equal(fit.buckets[fit.grams], want.grams)
+    channel = fit.channel(dtype=np.float64)
+    assert np.array_equal(channel.table, want.table)
 
 
 def test_fit_memory_does_not_grow_with_the_bucket_count():
