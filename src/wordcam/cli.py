@@ -21,6 +21,7 @@ from wordcam import corpus as corpus_mod
 from wordcam.attention import attend_sentences
 from wordcam.corpus import CLASS_NAMES
 from wordcam.embed import (
+    STACKS,
     ChannelConfig,
     InputMode,
     assemble,
@@ -222,35 +223,41 @@ def cmd_embed(cfg: RunConfig) -> int:
     config = assemble(mode, **sources)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    files = []
     for i, ch in enumerate(config.channels):
-        path = out / f"channel_{i}.emb"
-        save_channel(ch, path)
-        files.append(path.name)
+        save_channel(ch, out / f"channel_{i}.emb")
         print(f"channel {i}: source={ch.source.value} trainable={ch.trainable} "
               f"shape={ch.table.shape}")
     meta = {
         "mode": config.mode.value,
         "k": config.dim,
         "vocab_sha256": prepared.vocab.digest(),
-        "files": files,
         "seed": cfg.seed,
     }
     (out / "channels.json").write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    print(f"wrote {len(files)} channel file(s) to {cfg.out}")
+    print(f"wrote {len(config)} channel file(s) to {cfg.out}")
     return 0
 
 
 def load_channels_dir(path: str) -> tuple[ChannelConfig, dict]:
+    """``channels.json`` and ``channel_<i>.emb`` for each channel i of its
+    mode's stack. A missing file, or one of another role, raises DataError."""
     meta_path = Path(path) / "channels.json"
     if not meta_path.is_file():
         raise DataError(f"no channels at {path} (missing channels.json)")
     with malformed(meta_path, "channel metadata"):
         meta = json.loads(read_text(meta_path, "channel metadata"))
-        chans = tuple(load_channel(Path(path) / name) for name in meta["files"])
-        return ChannelConfig(InputMode(meta["mode"]), chans), meta
+        mode = InputMode(meta["mode"])
+    chans = []
+    for i, want in enumerate(STACKS[mode]):
+        file = Path(path) / f"channel_{i}.emb"
+        ch = load_channel(file)
+        if (ch.source, ch.trainable) != want:
+            raise DataError(f"{file}: ({ch.source.value}, trainable={ch.trainable}), but mode "
+                            f"{mode.value} channel {i} is ({want[0].value}, trainable={want[1]})")
+        chans.append(ch)
+    return ChannelConfig(mode, tuple(chans)), meta
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +361,7 @@ def _load_model(cfg: RunConfig):
 
 def _load_model_and_corpus(cfg: RunConfig):
     """The checkpoint's model and the prepared corpus, which must have been
-    encoded with the checkpoint's vocabulary."""
+    encoded with the checkpoint's vocabulary and at its d."""
     if not cfg.corpus:
         raise ConfigError("--corpus is required")
     params, channels, vocab = _load_model(cfg)
@@ -364,6 +371,9 @@ def _load_model_and_corpus(cfg: RunConfig):
             f"corpus {cfg.corpus} was prepared with a different vocabulary "
             f"than checkpoint {cfg.checkpoint}"
         )
+    if prepared.d != params.hyper.d:
+        raise DataError(f"corpus {cfg.corpus} was prepared at d={prepared.d}, "
+                        f"checkpoint {cfg.checkpoint} at d={params.hyper.d}")
     return params, channels, prepared
 
 
@@ -378,7 +388,9 @@ def _class_index(label: str) -> int | None:
 def cmd_attend(cfg: RunConfig) -> int:
     if (cfg.sentence is None) == (cfg.input is None):
         raise ConfigError("pass exactly one of --sentence or --input")
-    formats = [f.strip() for f in cfg.formats.split(",") if f.strip()]
+    formats = list(dict.fromkeys(f.strip() for f in cfg.formats.split(",") if f.strip()))
+    if not formats:
+        raise ConfigError(f"--formats names no format ({', '.join(FORMATS)})")
     for fmt in formats:
         if fmt not in FORMATS:
             raise ConfigError(f"unknown output format {fmt!r} ({', '.join(FORMATS)})")

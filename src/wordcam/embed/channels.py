@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -56,7 +56,7 @@ STACKS: dict[InputMode, tuple[tuple[Source, bool], ...]] = {
 }
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingChannel:
     table: np.ndarray  # (V, k)
     trainable: bool
@@ -71,16 +71,8 @@ class EmbeddingChannel:
             raise DataError("padding row (id 0) must be zero")
 
     @property
-    def vocab_size(self) -> int:
-        return self.table.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.table.shape[1]
-
-    def copy(self, trainable: bool | None = None) -> "EmbeddingChannel":
-        t = self.trainable if trainable is None else trainable
-        return replace(self, table=self.table.copy(), trainable=t)
 
     def digest(self) -> str:
         import hashlib
@@ -88,37 +80,49 @@ class EmbeddingChannel:
         return hashlib.sha256(np.ascontiguousarray(self.table).tobytes()).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelConfig:
+    """The channels of ``mode``, each with its role (source, trainable) in
+    ``STACKS[mode]`` and all of one (V, k)."""
+
     mode: InputMode
     channels: tuple[EmbeddingChannel, ...]
 
     def __post_init__(self):
-        expected = len(STACKS[self.mode])
-        if len(self.channels) != expected:
-            raise ConfigError(
-                f"mode {self.mode.value} needs {expected} channel(s), "
-                f"got {len(self.channels)}"
-            )
+        stack = tuple((s.value, t) for s, t in STACKS[self.mode])
+        got = tuple((c.source.value, c.trainable) for c in self.channels)
+        if got != stack:
+            raise ConfigError(f"mode {self.mode.value} stacks (source, trainable) "
+                              f"{stack}, got {got}")
         shapes = {c.table.shape for c in self.channels}
         if len(shapes) != 1:
             raise ConfigError(f"channels disagree on (V, k): {sorted(shapes)}")
 
+    @classmethod
+    def of(cls, mode: InputMode, tables) -> "ChannelConfig":
+        """The stack of ``mode`` over ``tables``, one per channel in stack
+        order, each given its channel's role. The tables are not copied."""
+        stack = STACKS[mode]
+        if len(tables) != len(stack):
+            raise ConfigError(f"mode {mode.value} needs {len(stack)} table(s), "
+                              f"got {len(tables)}")
+        return cls(mode, tuple(
+            EmbeddingChannel(table, trainable, source)
+            for table, (source, trainable) in zip(tables, stack)
+        ))
+
     def __len__(self) -> int:
         return len(self.channels)
-
-    def __iter__(self):
-        return iter(self.channels)
 
     def __getitem__(self, i: int) -> EmbeddingChannel:
         return self.channels[i]
 
     def copy(self) -> "ChannelConfig":
-        return ChannelConfig(self.mode, tuple(c.copy() for c in self.channels))
+        return ChannelConfig.of(self.mode, [c.table.copy() for c in self.channels])
 
     @property
     def vocab_size(self) -> int:
-        return self.channels[0].vocab_size
+        return self.channels[0].table.shape[0]
 
     @property
     def dim(self) -> int:
@@ -177,17 +181,17 @@ def assemble(
     cooc: EmbeddingChannel | None = None,
     subword: EmbeddingChannel | None = None,
 ) -> ChannelConfig:
-    """The channel stack of ``mode`` (``STACKS``): an independent copy of
-    each source table it names, with that channel's trainable flag. A source
-    the stack names and the caller did not give raises ConfigError."""
+    """The channel stack of ``mode`` (``ChannelConfig.of``) over an
+    independent copy of the table of each source it names. A source the
+    stack names and the caller did not give raises ConfigError."""
     given = {Source.RAND: rand, Source.SKIPGRAM: skipgram, Source.COOC: cooc,
              Source.SUBWORD: subword}
-    chans = []
-    for source, trainable in STACKS[mode]:
+    tables = []
+    for source, _ in STACKS[mode]:
         if given[source] is None:
             raise ConfigError(f"mode {mode.value} requires a {source.value} channel")
-        chans.append(given[source].copy(trainable=trainable))
-    return ChannelConfig(mode, tuple(chans))
+        tables.append(given[source].table.copy())
+    return ChannelConfig.of(mode, tables)
 
 
 # ---------------------------------------------------------------------------

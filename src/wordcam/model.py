@@ -43,9 +43,7 @@ import numpy as np
 from wordcam.corpus import PAD_ID
 from wordcam.embed.channels import (
     ChannelConfig,
-    EmbeddingChannel,
     InputMode,
-    Source,
     read_container,
     scatter_add,
     write_container,
@@ -538,16 +536,12 @@ def save_checkpoint(
     vocab_hash: str,
     extra: dict | None = None,
 ) -> None:
-    """Versioned binary container (``write_container``): hyperparameters and
-    channel metadata in the header, then the parameter tensors and the
-    channel tables."""
+    """Versioned binary container (``write_container``): hyperparameters,
+    input mode and vocabulary digest in the header (the mode's stack gives
+    each channel its role), then the parameter tensors and channel tables."""
     header = {
         "hyper": asdict(params.hyper),
         "mode": channels.mode.value,
-        "channel_meta": [
-            {"source": ch.source.value, "trainable": ch.trainable}
-            for ch in channels.channels
-        ],
         "vocab_sha256": vocab_hash,
         "extra": extra or {},
     }
@@ -559,33 +553,22 @@ def save_checkpoint(
 
 def load_checkpoint(path) -> tuple[ModelParams, ChannelConfig, dict]:
     """Load a checkpoint, checking its arrays against its hyperparameters:
-    a parameter of another shape, a channel table of another k, a channel
-    count other than ``n_channels``, or a non-finite parameter raises
-    DataError."""
+    an ``n_channels`` other than the mode's stack, a parameter of another
+    shape, a channel table of another k, or a non-finite parameter raises
+    DataError. The mode's stack gives each channel its role."""
     header, arrays = read_container(path, _CKPT_MAGIC, "a model checkpoint")
     with malformed(path):
         hyper = ModelHyper(**header["hyper"])
-        channel_meta = header["channel_meta"]
-        if len(channel_meta) != hyper.n_channels:
-            raise DataError(f"{path}: {len(channel_meta)} channels, not {hyper.n_channels}")
-        chans = tuple(
-            EmbeddingChannel(
-                arrays[f"channel[{i}]"],
-                trainable=meta["trainable"],
-                source=Source(meta["source"]),
-            )
-            for i, meta in enumerate(channel_meta)
-        )
-        for i, ch in enumerate(chans):
-            if ch.dim != hyper.k:
-                raise DataError(f"{path}: channel[{i}] k={ch.dim}, hyper k={hyper.k}")
+        tables = [arrays[f"channel[{i}]"] for i in range(hyper.n_channels)]
+        config = ChannelConfig.of(InputMode(header["mode"]), tables)
+        if config.dim != hyper.k:
+            raise DataError(f"{path}: channel k={config.dim}, hyper k={hyper.k}")
         for name, shape in hyper.param_shapes():
             if arrays[name].shape != shape:
                 raise DataError(f"{path}: {name} is {arrays[name].shape}, not {shape}")
             if not np.all(np.isfinite(arrays[name])):
                 raise DataError(f"{path}: {name} contains non-finite entries")
         params = ModelParams.from_named(hyper, arrays)
-        config = ChannelConfig(InputMode(header["mode"]), chans)
         meta = {"vocab_sha256": header["vocab_sha256"], "extra": header["extra"]}
         return params, config, meta
 

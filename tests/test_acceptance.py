@@ -135,18 +135,14 @@ def test_criterion_2_score_logit_consistency():
         ids = rng.integers(0, vocab, size=n).tolist()
         cls = int(rng.integers(0, 2))
         for dtype in (np.float64, np.float32):
-            chans = tuple(
-                EmbeddingChannel(
-                    np.concatenate(
-                        [np.zeros((1, k)), rng.normal(0, 1, (vocab - 1, k))]
-                    ).astype(dtype),
-                    True,
-                    Source.RAND,
-                )
+            tables = [
+                np.concatenate(
+                    [np.zeros((1, k)), rng.normal(0, 1, (vocab - 1, k))]
+                ).astype(dtype)
                 for _ in range(n_channels)
-            )
+            ]
             mode = InputMode.RAND if n_channels == 1 else InputMode.TWO_CH
-            config = ChannelConfig(mode, chans)
+            config = ChannelConfig.of(mode, tables)
             params = ModelParams.init(hyper, seed=trial, w_scale=0.5, dtype=dtype)
             trace = forward(ids, params, config, mode="infer")
             gap = consistency_gap(trace, params, cls)

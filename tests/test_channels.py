@@ -1,3 +1,4 @@
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ from wordcam.embed import (
     train_subword,
 )
 from wordcam.embed import channels
-from wordcam.embed.channels import scatter_add
+from wordcam.embed.channels import ChannelConfig, scatter_add
 from wordcam.embed.skipgram import WINDOW
 from wordcam.errors import ConfigError, DataError
 
@@ -105,6 +106,43 @@ def test_assemble_missing_channel():
             given = {name: ch for name, ch in _sources().items() if name != source.value}
             with pytest.raises(ConfigError, match=f"mode {mode.value} requires"):
                 assemble(mode, **given)
+
+
+@pytest.mark.parametrize("mode", list(InputMode), ids=lambda m: m.value)
+def test_config_of_gives_each_table_its_stack_role(mode):
+    tables = [np.zeros((4, 3), dtype=np.float32) for _ in _STACKS[mode]]
+    cfg = ChannelConfig.of(mode, tables)
+    assert [(ch.source, ch.trainable) for ch in cfg.channels] == _STACKS[mode]
+    assert all(ch.table is table for ch, table in zip(cfg.channels, tables))
+    with pytest.raises(dataclasses.FrozenInstanceError):  # no role changes after the check
+        cfg.channels[0].trainable = not cfg.channels[0].trainable
+    with pytest.raises(ConfigError, match="table"):
+        ChannelConfig.of(mode, tables + tables[:1])
+
+
+def _channel(source, trainable):
+    return EmbeddingChannel(np.zeros((4, 3), dtype=np.float32), trainable, source)
+
+
+@pytest.mark.parametrize("chans", [
+    # the off-stack config a checkpoint once accepted under the 2ch label
+    [(Source.RAND, True), (Source.COOC, False)],
+    [(Source.SKIPGRAM, True), (Source.SKIPGRAM, True)],  # static channel trainable
+    [(Source.SKIPGRAM, True), (Source.SKIPGRAM, False)],  # roles swapped
+    [(Source.SKIPGRAM, False)],  # a channel short
+    [(Source.SKIPGRAM, False), (Source.SKIPGRAM, True), (Source.SKIPGRAM, True)],
+], ids=["rand-cooc", "both-trainable", "swapped", "short", "long"])
+def test_config_off_its_stack_is_refused(chans):
+    """A ChannelConfig holds its mode's stack and nothing else."""
+    with pytest.raises(ConfigError, match="mode 2ch stacks"):
+        ChannelConfig(InputMode.TWO_CH, tuple(_channel(*role) for role in chans))
+
+
+def test_assemble_takes_roles_from_the_stack():
+    """A source table keeps none of the flags of the channel it came in."""
+    sg = _channel(Source.RAND, False)
+    cfg = assemble(InputMode.TWO_CH, skipgram=sg)
+    assert [(ch.source, ch.trainable) for ch in cfg.channels] == _STACKS[InputMode.TWO_CH]
 
 
 def test_train_sources_recipe():

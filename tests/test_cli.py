@@ -325,6 +325,30 @@ def test_corpus_with_another_vocabulary_exits_3(pipeline_dirs, tmp_path, capsys,
     assert not (dirs["reports"] / "topwords.csv").exists()
 
 
+def test_corpus_prepared_at_another_d_exits_3(pipeline_dirs, tmp_path, capsys):
+    """topwords and evaluate refuse the training data re-prepared at a d
+    below the checkpoint's (which would score cut sentences) or above it,
+    naming both files and both values."""
+    dirs = pipeline_dirs
+    assert _prepare(dirs) == 0
+    assert _embed(dirs) == 0
+    assert _train(dirs, extra=["--epochs", "1"]) == 0
+    ckpt = dirs["run"] / "checkpoint.ckpt"
+    vocab_digest = load_prepared(dirs["corpus"]).vocab.digest()
+    for d in (6, 20):
+        other = tmp_path / f"corpus_d{d}"
+        assert run(["prepare", "--data", dirs["data"], "--data-format", "csv",
+                    "--out", other, "--seed", "3", "--d", d]) == 0
+        assert load_prepared(other).vocab.digest() == vocab_digest  # only d differs
+        capsys.readouterr()
+        for argv in (["topwords", "--out", dirs["reports"]], ["evaluate"]):
+            assert run([*argv, "--checkpoint", ckpt, "--corpus", other]) == 3, (d, argv[0])
+            err = capsys.readouterr().err
+            assert err == (f"data error: corpus {other} was prepared at d={d}, "
+                           f"checkpoint {ckpt} at d=12\n"), err
+    assert not dirs["reports"].exists()
+
+
 def test_lr_zero_warning(pipeline_dirs, capsys):
     dirs = pipeline_dirs
     assert _prepare(dirs) == 0
@@ -354,6 +378,25 @@ def test_attend_batch_preserves_order(pipeline_dirs, tmp_path):
         )
         got = [w["token"] for w in payload["words"] if w["token"] is not None]
         assert got == sentence.split()
+
+
+def test_attend_writes_a_repeated_format_once(pipeline_dirs, monkeypatch, capsys):
+    dirs = pipeline_dirs
+    assert _prepare(dirs) == 0
+    assert _embed(dirs) == 0
+    assert _train(dirs, extra=["--epochs", "1"]) == 0
+    rendered = []
+    render = cli_module.render_highlight
+    monkeypatch.setattr(cli_module, "render_highlight",
+                        lambda result, fmt: rendered.append(fmt) or render(result, fmt))
+    capsys.readouterr()
+    assert run(["attend", "--checkpoint", dirs["run"] / "checkpoint.ckpt",
+                "--sentence", "a truly delight evening", "--out", dirs["reports"],
+                "--formats", "html, json,html"]) == 0
+    assert rendered == ["html", "json"]
+    assert sorted(p.name for p in dirs["reports"].iterdir()) == [
+        "attend_0000.html", "attend_0000.json"]
+    assert "wrote 1 report(s) x 2 format(s)" in capsys.readouterr().out
 
 
 def _batch_rows_match_singles(ckpt, vocab_path, sentences) -> bool:
@@ -493,14 +536,17 @@ def test_attend_wrong_vocab_detected(pipeline_dirs, tmp_path):
     ("4ch", [("skipgram", True), ("cooc", True), ("subword", True), ("skipgram", True)]),
 ], ids=["rand", "static", "non-static", "2ch", "4ch"])
 def test_embed_writes_the_mode_stack(pipeline_dirs, mode, stack):
-    """One .emb file per channel of the mode, in channel order, each with
-    its source and trainable flag."""
+    """One channel_<i>.emb file per channel of the mode, each with its
+    source and trainable flag; channels.json names the mode and no files."""
     dirs = pipeline_dirs
     assert _prepare(dirs) == 0
     assert _embed(dirs, mode=mode) == 0
     meta = json.loads((dirs["channels"] / "channels.json").read_text())
+    assert sorted(meta) == ["k", "mode", "seed", "vocab_sha256"]
     assert meta["mode"] == mode
-    chans = [load_channel(dirs["channels"] / name) for name in meta["files"]]
+    names = [f"channel_{i}.emb" for i in range(len(stack))]
+    assert sorted(p.name for p in dirs["channels"].glob("*.emb")) == names
+    chans = [load_channel(dirs["channels"] / name) for name in names]
     assert [(ch.source.value, ch.trainable) for ch in chans] == stack
 
 
@@ -513,8 +559,7 @@ def test_embed_four_channel_end_to_end(pipeline_dirs):
         "--embed-epochs", "1",
     ])
     assert rc == 0
-    meta = json.loads((dirs["channels"] / "channels.json").read_text())
-    assert len(meta["files"]) == 4
+    assert len(list(dirs["channels"].glob("channel_*.emb"))) == 4
     assert _train(dirs, extra=["--epochs", "1"]) == 0
 
 
@@ -741,30 +786,87 @@ def test_failed_write_keeps_the_previous_artifact(tmp_path, monkeypatch, fmt):
 
 def test_artifact_layout_is_pinned(tmp_path):
     """The bytes of both artifact kinds for fixed inputs, so that a change to
-    the layout is made on purpose. The checkpoint's digest is also that of
-    the layout before channel files shared it."""
+    the layout is made on purpose. The checkpoint's header stores the mode
+    and no channel roles, which the mode's stack gives."""
     digests = {}
     for fmt in ("ckpt", "emb"):
         path = tmp_path / f"artifact.{fmt}"
         _save_tiny(path, fmt)
         digests[fmt] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == {
-        "ckpt": "c86d0a34258dbe4d0212f88bfcc87a2f846142c12e1d1582507ef40e619b06a3",
+        "ckpt": "79c5994502eeacd71d920c99b24593d7637d6c6e2d5317ee3f16d01024f93515",
         "emb": "31218846f8fe9680c6c6386f16468fbb808c1145fe193957ad102214ce69f528",
     }
 
 
-@pytest.mark.parametrize("meta", [
-    "{not json", "{}", '{"mode": "3ch", "files": []}',
-    '{"mode": "2ch", "files": ["channel_0.emb"]}',  # too few files for the mode
-    '{"mode": "2ch", "files": ["channel_0.emb", "gone.emb"]}',  # no such file
-])
-def test_malformed_channel_metadata_exits_3(pipeline_dirs, meta):
+# a channels.json that names no mode, and the fault its reader reports
+_BAD_CHANNEL_METADATA = {
+    "{not json": "JSONDecodeError",
+    "{}": "KeyError('mode')",
+    '{"mode": "3ch", "files": []}': "'3ch' is not a valid InputMode",
+}
+
+
+@pytest.mark.parametrize("meta", list(_BAD_CHANNEL_METADATA))
+def test_malformed_channel_metadata_exits_3(pipeline_dirs, capsys, meta):
+    """The reader refuses the file itself: none of these has a
+    vocab_sha256, so the vocabulary check after it would exit 3 too."""
     dirs = pipeline_dirs
     assert _prepare(dirs) == 0
     assert _embed(dirs) == 0
-    (dirs["channels"] / "channels.json").write_text(meta, encoding="utf-8")
+    path = dirs["channels"] / "channels.json"
+    path.write_text(meta, encoding="utf-8")
+    capsys.readouterr()
     assert _train(dirs, extra=["--epochs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: malformed channel metadata (" in err, err
+    assert _BAD_CHANNEL_METADATA[meta] in err, err
+
+
+def _flip_trainable(path):
+    channel = load_channel(path)
+    save_channel(EmbeddingChannel(channel.table, not channel.trainable, channel.source), path)
+
+
+@pytest.mark.parametrize("edit, named, message", [
+    (lambda d: (d / "channel_1.emb").unlink(), "channel_1.emb", "cannot read"),
+    (lambda d: _flip_trainable(d / "channel_0.emb"), "channel_0.emb",
+     "(skipgram, trainable=True), but mode 2ch channel 0 is (skipgram, trainable=False)"),
+    (lambda d: (d / "channel_0.emb").write_bytes((d / "channel_1.emb").read_bytes()),
+     "channel_0.emb", "but mode 2ch channel 0 is (skipgram, trainable=False)"),
+], ids=["deleted", "flipped-header", "repeated-file"])
+def test_channel_file_off_its_stack_exits_3(pipeline_dirs, capsys, edit, named, message):
+    """Each channel_<i>.emb must hold channel i of the mode's stack: a
+    missing file, a static channel re-saved as trainable, or the trainable
+    channel's file in the static one's place exits 3 naming the file,
+    before anything is trained."""
+    dirs = pipeline_dirs
+    assert _prepare(dirs) == 0
+    assert _embed(dirs, mode="2ch") == 0
+    edit(dirs["channels"])
+    capsys.readouterr()
+    assert _train(dirs, extra=["--epochs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert f"{dirs['channels'] / named}: " in err and message in err, err
+    assert not dirs["run"].exists()
+
+
+def test_channel_files_list_is_not_read(pipeline_dirs):
+    """channels.json no longer lists files; an older one whose list repeats
+    the trainable channel still loads the mode's stack, so the static
+    channel stays frozen."""
+    dirs = pipeline_dirs
+    assert _prepare(dirs) == 0
+    assert _embed(dirs, mode="2ch") == 0
+    path = dirs["channels"] / "channels.json"
+    meta = json.loads(path.read_text(encoding="utf-8"))
+    meta["files"] = ["channel_1.emb", "channel_1.emb"]
+    path.write_text(json.dumps(meta), encoding="utf-8")
+    assert _train(dirs, extra=["--epochs", "1"]) == 0
+    _, channels, _ = load_checkpoint(dirs["run"] / "checkpoint.ckpt")
+    assert [ch.trainable for ch in channels.channels] == [False, True]
+    frozen = load_channel(dirs["channels"] / "channel_0.emb")
+    assert np.array_equal(channels.channels[0].table, frozen.table)
 
 
 def _edit_vocab_line(field, value):
@@ -923,8 +1025,10 @@ def test_out_of_range_d_or_top_k_exits_2(pipeline_dirs, tmp_path, argv, message)
     (["--sentence", "a film", "--label", "neutral"], "--label must be auto, positive, or negative"),
     (["--sentence", "a film", "--bottom-fraction", "2"], "--bottom-fraction must be in (0, 1]"),
     (["--sentence", "a film", "--bottom-fraction", "0"], "--bottom-fraction must be in (0, 1]"),
+    (["--sentence", "a film", "--formats", ","], "--formats names no format"),
+    (["--sentence", "a film", "--formats", ""], "--formats names no format"),
 ], ids=["sentence-and-input", "no-sentence-or-input", "format-unknown", "label-unknown",
-        "bottom-fraction-2", "bottom-fraction-0"])
+        "bottom-fraction-2", "bottom-fraction-0", "formats-none", "formats-empty"])
 def test_attend_configuration_error_precedes_artifact_reads(tmp_path, capsys, extra, message):
     """A bad attend setting exits 2 before the checkpoint is read, so a
     missing checkpoint does not hide it behind exit 3."""

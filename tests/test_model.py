@@ -20,7 +20,7 @@ from oracles import (
 )
 from wordcam import model
 from wordcam.embed import EmbeddingChannel, InputMode, Source, assemble, init_random
-from wordcam.embed.channels import ChannelConfig
+from wordcam.embed.channels import STACKS, ChannelConfig, read_container, write_container
 from wordcam.errors import ConfigError, DataError
 from wordcam.model import (
     ModelHyper,
@@ -242,7 +242,7 @@ def test_forward_oov_id_equals_explicit_pad(tiny_setup):
     # the pad row of the table were corrupted in place after validation
     hyper, params, config = tiny_setup()
     t1 = forward([4, 0, 6], params, config, mode="infer")
-    poisoned = ChannelConfig(config.mode, (config.channels[0].copy(),))
+    poisoned = config.copy()
     poisoned.channels[0].table[0] = 123.0
     t2 = forward([4, 0, 6], params, poisoned, mode="infer")
     assert np.allclose(t1.logits, t2.logits)
@@ -280,17 +280,14 @@ def conv_batches(draw):
         lengths[b] = len(row)
     seed = draw(st.integers(0, 2**31))
     rng = np.random.default_rng(seed)
-    tables = []
-    for _ in range(n_channels):
-        table = np.zeros((vocab, k), dtype=dtype)
-        channel = EmbeddingChannel(table, True, Source.RAND)
-        channel.table[:] = rng.normal(size=(vocab, k))  # row 0 too
-        tables.append(channel)
-    mode = InputMode.RAND if n_channels == 1 else InputMode.TWO_CH
+    tables = [np.zeros((vocab, k), dtype=dtype) for _ in range(n_channels)]
+    config = ChannelConfig.of(InputMode.RAND if n_channels == 1 else InputMode.TWO_CH, tables)
+    for table in tables:
+        table[:] = rng.normal(size=(vocab, k))  # row 0 too, after the pad-row check
     params = ModelParams.init(hyper, seed=seed, w_scale=1.0, dtype=dtype)
     for h in hyper.heights:
         params.conv_b[h][:] = rng.normal(size=hyper.n_filters)
-    return params, ChannelConfig(mode, tuple(tables)), ids, lengths, seed
+    return params, config, ids, lengths, seed
 
 
 def blas_rows_ignore_row_count(ids, embedded, params) -> bool:
@@ -349,18 +346,14 @@ def test_forward_is_bit_identical_at_paper_sizes(dtype, batch):
     # exact wherever the BLAS is row-invariant at these shapes
     rng = np.random.default_rng(batch)
     hyper = ModelHyper(k=100, d=100, n_channels=2)
-    tables = []
-    for _ in range(2):
-        channel = EmbeddingChannel(np.zeros((300, 100), dtype=dtype), True, Source.RAND)
-        channel.table[1:] = rng.normal(size=(299, 100))
-        tables.append(channel)
-    config = ChannelConfig(InputMode.TWO_CH, tuple(tables))
+    tables = [np.zeros((300, 100), dtype=dtype) for _ in range(2)]
+    for table in tables:
+        table[1:] = rng.normal(size=(299, 100))
+    config = ChannelConfig.of(InputMode.TWO_CH, tables)
     params = ModelParams.init(hyper, seed=batch, dtype=dtype)
     sentences = [rng.integers(0, 300, size=rng.integers(5, 100)) for _ in range(batch)]
     trace = forward(sentences, params, config, mode="infer")
-    embedded, fmaps = conv_per_token(
-        trace.ids, [ch.table for ch in tables], params.conv_w, params.conv_b
-    )
+    embedded, fmaps = conv_per_token(trace.ids, tables, params.conv_w, params.conv_b)
     assert np.array_equal(per_token_words(trace), embedded)
     same = equal_unless_blas_varies(
         blas_rows_ignore_row_count(trace.ids, embedded, params), dtype
@@ -489,19 +482,18 @@ def test_forward_backward_bitwise_deterministic(tiny_setup):
 # ---------------------------------------------------------------------------
 
 
-def two_channel_model(dtype, k, d, n_filters, batch, seed=0):
-    """Heights 3/4/5 over a frozen and a trainable channel with different
-    tables, and a batch of short sentences drawn from 300 ids, so words
-    repeat and rows end in padding."""
+def stack_model(dtype, k, d, n_filters, batch, seed=0, mode=InputMode.TWO_CH):
+    """Heights 3/4/5 over the channel stack of ``mode`` (by default a frozen
+    and a trainable channel), each channel with its own table, and a batch
+    of short sentences drawn from 300 ids, so words repeat and rows end in
+    padding."""
     rng = np.random.default_rng(seed)
-    hyper = ModelHyper(k=k, d=d, n_filters=n_filters, n_channels=2)
-    tables = [np.zeros((300, k), dtype=dtype) for _ in range(2)]
+    n_channels = len(STACKS[mode])
+    hyper = ModelHyper(k=k, d=d, n_filters=n_filters, n_channels=n_channels)
+    tables = [np.zeros((300, k), dtype=dtype) for _ in range(n_channels)]
     for table in tables:
         table[1:] = rng.normal(size=(299, k))
-    config = ChannelConfig(InputMode.TWO_CH, (
-        EmbeddingChannel(tables[0], False, Source.SKIPGRAM),
-        EmbeddingChannel(tables[1], True, Source.SKIPGRAM),
-    ))
+    config = ChannelConfig.of(mode, tables)
     params = ModelParams.init(hyper, seed=seed, dtype=dtype)
     sentences = [rng.integers(0, 300, size=rng.integers(5, d)) for _ in range(batch)]
     return params, config, sentences, rng.integers(0, 2, size=batch)
@@ -531,7 +523,7 @@ def assert_same_step(got, want):
 def test_pool_matches_serial_loop_at_paper_sizes(dtype, monkeypatch):
     # k=100, d=100, heights 3/4/5, 128 filters, B=64; three workers, so the
     # pool runs here whatever the CPU count
-    params, config, sentences, labels = two_channel_model(dtype, 100, 100, 128, 64)
+    params, config, sentences, labels = stack_model(dtype, 100, 100, 128, 64)
     monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
     assert model._height_map(3, 64) is not map
     pooled = train_step(params, config, sentences, labels)
@@ -563,7 +555,7 @@ def test_pool_is_for_batches_and_several_heights(monkeypatch):
 def test_concurrent_callers_get_the_serial_bytes():
     # four callers on the shared pool, more than the cores, with a short
     # switch interval so their tasks interleave
-    params, config, sentences, labels = two_channel_model(np.float32, 20, 30, 16, 16)
+    params, config, sentences, labels = stack_model(np.float32, 20, 30, 16, 16)
     batches = [(sentences[i:] + sentences[:i], np.roll(labels, i)) for i in range(4)]
     want = [train_step(params, config, *batch) for batch in batches]
     got = [None] * len(batches)
@@ -610,32 +602,31 @@ def blas_columns_ignore_column_count(params, n_rows, cols, dtype) -> bool:
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_embedding_gradients_are_the_serial_loops(dtype):
-    # paper sizes, B=16, through the pool. 2ch: the input gradient covers
-    # the trainable channel's columns only, with the bits of the full
-    # product (where the BLAS gives a column the same bits whatever the
-    # column count); all trainable: every column; none trainable (static):
-    # skipped. The other gradients do not depend on which channels train.
-    params, config, sentences, labels = two_channel_model(dtype, 100, 100, 128, 16)
-    trace = forward(sentences, params, config, mode="train", rng=np.random.default_rng(1))
-    tables = [ch.table for ch in config.channels]
-    k = params.hyper.k
-    exact = blas_columns_ignore_column_count(params, trace.ids.size, slice(k, 2 * k), dtype)
-    _, grads = backward(trace, params, config, labels, lam=0.1)
-    for flags in ((False, True), (True, True), (False, False)):
-        retrained = ChannelConfig(config.mode, tuple(
-            ch.copy(trainable=flag) for ch, flag in zip(config.channels, flags)
-        ))
-        _, got = backward(trace, params, retrained, labels, lam=0.1)
-        want = embedding_grads_serial(trace, params, tables, flags, labels)
+    # paper sizes, B=16, through the pool, over three modes' stacks. 2ch:
+    # the input gradient covers the trainable channel's columns only, with
+    # the bits of the full product (where the BLAS gives a column the same
+    # bits whatever the column count); 4ch, all trainable: every column;
+    # static, none trainable: skipped.
+    for mode in (InputMode.STATIC, InputMode.TWO_CH, InputMode.FOUR_CH):
+        params, config, sentences, labels = stack_model(dtype, 100, 100, 128, 16, mode=mode)
+        trace = forward(sentences, params, config, mode="train",
+                        rng=np.random.default_rng(1))
+        flags = [ch.trainable for ch in config.channels]
+        trained = [c for c, flag in enumerate(flags) if flag]
+        k = params.hyper.k
+        exact = all(flags) or not trained or blas_columns_ignore_column_count(
+            params, trace.ids.size, slice(trained[0] * k, (trained[-1] + 1) * k), dtype
+        )
+        _, got = backward(trace, params, config, labels, lam=0.1)
+        want = embedding_grads_serial(
+            trace, params, [ch.table for ch in config.channels], flags, labels
+        )
         assert [name for name in got if name.startswith("channel")] == [
             f"channel[{c}]" for c in want
-        ]
-        same = equal_unless_blas_varies(exact or all(flags), dtype)
+        ], mode
+        same = equal_unless_blas_varies(exact, dtype)
         for c in want:
-            assert same(got[f"channel[{c}]"], want[c])
-        for name, g in grads.items():
-            if not name.startswith("channel"):
-                assert np.array_equal(got[name], g), name
+            assert same(got[f"channel[{c}]"], want[c]), (mode, c)
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +651,47 @@ def test_checkpoint_roundtrip(tmp_path, tiny_setup):
     save_checkpoint(tmp_path / "again.ckpt", loaded_params, loaded_config,
                     vocab_hash="abc123", extra={"epoch": 3})
     assert (tmp_path / "model.ckpt").read_bytes() == (tmp_path / "again.ckpt").read_bytes()
+
+
+def _rewrite_header(path, change):
+    """Rewrite a checkpoint's header through ``change``, arrays as they are."""
+    header, arrays = read_container(path, model._CKPT_MAGIC, "a model checkpoint")
+    del header["manifest"]
+    change(header)
+    write_container(path, model._CKPT_MAGIC, header, list(arrays.items()))
+
+
+def _two_channel_checkpoint(path):
+    params, config, _, _ = stack_model(np.float32, 4, 6, 2, 1)
+    save_checkpoint(path, params, config, vocab_hash="abc")
+    return config
+
+
+def test_checkpoint_roles_come_from_its_mode(tmp_path):
+    """The header stores the mode, not each channel's role; the channel_meta
+    of an older checkpoint is not read, even where it contradicts the mode."""
+    path = tmp_path / "model.ckpt"
+    config = _two_channel_checkpoint(path)
+    header, _ = read_container(path, model._CKPT_MAGIC, "a model checkpoint")
+    assert "channel_meta" not in header and header["mode"] == "2ch"
+    _rewrite_header(path, lambda h: h.update(channel_meta=[
+        {"source": "rand", "trainable": True}, {"source": "cooc", "trainable": False},
+    ]))
+    _, loaded, _ = load_checkpoint(path)
+    roles = [(ch.source, ch.trainable) for ch in loaded.channels]
+    assert roles == list(STACKS[InputMode.TWO_CH])
+    for got, want in zip(loaded.channels, config.channels):
+        assert np.array_equal(got.table, want.table)
+
+
+@pytest.mark.parametrize("mode", ["rand", "4ch"])
+def test_checkpoint_of_another_stack_length_is_a_data_error(tmp_path, mode):
+    """A header whose mode stacks another channel count than n_channels."""
+    path = tmp_path / "model.ckpt"
+    _two_channel_checkpoint(path)
+    _rewrite_header(path, lambda h: h.update(mode=mode))
+    with pytest.raises(DataError, match=f"mode {mode} needs"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_rejects_junk(tmp_path):
