@@ -286,7 +286,8 @@ def cmd_train(cfg: RunConfig) -> int:
     prepared = corpus_mod.load_prepared(cfg.corpus)
     channels, channels_meta = load_channels_dir(cfg.channels)
     if channels_meta.get("vocab_sha256") != prepared.vocab.digest():
-        raise DataError("channels were trained against a different vocabulary")
+        raise DataError(f"{Path(cfg.channels) / 'channels.json'}: channels were trained against "
+                        f"another vocabulary than {Path(cfg.corpus) / 'meta.json'} records")
     hyper = ModelHyper(
         k=channels.dim,
         d=prepared.d,

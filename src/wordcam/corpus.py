@@ -11,7 +11,6 @@ import csv
 import hashlib
 import io
 import json
-import operator
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -535,7 +534,10 @@ def load_prepared(out_dir: Path | str) -> PreparedCorpus:
         raise DataError(f"no prepared corpus at {out} (missing meta.json)")
     with malformed(meta_path, "corpus metadata"):
         meta = json.loads(read_text(meta_path, "corpus metadata"))
-        seed, d = operator.index(meta["seed"]), operator.index(meta["d"])
+        seed, d = meta["seed"], meta["d"]
+        if type(seed) is not int or type(d) is not int:
+            raise DataError(f"{meta_path}: d and seed must be integers, got d={d!r}, "
+                            f"seed={seed!r}")
         if d < 1:
             raise DataError(f"{meta_path}: d must be >= 1, got {d}")
         stats = meta["stats"]

@@ -1,6 +1,8 @@
 """Embedding channels for the CNN input: random, skip-gram, co-occurrence
 factorization, and subword n-gram variants."""
 
+import numpy as np
+
 from wordcam.embed.channels import (
     STACKS,
     ChannelConfig,
@@ -13,26 +15,21 @@ from wordcam.embed.channels import (
     save_channel,
 )
 from wordcam.embed.cooccur import CoocFit, build_cooc, fit_cooc, train_cooc_factor
-from wordcam.embed.skipgram import SkipGramFit, fit_skipgram, train_skipgram
-from wordcam.embed.subword import (
-    SubwordFit,
-    fit_subword,
-    ngram_bucket,
-    train_subword,
-    word_ngrams,
-)
+from wordcam.embed.skipgram import SGNSFit, fit_skipgram, train_skipgram
+from wordcam.embed.subword import fit_subword, ngram_bucket, train_subword, word_ngrams
 from wordcam.errors import ConfigError
 
 
 def train_sources(
     sentences, id_to_token, modes, *, k: int, epochs: int, seed: int
-) -> dict[str, EmbeddingChannel]:
-    """Train each source table that the stacks of ``modes`` name, once, and
-    return them as the keyword arguments of ``assemble``. Each source
-    has its own seed: random init ``seed``, skip-gram ``seed + 1``,
-    co-occurrence ``seed + 2`` and subword ``seed + 3``. Skip-gram and
-    subword train ``epochs`` epochs and co-occurrence ``5 * epochs``, so
-    ``epochs=0`` leaves every table at its initial values."""
+) -> dict[str, np.ndarray]:
+    """Train each (V, k) float32 source table that the stacks of ``modes``
+    name, once, and return them as the keyword arguments of ``assemble``.
+    Each source has its own seed: random init ``seed``, skip-gram
+    ``seed + 1``, co-occurrence ``seed + 2`` and subword ``seed + 3``.
+    Skip-gram and subword train ``epochs`` epochs and co-occurrence
+    ``5 * epochs``, so ``epochs=0`` leaves every table at its initial
+    values."""
     if epochs < 0:
         raise ConfigError(f"embedding epochs must be >= 0, got {epochs}")
     vocab_size = len(id_to_token)
@@ -69,10 +66,9 @@ __all__ = [
     "build_cooc",
     "fit_cooc",
     "train_cooc_factor",
-    "SkipGramFit",
+    "SGNSFit",
     "fit_skipgram",
     "train_skipgram",
-    "SubwordFit",
     "fit_subword",
     "ngram_bucket",
     "train_subword",

@@ -162,35 +162,33 @@ def scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None
         np.add.at(flat_table, flat_rows.reshape(-1), values[lo : lo + block].reshape(-1))
 
 
-def init_random(
-    vocab_size: int, k: int, seed: int, dtype=np.float32
-) -> EmbeddingChannel:
-    """Uniform [-0.25, 0.25] init with the padding row zeroed."""
+def init_random(vocab_size: int, k: int, seed: int, dtype=np.float32) -> np.ndarray:
+    """A (V, k) uniform [-0.25, 0.25] table with the padding row zeroed."""
     if vocab_size < 1 or k < 1:
         raise ConfigError(f"need V >= 1 and k >= 1, got V={vocab_size}, k={k}")
     rng = np.random.default_rng(seed)
     table = rng.uniform(-0.25, 0.25, size=(vocab_size, k)).astype(dtype)
     table[0] = 0.0
-    return EmbeddingChannel(table, trainable=True, source=Source.RAND)
+    return table
 
 
 def assemble(
     mode: InputMode,
-    rand: EmbeddingChannel | None = None,
-    skipgram: EmbeddingChannel | None = None,
-    cooc: EmbeddingChannel | None = None,
-    subword: EmbeddingChannel | None = None,
+    rand: np.ndarray | None = None,
+    skipgram: np.ndarray | None = None,
+    cooc: np.ndarray | None = None,
+    subword: np.ndarray | None = None,
 ) -> ChannelConfig:
     """The channel stack of ``mode`` (``ChannelConfig.of``) over an
-    independent copy of the table of each source it names. A source the
-    stack names and the caller did not give raises ConfigError."""
+    independent copy of the (V, k) table of each source it names. A source
+    the stack names and the caller did not give raises ConfigError."""
     given = {Source.RAND: rand, Source.SKIPGRAM: skipgram, Source.COOC: cooc,
              Source.SUBWORD: subword}
     tables = []
     for source, _ in STACKS[mode]:
         if given[source] is None:
-            raise ConfigError(f"mode {mode.value} requires a {source.value} channel")
-        tables.append(given[source].table.copy())
+            raise ConfigError(f"mode {mode.value} requires a {source.value} table")
+        tables.append(np.array(given[source], order="C"))
     return ChannelConfig.of(mode, tables)
 
 
@@ -282,6 +280,7 @@ def save_channel(channel: EmbeddingChannel, path: Path | str) -> None:
 def load_channel(path: Path | str) -> EmbeddingChannel:
     meta, arrays = read_container(path, _MAGIC, "an embedding channel file")
     with malformed(path):
-        return EmbeddingChannel(
-            arrays["table"], bool(meta["trainable"]), Source(meta["source"])
-        )
+        trainable = meta["trainable"]
+        if type(trainable) is not bool:
+            raise DataError(f"{path}: trainable must be true or false, got {trainable!r}")
+        return EmbeddingChannel(arrays["table"], trainable, Source(meta["source"]))

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from wordcam.corpus import PAD_ID
-from wordcam.embed.channels import EmbeddingChannel, Source, scatter_add
+from wordcam.embed.channels import scatter_add
 from wordcam.embed.skipgram import WINDOW, context_pairs
 from wordcam.errors import ConfigError
 
@@ -62,10 +62,9 @@ class CoocFit:
         """Model value for an entry: should approach ln(count) when trained."""
         return float(self.w[i] @ self.u[j] + self.b[i] + self.c[j])
 
-    def channel(self, dtype=np.float32) -> EmbeddingChannel:
-        """The word + context vector sums as an embedding channel."""
-        table = (self.w + self.u).astype(dtype)
-        return EmbeddingChannel(table, trainable=True, source=Source.COOC)
+    def table(self, dtype=np.float32) -> np.ndarray:
+        """The word + context vector sums, (V, k)."""
+        return (self.w + self.u).astype(dtype)
 
 
 def _gather(table: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -150,8 +149,8 @@ def fit_cooc(
 
 def train_cooc_factor(
     sentences: Sequence[Sequence[int]], vocab_size: int, *, k: int, epochs: int, seed: int
-) -> EmbeddingChannel:
-    """Build counts within skip-gram's window, factorize, and materialize
-    word + context vector sums."""
+) -> np.ndarray:
+    """Build counts within skip-gram's window, factorize, and return the
+    word + context vector sums as a float32 table."""
     cooc = build_cooc(sentences, WINDOW)
-    return fit_cooc(cooc, vocab_size, k=k, epochs=epochs, seed=seed).channel()
+    return fit_cooc(cooc, vocab_size, k=k, epochs=epochs, seed=seed).table()

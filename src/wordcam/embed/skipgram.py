@@ -1,8 +1,9 @@
 """Skip-gram embeddings trained with negative sampling (Mikolov et al.
 2013). In the subword model (Bojanowski et al. 2017) a word's vector is its
 own row plus the sum of its n-gram rows; skip-gram is that model with no
-n-grams. So ``fit_sgns`` is the one training loop of both: it takes the
-n-grams as a CSR index, and ``fit_skipgram`` passes an empty one.
+n-grams. So ``fit_sgns`` is the one fit of both, with one record,
+``SGNSFit``: it takes each word's n-gram buckets, and ``fit_skipgram``
+passes none.
 ``context_pairs``, the one window enumeration, also serves co-occurrence.
 
 Pairs are processed in chunks (``sgns_chunks``) so the update arithmetic is
@@ -21,13 +22,13 @@ et al. 2013.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from wordcam.corpus import PAD_ID
-from wordcam.embed.channels import EmbeddingChannel, Source, scatter_add, scatter_rows
+from wordcam.embed.channels import scatter_add, scatter_rows
 from wordcam.errors import ConfigError, DataError
 
 _CHUNK = 2048
@@ -150,20 +151,6 @@ def sgns_step(
     return grad_h, loss
 
 
-@dataclass
-class SkipGramFit:
-    """Trained input/output tables plus the per-epoch mean pair loss."""
-
-    w_in: np.ndarray
-    w_out: np.ndarray
-    epoch_losses: list[float] = field(default_factory=list)
-
-    def channel(self, dtype=np.float32) -> EmbeddingChannel:
-        """The center-word table as an embedding channel."""
-        table = self.w_in.astype(dtype)
-        return EmbeddingChannel(table, trainable=True, source=Source.SKIPGRAM)
-
-
 def _ngram_blocks(
     words: np.ndarray, offsets: np.ndarray, grams: np.ndarray, block: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -181,19 +168,80 @@ def _ngram_blocks(
         yield seg, grams[pos + shift[seg]]
 
 
+def _initial_rows(rng: np.random.Generator, rows: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Rows ``rows`` (sorted, distinct, below ``n``) of the draw
+    ``rng.uniform(-0.5/k, 0.5/k, (n, k))``, after which ``rng`` stands where
+    that whole draw would leave it.
+
+    Each uniform takes one 64-bit draw, so row r starts r*k draws in. The
+    generator skips each gap between used rows with ``advance``, which is
+    exact and costs a few microseconds whatever its length, and draws each
+    used row alone.
+    """
+    bitgen = rng.bit_generator
+    out = np.empty((len(rows), k))
+    drawn = 0  # rows of the draw consumed
+    for i, row in enumerate(rows.tolist()):
+        bitgen.advance((row - drawn) * k)
+        out[i] = rng.uniform(-0.5 / k, 0.5 / k, size=k)
+        drawn = row + 1
+    bitgen.advance((n - drawn) * k)
+    return out
+
+
+@dataclass
+class SGNSFit:
+    """The trained tables of ``fit_sgns``."""
+
+    word_vecs: np.ndarray  # (V, k) whole-word (input) vectors
+    w_out: np.ndarray  # (V, k) output vectors
+    # the distinct buckets the vocabulary's n-grams hash to, ascending, and
+    # their vectors: gram_vecs[r] belongs to bucket buckets[r]
+    buckets: np.ndarray
+    gram_vecs: np.ndarray  # (len(buckets), k)
+    # CSR n-gram index of the vocabulary: word i's rows of gram_vecs are
+    # grams[offsets[i] : offsets[i + 1]]; pad has none
+    offsets: np.ndarray
+    grams: np.ndarray
+    epoch_losses: list[float]
+
+    def table(self, dtype=np.float32) -> np.ndarray:
+        """Each word's n-gram vectors summed, then its whole-word vector
+        added, (V, k); the pad row stays zero."""
+        table = np.zeros(self.word_vecs.shape)
+        words, block = np.arange(len(table)), scatter_rows(table.shape[1])
+        for seg, gram_rows in _ngram_blocks(words, self.offsets, self.grams, block):
+            scatter_add(table, seg, self.gram_vecs[gram_rows])
+        # the float64 sum, rounded to dtype as it is written
+        return np.add(table, self.word_vecs, out=np.empty(table.shape, dtype))
+
+
 def fit_sgns(
-    sentences: Sequence[Sequence[int]], word_vecs: np.ndarray, offsets: np.ndarray,
-    grams: np.ndarray, gram_vecs: np.ndarray, rng: np.random.Generator, window: int,
-    negatives: int, epochs: int, lr: float, chunk: int,
-) -> tuple[np.ndarray, list[float]]:
-    """Train ``word_vecs`` (V, k) and ``gram_vecs`` in place, where word i's
-    center vector is its row plus the sum of its n-gram rows
-    ``gram_vecs[grams[offsets[i] : offsets[i + 1]]]``, in that order.
-    Returns the output table and the per-epoch mean pair loss."""
+    sentences: Sequence[Sequence[int]], per_word: Sequence[Sequence[int]], bucket: int,
+    k: int, window: int, negatives: int, epochs: int, lr: float, seed: int, chunk: int,
+) -> SGNSFit:
+    """Train a (V, k) word table, V = ``len(per_word)``, in which word i's
+    center vector is its row plus the sum of the rows of its n-gram buckets
+    ``per_word[i]`` (each below ``bucket``), in that order.
+
+    Word rows start as a seeded uniform (V, k) draw, pad zeroed; bucket rows
+    as the rows of the (bucket, k) draw that follows it, and the negatives
+    are drawn after that whole draw. Only the buckets that some word uses
+    are stored.
+    """
+    check_sgns(k, negatives, chunk)
+    rng = np.random.default_rng(seed)
+    word_vecs = rng.uniform(-0.5 / k, 0.5 / k, size=(len(per_word), k))
+    word_vecs[PAD_ID] = 0.0
+    offsets = np.cumsum([0] + [len(g) for g in per_word])
+    ids = np.asarray([g for gs in per_word for g in gs], dtype=np.int64)
+    buckets, grams = np.unique(ids, return_inverse=True)
+    gram_vecs = _initial_rows(rng, buckets, k, bucket)
+
     pairs = context_pairs(sentences, window)
     noise = NoiseTable(sentences, len(word_vecs))
     w_out = np.zeros_like(word_vecs)
-    block = scatter_rows(word_vecs.shape[1])
+    block = scatter_rows(k)
     losses = [0.0] * epochs
     for epoch, centers, contexts, step_lr in sgns_chunks(pairs, epochs, lr, chunk):
         # each distinct center's row plus its n-gram rows, in n-gram order,
@@ -209,7 +257,8 @@ def fit_sgns(
             scatter_add(gram_vecs, gram_rows, step[seg])
         losses[epoch] += loss
     word_vecs[PAD_ID] = 0.0
-    return w_out, [s / len(pairs) for s in losses]
+    return SGNSFit(word_vecs, w_out, buckets, gram_vecs, offsets, grams,
+                   [s / len(pairs) for s in losses])
 
 
 def fit_skipgram(
@@ -222,22 +271,17 @@ def fit_skipgram(
     lr: float = LR,
     seed: int = 0,
     chunk: int = _CHUNK,
-) -> SkipGramFit:
-    """The default chunk suits vocabularies in the thousands; tiny corpora
-    should pass something like 32 (see ``sgns_chunks``)."""
-    check_sgns(k, negatives, chunk)
-    rng = np.random.default_rng(seed)
-    w_in = rng.uniform(-0.5 / k, 0.5 / k, size=(vocab_size, k))
-    w_in[PAD_ID] = 0.0
-    no_grams = np.zeros(vocab_size + 1, dtype=np.int64)  # an empty CSR index
-    w_out, losses = fit_sgns(sentences, w_in, no_grams, no_grams[:0], np.zeros((0, k)),
-                             rng, window, negatives, epochs, lr, chunk)
-    return SkipGramFit(w_in, w_out, losses)
+) -> SGNSFit:
+    """``fit_sgns`` with no n-grams. The default chunk suits vocabularies in
+    the thousands; tiny corpora should pass something like 32 (see
+    ``sgns_chunks``)."""
+    return fit_sgns(sentences, [[]] * vocab_size, 0, k, window, negatives, epochs, lr,
+                    seed, chunk)
 
 
 def train_skipgram(
     sentences: Sequence[Sequence[int]], vocab_size: int, *, k: int, epochs: int, seed: int
-) -> EmbeddingChannel:
-    """Train at the module's window, negatives and rate, and materialize the
-    center-word table as an embedding channel."""
-    return fit_skipgram(sentences, vocab_size, k=k, epochs=epochs, seed=seed).channel()
+) -> np.ndarray:
+    """Train at the module's window, negatives and rate, and return the
+    center-word table as float32."""
+    return fit_skipgram(sentences, vocab_size, k=k, epochs=epochs, seed=seed).table()

@@ -33,6 +33,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import hashlib
+import numbers
 import os
 import threading
 from dataclasses import asdict, dataclass
@@ -74,6 +75,15 @@ class ModelHyper:
     n_channels: int = 1
 
     def __post_init__(self):
+        # integers, not a float or a bool such as a checkpoint header can hold
+        def integral(x):
+            return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+        for name in ("k", "d", "n_filters", "n_classes", "n_channels"):
+            if not integral(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not all(integral(h) for h in self.heights):
+            raise ConfigError(f"heights must be integers, got {self.heights!r}")
         if self.k < 1 or self.d < 1 or self.n_filters < 1:
             raise ConfigError("k, d, and n_filters must all be >= 1")
         if self.n_classes < 2:

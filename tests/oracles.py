@@ -259,8 +259,8 @@ def subword_dense(
     negative-sampling step is ``sgns_step_whole``.
 
     Returns a namespace with word_vecs, gram_vecs (bucket, k), w_out,
-    epoch_losses, offsets, grams and ``table``: ``SubwordFit.channel``'s
-    float64 table before its dtype cast.
+    epoch_losses, offsets, grams and ``table``: ``SGNSFit.table``'s float64
+    table before its dtype cast.
     """
     from types import SimpleNamespace
 

@@ -25,15 +25,7 @@ from test_attention import scores_of_vector
 from wordcam.attention import attend, attend_sentences, consistency_gap
 from wordcam.cli import main as cli_main
 from wordcam.corpus import IMDB_SCHEME, label_reviews, load_imdb_dir, prepare
-from wordcam.embed import (
-    EmbeddingChannel,
-    InputMode,
-    Source,
-    assemble,
-    fit_skipgram,
-    init_random,
-    train_skipgram,
-)
+from wordcam.embed import InputMode, assemble, fit_skipgram, init_random, train_skipgram
 from wordcam.embed.channels import ChannelConfig
 from wordcam.model import (
     ModelHyper,
@@ -192,9 +184,7 @@ def test_criterion_4_padding_coverage_law():
             # word's one-hot dimension fires once per window containing it
             table = np.zeros((d + 1, d))
             table[1:] = np.eye(d)
-            config = assemble(
-                InputMode.RAND, rand=EmbeddingChannel(table, True, Source.RAND)
-            )
+            config = assemble(InputMode.RAND, rand=table)
             params = ModelParams.zeros(
                 ModelHyper(k=d, d=d, heights=(h,), n_filters=1), dtype=np.float64
             )
@@ -430,7 +420,7 @@ def test_criterion_9_frozen_channel_invariance():
     prepared = prepare(corpus.examples, d=d, ratio=0.7, seed=2)
     vocab, train_set, test_set = prepared.vocab, prepared.train, prepared.test
     skipgram = fit_skipgram(prepared.train_sentences, len(vocab), k=8, window=2,
-                            negatives=2, epochs=1, seed=1, chunk=64).channel()
+                            negatives=2, epochs=1, seed=1, chunk=64).table()
     config = TrainConfig(batch_size=16, epochs=3, seed=4, lam=0.01)
 
     static = assemble(InputMode.STATIC, skipgram=skipgram)

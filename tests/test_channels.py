@@ -28,19 +28,19 @@ from wordcam.errors import ConfigError, DataError
 
 
 def test_init_random_single_row_is_pad():
-    ch = init_random(1, 100, seed=0)
-    assert ch.table.shape == (1, 100)
-    assert np.all(ch.table == 0.0)
+    table = init_random(1, 100, seed=0)
+    assert table.shape == (1, 100)
+    assert np.all(table == 0.0)
 
 
 def test_init_random_deterministic_and_bounded():
     a = init_random(5, 100, seed=7)
     b = init_random(5, 100, seed=7)
-    assert np.array_equal(a.table, b.table)
-    assert np.abs(a.table).max() <= 0.25
-    assert np.all(a.table[0] == 0.0)
+    assert np.array_equal(a, b)
+    assert np.abs(a).max() <= 0.25
+    assert np.all(a[0] == 0.0)
     c = init_random(5, 100, seed=8)
-    assert not np.array_equal(a.table, c.table)
+    assert not np.array_equal(a, c)
 
 
 def test_channel_rejects_nonzero_pad_row():
@@ -53,15 +53,11 @@ def test_channel_rejects_nonzero_pad_row():
 
 
 def _sources(v=8, k=5):
-    def mk(source, seed):
-        ch = init_random(v, k, seed=seed)
-        return EmbeddingChannel(ch.table, trainable=True, source=source)
-
     return {
-        "rand": mk(Source.RAND, 0),
-        "skipgram": mk(Source.SKIPGRAM, 1),
-        "cooc": mk(Source.COOC, 2),
-        "subword": mk(Source.SUBWORD, 3),
+        "rand": init_random(v, k, seed=0),
+        "skipgram": init_random(v, k, seed=1),
+        "cooc": init_random(v, k, seed=2),
+        "subword": init_random(v, k, seed=3),
     }
 
 
@@ -85,7 +81,7 @@ def test_assemble_stack(mode):
     mode's trainable flag: updating one leaks into no other channel and no
     source."""
     src = _sources()
-    before = {name: ch.table.copy() for name, ch in src.items()}
+    before = {name: table.copy() for name, table in src.items()}
     cfg = assemble(mode, **src)
     assert cfg.mode is mode
     assert [(ch.source, ch.trainable) for ch in cfg.channels] == _STACKS[mode]
@@ -95,15 +91,15 @@ def test_assemble_stack(mode):
         ch.table[1] += 1.0
         for other in cfg.channels[i + 1:]:
             assert np.array_equal(other.table, before[other.source.value])
-    for name, ch in src.items():
-        assert np.array_equal(ch.table, before[name])
+    for name, table in src.items():
+        assert np.array_equal(table, before[name])
 
 
 def test_assemble_missing_channel():
     """Leaving out any one source that a mode's stack names is a ConfigError."""
     for mode, stack in _STACKS.items():
         for source in {source for source, _ in stack}:
-            given = {name: ch for name, ch in _sources().items() if name != source.value}
+            given = {name: t for name, t in _sources().items() if name != source.value}
             with pytest.raises(ConfigError, match=f"mode {mode.value} requires"):
                 assemble(mode, **given)
 
@@ -139,8 +135,8 @@ def test_config_off_its_stack_is_refused(chans):
 
 
 def test_assemble_takes_roles_from_the_stack():
-    """A source table keeps none of the flags of the channel it came in."""
-    sg = _channel(Source.RAND, False)
+    """A source is a plain table: the stack gives each channel its role."""
+    sg = np.zeros((4, 3), dtype=np.float32)
     cfg = assemble(InputMode.TWO_CH, skipgram=sg)
     assert [(ch.source, ch.trainable) for ch in cfg.channels] == _STACKS[InputMode.TWO_CH]
 
@@ -165,13 +161,13 @@ def test_train_sources_recipe():
             "subword": train_subword(sentences, tokens, k=k, epochs=epochs, seed=seed + 3),
         }
         assert list(got) == list(want)  # in this order
-        for name, channel in want.items():
-            assert got[name].source is channel.source
-            assert np.array_equal(got[name].table, channel.table), (name, epochs)
+        for name, table in want.items():
+            assert got[name].dtype == table.dtype
+            assert np.array_equal(got[name], table), (name, epochs)
         if epochs == 0:
             fit = fit_cooc(build_cooc(sentences, WINDOW), len(tokens), k=k, epochs=0,
                            seed=seed + 2)
-            assert np.array_equal(got["cooc"].table, (fit.w + fit.u).astype(np.float32))
+            assert np.array_equal(got["cooc"], (fit.w + fit.u).astype(np.float32))
 
 
 @pytest.mark.parametrize("mode, names", [
@@ -182,11 +178,16 @@ def test_train_sources_recipe():
     pytest.param(InputMode.FOUR_CH, ["skipgram", "cooc", "subword"], id="4ch"),
 ])
 def test_train_sources_trains_what_the_mode_stacks(mode, names):
+    """Each source the stack names, as a plain C-contiguous (V, k) float32
+    table with a zero pad row."""
     tokens = ["<pad>", "care", "core", "dare"]
     sentences = [[1, 2, 3, 1], [3, 2, 1]]
     got = train_sources(sentences, tokens, [mode], k=4, epochs=0, seed=0)
     assert list(got) == names
-    assert all(got[name].source.value == name for name in names)
+    for table in got.values():
+        assert type(table) is np.ndarray and table.flags.c_contiguous
+        assert table.shape == (4, 4) and table.dtype == np.float32
+        assert np.all(table[0] == 0.0)
 
 
 def test_mode_parse():
@@ -197,8 +198,7 @@ def test_mode_parse():
 
 
 def test_channel_binary_roundtrip(tmp_path):
-    ch = init_random(9, 7, seed=4)
-    ch = EmbeddingChannel(ch.table, trainable=False, source=Source.SKIPGRAM)
+    ch = EmbeddingChannel(init_random(9, 7, seed=4), trainable=False, source=Source.SKIPGRAM)
     path = tmp_path / "ch.emb"
     save_channel(ch, path)
     loaded = load_channel(path)

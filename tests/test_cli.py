@@ -25,6 +25,7 @@ from wordcam.embed import (
     save_channel,
 )
 from wordcam.embed import channels as channels_module
+from wordcam import model as model_module
 from wordcam.errors import DataError, DivergenceError
 from wordcam.report import aggregate_top_words
 from wordcam.train import batch_arrays
@@ -647,15 +648,34 @@ def _save_tiny(path, fmt):
     bytes do not depend on numpy's random streams; return its loader."""
     table = np.arange(36, dtype=np.float32).reshape(9, 4) / 8
     table[0] = 0.0
-    channel = EmbeddingChannel(table, trainable=True, source=Source.RAND)
     if fmt == "emb":
-        save_channel(channel, path)
+        save_channel(EmbeddingChannel(table, trainable=True, source=Source.RAND), path)
         return load_channel
     params = ModelParams.zeros(ModelHyper(k=4, d=5, heights=(2,), n_filters=3))
     for _, arr in params.named_arrays():
         arr[...] = np.arange(arr.size).reshape(arr.shape) / 16
-    save_checkpoint(path, params, assemble(InputMode.RAND, rand=channel), vocab_hash="abc")
+    save_checkpoint(path, params, assemble(InputMode.RAND, rand=table), vocab_hash="abc")
     return load_checkpoint
+
+
+def _rewrite_header(path, change):
+    """Rewrite a channel file's or checkpoint's header through ``change``,
+    keeping its arrays: a well-formed file whose fields ``change`` sets."""
+    magic = channels_module._MAGIC if path.suffix == ".emb" else model_module._CKPT_MAGIC
+    header, arrays = channels_module.read_container(path, magic, "an artifact")
+    change(header)
+    channels_module.write_container(path, magic, header, list(arrays.items()))
+
+
+# header fields of the wrong JSON type, which a loader must refuse, not coerce
+_MISTYPED = {
+    "k-float": ("ckpt", lambda h: h["hyper"].update(k=4.0)),
+    "d-bool": ("ckpt", lambda h: h["hyper"].update(d=True)),
+    "filters-float": ("ckpt", lambda h: h["hyper"].update(n_filters=3.0)),
+    "classes-float": ("ckpt", lambda h: h["hyper"].update(n_classes=2.0)),
+    "height-float": ("ckpt", lambda h: h["hyper"].update(heights=[2.0])),
+    "trainable-string": ("emb", lambda h: h.update(trainable="no")),
+}
 
 
 def _header_span(blob):
@@ -670,6 +690,8 @@ _DAMAGES = ["cut-12", "cut-header", "cut-payload", "bad-header", "renamed-key",
 
 @pytest.mark.parametrize("fmt,damage", [
     (fmt, damage) for damage in _DAMAGES for fmt in ("ckpt", "emb")
+] + [
+    (fmt, damage) for damage, (fmt, _) in _MISTYPED.items()
 ] + [("emb", "old-magic")])
 def test_damaged_artifact_is_a_data_error(tmp_path, fmt, damage):
     path = tmp_path / f"artifact.{fmt}"
@@ -697,6 +719,9 @@ def test_damaged_artifact_is_a_data_error(tmp_path, fmt, damage):
     elif damage.startswith("cut-"):
         blob = blob[: {"cut-12": 12, "cut-header": header_end - 3,
                        "cut-payload": len(blob) - 3}[damage]]
+    elif damage in _MISTYPED:
+        _rewrite_header(path, _MISTYPED[damage][1])
+        blob = path.read_bytes()
     path.unlink()
     if damage == "directory":
         path.mkdir()
@@ -715,7 +740,7 @@ def _forward_on(fmt, loaded):
         params, config, _ = loaded
     else:
         params = ModelParams.zeros(ModelHyper(k=loaded.dim, d=5, heights=(2,), n_filters=3))
-        config = assemble(InputMode.RAND, rand=loaded)
+        config = assemble(InputMode.RAND, rand=loaded.table)
     return forward([1, 2, 3][: params.hyper.d], params, config).logits
 
 
@@ -851,6 +876,23 @@ def test_channel_file_off_its_stack_exits_3(pipeline_dirs, capsys, edit, named, 
     assert not dirs["run"].exists()
 
 
+def test_channels_of_another_vocabulary_exit_3(pipeline_dirs, capsys):
+    """Channels whose channels.json records another vocabulary digest than
+    the corpus's meta.json: exit 3, naming both files."""
+    dirs = pipeline_dirs
+    assert _prepare(dirs) == 0
+    assert _embed(dirs) == 0
+    path = dirs["channels"] / "channels.json"
+    meta = json.loads(path.read_text(encoding="utf-8"))
+    meta["vocab_sha256"] = "0" * 64
+    path.write_text(json.dumps(meta), encoding="utf-8")
+    capsys.readouterr()
+    assert _train(dirs, extra=["--epochs", "1"]) == 3
+    err = capsys.readouterr().err
+    assert f"{path}: " in err and f"{dirs['corpus'] / 'meta.json'}" in err, err
+    assert not dirs["run"].exists()
+
+
 def test_channel_files_list_is_not_read(pipeline_dirs):
     """channels.json no longer lists files; an older one whose list repeats
     the trainable channel still loads the mode's stack, so the static
@@ -905,6 +947,18 @@ def _swap_two_vocab_tokens(dirs):
     path.write_text("\n".join("\t".join(c) for c in lines) + "\n", encoding="utf-8")
 
 
+def _edit_checkpoint(change):
+    def edit(dirs):
+        (dirs["tmp"] / "in.txt").write_text("a delight\n", encoding="utf-8")
+        _rewrite_header(dirs["run"] / "checkpoint.ckpt", change)
+    return edit
+
+
+def _mistyped_trainable_in_4ch(dirs):
+    assert _embed(dirs, mode="4ch") == 0
+    _rewrite_header(dirs["channels"] / "channel_1.emb", lambda h: h.update(trainable="no"))
+
+
 def _old_three_field_line(line):
     label, tokens = line.split("\t")
     return f"{label}\t{','.join('1' for _ in tokens.split())}\t{tokens}"
@@ -954,10 +1008,26 @@ _TOPWORDS = ["topwords", "--checkpoint", "{run}/checkpoint.ckpt", "--corpus", "{
     (_edit_meta(lambda meta: meta.update(d=-1)), _TOPWORDS, 3,
      "meta.json: d must be >= 1"),
     (_edit_meta(lambda meta: meta.update(d=0)), _EMBED, 3, "meta.json: d must be >= 1"),
+    (_edit_meta(lambda meta: meta.update(d=True)), _EVALUATE, 3,
+     "meta.json: d and seed must be integers"),
+    (_edit_meta(lambda meta: meta.update(seed=False)), _EMBED, 3,
+     "meta.json: d and seed must be integers"),
+    (_edit_checkpoint(lambda h: h["hyper"].update(k=12.0)), _ATTEND, 3,
+     "checkpoint.ckpt: malformed header"),
+    (_edit_checkpoint(lambda h: h["hyper"].update(k=12.0)), _EVALUATE, 3,
+     "checkpoint.ckpt: malformed header"),
+    (_edit_checkpoint(lambda h: h["hyper"].update(k=12.0)), _TOPWORDS, 3,
+     "checkpoint.ckpt: malformed header"),
+    (_edit_checkpoint(lambda h: h["hyper"].update(d=True)), _EVALUATE, 3,
+     "checkpoint.ckpt: malformed header"),
+    (_mistyped_trainable_in_4ch, _TRAIN_FRESH, 3,
+     "channel_1.emb: trainable must be true or false, got 'no'"),
 ], ids=["vocab-id", "vocab-count", "meta-not-json", "meta-no-seed", "no-vocab",
         "no-train", "config-value", "config-not-utf8", "attend-input-not-utf8",
         "csv-not-utf8", "test-excluded-label", "vocab-not-meta-digest", "no-embed-corpus",
-        "train-unknown-token", "train-old-three-fields", "meta-d-negative", "meta-d-zero"])
+        "train-unknown-token", "train-old-three-fields", "meta-d-negative", "meta-d-zero",
+        "meta-d-bool", "meta-seed-bool", "ckpt-k-float-attend", "ckpt-k-float-evaluate",
+        "ckpt-k-float-topwords", "ckpt-d-bool", "emb-trainable-string"])
 def test_malformed_input_exits_without_traceback(
     pipeline_dirs, tmp_path, edit, argv, code, names
 ):

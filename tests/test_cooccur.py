@@ -51,7 +51,7 @@ def test_train_cooc_factor_channel():
     sentences = [rng.integers(1, 12, size=5).tolist() for _ in range(40)]
     a = train_cooc_factor(sentences, vocab_size=12, k=6, epochs=3, seed=5)
     b = train_cooc_factor(sentences, vocab_size=12, k=6, epochs=3, seed=5)
-    assert np.array_equal(a.table, b.table)
-    assert a.table.shape == (12, 6)
-    assert np.all(a.table[0] == 0.0)
-    assert np.all(np.isfinite(a.table))
+    assert np.array_equal(a, b)
+    assert a.shape == (12, 6)
+    assert np.all(a[0] == 0.0)
+    assert np.all(np.isfinite(a))

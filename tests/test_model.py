@@ -19,7 +19,7 @@ from oracles import (
     relative_errors,
 )
 from wordcam import model
-from wordcam.embed import EmbeddingChannel, InputMode, Source, assemble, init_random
+from wordcam.embed import InputMode, assemble, init_random
 from wordcam.embed.channels import STACKS, ChannelConfig, read_container, write_container
 from wordcam.errors import ConfigError, DataError
 from wordcam.model import (
@@ -54,7 +54,7 @@ def one_hot_model(d, h, n_filters):
     """Zero parameters over a table where word id j+1 embeds as e_j (k=d)."""
     table = np.zeros((d + 1, d))
     table[1:] = np.eye(d)
-    config = assemble(InputMode.RAND, rand=EmbeddingChannel(table, True, Source.RAND))
+    config = assemble(InputMode.RAND, rand=table)
     hyper = ModelHyper(k=d, d=d, heights=(h,), n_filters=n_filters)
     return ModelParams.zeros(hyper, dtype=np.float64), config
 
@@ -131,8 +131,7 @@ def test_conv_matches_scalar_oracle(tiny_setup):
 
 def test_conv_multichannel_sums_before_relu():
     hyper = ModelHyper(k=4, d=4, heights=(3,), n_filters=5, n_channels=2)
-    sg = EmbeddingChannel(init_random(12, 4, seed=1, dtype=np.float64).table,
-                          True, Source.SKIPGRAM)
+    sg = init_random(12, 4, seed=1, dtype=np.float64)
     config = assemble(InputMode.TWO_CH, skipgram=sg)
     config.channels[1].table[1:] = np.random.default_rng(1).normal(size=(11, 4))
     params = ModelParams.init(hyper, seed=1, w_scale=1.0, dtype=np.float64)
@@ -407,7 +406,6 @@ def test_backward_batch_is_mean_of_singles(tiny_setup):
 def test_backward_frozen_channel_gets_no_gradient():
     hyper = ModelHyper(k=5, d=6, heights=(2,), n_filters=3, n_channels=2)
     sg = init_random(12, 5, seed=3, dtype=np.float64)
-    sg = EmbeddingChannel(sg.table, True, Source.SKIPGRAM)
     config = assemble(InputMode.TWO_CH, skipgram=sg)
     params = ModelParams.init(hyper, seed=1, dtype=np.float64)
     rng = np.random.default_rng(2)
@@ -440,7 +438,6 @@ def test_backward_keys_are_the_trainable_arrays(mode):
 def test_backward_matches_finite_differences_two_channels():
     hyper = ModelHyper(k=4, d=5, heights=(2, 3), n_filters=2, n_channels=2)
     sg = init_random(8, 4, seed=5, dtype=np.float64)
-    sg = EmbeddingChannel(sg.table, True, Source.SKIPGRAM)
     config = assemble(InputMode.TWO_CH, skipgram=sg)
     params = ModelParams.init(hyper, seed=4, dtype=np.float64)
     ids = [1, 2, 0, 3]  # includes an OOV position

@@ -64,9 +64,9 @@ def test_zero_epochs_returns_initialization():
     sentences = [[1, 2, 3, 2]]
     a = fit_skipgram(sentences, vocab_size=4, k=8, epochs=0, seed=3)
     b = fit_skipgram(sentences, vocab_size=4, k=8, epochs=0, seed=3)
-    assert np.array_equal(a.w_in, b.w_in)
+    assert np.array_equal(a.word_vecs, b.word_vecs)
     assert np.all(a.w_out == 0.0)
-    assert np.all(a.w_in[0] == 0.0)
+    assert np.all(a.word_vecs[0] == 0.0)
 
 
 def test_deterministic_training():
@@ -74,8 +74,8 @@ def test_deterministic_training():
     sentences = [rng.integers(1, 20, size=6).tolist() for _ in range(50)]
     a = train_skipgram(sentences, vocab_size=20, k=12, epochs=2, seed=9)
     b = train_skipgram(sentences, vocab_size=20, k=12, epochs=2, seed=9)
-    assert np.array_equal(a.table, b.table)
-    assert np.all(a.table[0] == 0.0)
+    assert np.array_equal(a, b)
+    assert np.all(a[0] == 0.0)
 
 
 def _paired_corpus(rng, n=500):
@@ -97,7 +97,7 @@ def test_cooccurring_tokens_align(seed):
         _paired_corpus(rng), vocab_size=16, k=16, window=2,
         negatives=4, epochs=8, lr=0.03, seed=seed, chunk=32,
     )
-    a, b, c = fit.w_in[1], fit.w_in[2], fit.w_in[3]
+    a, b, c = fit.word_vecs[1], fit.word_vecs[2], fit.word_vecs[3]
     assert cosine(a, b) > cosine(a, c)
 
 

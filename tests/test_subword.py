@@ -30,7 +30,7 @@ def test_ngram_bucket_deterministic():
 
 
 def _toy_fit(**kwargs):
-    """The toy vocabulary, its fit, and the fit's float64 channel table."""
+    """The toy vocabulary, its fit, and the fit's float64 table."""
     tokens = ["<pad>", "care", "core", "dare", "mist", "mast"]
     rng = np.random.default_rng(0)
     sentences = [rng.integers(1, 6, size=5).tolist() for _ in range(40)]
@@ -40,7 +40,7 @@ def _toy_fit(**kwargs):
     )
     defaults.update(kwargs)
     fit = fit_subword(sentences, tokens, **defaults)
-    table = fit.channel(dtype=np.float64).table
+    table = fit.table(dtype=np.float64)
     return tokens, fit, table
 
 
@@ -91,11 +91,11 @@ def test_train_subword_channel_deterministic():
     sentences = [rng.integers(1, 5, size=6).tolist() for _ in range(30)]
     kwargs = dict(k=6, window=2, ngram_min=3, ngram_max=5, bucket=256,
                   negatives=2, epochs=2, seed=7)
-    a = fit_subword(sentences, tokens, **kwargs).channel()
-    b = fit_subword(sentences, tokens, **kwargs).channel()
-    assert np.array_equal(a.table, b.table)
-    assert np.all(a.table[0] == 0.0)
-    assert a.table.shape == (5, 6)
+    a = fit_subword(sentences, tokens, **kwargs).table()
+    b = fit_subword(sentences, tokens, **kwargs).table()
+    assert np.array_equal(a, b)
+    assert np.all(a[0] == 0.0)
+    assert a.shape == (5, 6)
 
 
 _TOY_TOKENS = ["<pad>", "care", "core", "dare", "mist", "mast"]
@@ -117,7 +117,7 @@ def _last_bucket_used(tokens, lo):
 ])
 def test_fit_matches_the_dense_table(bucket, epochs):
     """Storing only the used buckets' rows changes no bit: the trained
-    tables, the channel and the losses (so the noise draws) all equal the
+    tables, the summed table and the losses (so the noise draws) all equal the
     dense trainer's."""
     tokens = _TOY_TOKENS
     rng = np.random.default_rng(0)
@@ -131,8 +131,7 @@ def test_fit_matches_the_dense_table(bucket, epochs):
     assert np.array_equal(fit.buckets, np.unique(want.grams))
     assert np.array_equal(fit.gram_vecs, want.gram_vecs[fit.buckets])
     assert np.array_equal(fit.buckets[fit.grams], want.grams)
-    channel = fit.channel(dtype=np.float64)
-    assert np.array_equal(channel.table, want.table)
+    assert np.array_equal(fit.table(dtype=np.float64), want.table)
 
 
 def test_fit_memory_does_not_grow_with_the_bucket_count():

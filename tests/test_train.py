@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wordcam.corpus import LabeledExample, Polarity
-from wordcam.embed import EmbeddingChannel, InputMode, Source, assemble, init_random
+from wordcam.embed import InputMode, assemble, init_random
 from wordcam.errors import ConfigError, DataError, DivergenceError
 from wordcam.model import (
     ModelHyper,
@@ -144,7 +144,6 @@ def test_empty_split_raises_and_zero_epochs_keep_the_initial_state():
 def test_frozen_channel_untouched_by_training():
     examples = _separable_set(vocab_size=12)
     sg = init_random(12, 8, seed=9)
-    sg = EmbeddingChannel(sg.table, True, Source.SKIPGRAM)
     config = assemble(InputMode.TWO_CH, skipgram=sg)
     hyper = ModelHyper(k=8, d=6, heights=(2, 3), n_filters=4, n_channels=2)
     cfg = TrainConfig(batch_size=8, epochs=3, seed=2, lam=0.01)

@@ -54,7 +54,8 @@ def test_skipgram_matches_its_whole_array_reference(seed, chunk, rows):
     with scatter_blocks(rows):
         fit = fit_skipgram(sentences, len(TOKENS), **kwargs)
     want = skipgram_whole(sentences, len(TOKENS), **kwargs)
-    assert np.array_equal(fit.w_in, want.w_in)
+    assert np.array_equal(fit.word_vecs, want.w_in)
+    assert np.array_equal(fit.table(dtype=np.float64), want.w_in)
     assert np.array_equal(fit.w_out, want.w_out)
     assert fit.epoch_losses == want.epoch_losses
 
@@ -92,5 +93,5 @@ def test_subword_matches_its_dense_reference(seed, chunk, rows):
     assert np.array_equal(fit.word_vecs, want.word_vecs)
     assert np.array_equal(fit.w_out, want.w_out)
     assert np.array_equal(fit.gram_vecs, want.gram_vecs[fit.buckets])
-    assert np.array_equal(fit.channel(dtype=np.float64).table, want.table)
+    assert np.array_equal(fit.table(dtype=np.float64), want.table)
     assert fit.epoch_losses == want.epoch_losses
