@@ -19,10 +19,10 @@ Conventions used throughout:
   ``gather`` reads them back; they are the only code that knows the window
   rule, and the backward pass (per token) and attention reuse ``gather``.
 * the filter heights are independent until the FC layer, so ``forward``
-  and ``backward`` run each height's work as its own task on one private
-  thread pool (numpy releases the interpreter lock inside its kernels).
-  Results are combined in ascending height order, so every bit matches
-  the same tasks run one after another.
+  and ``backward`` each run one task per height on threads started and
+  joined inside the call (numpy releases the interpreter lock inside its
+  kernels). Results are combined in ascending height order, so every bit
+  matches the same tasks run one after another.
 * the pooled feature vector z concatenates heights in ascending order,
   filter index ascending within a height; the fully connected layer and the
   attention scores both index it that way.
@@ -35,7 +35,6 @@ from __future__ import annotations
 import hashlib
 import numbers
 import os
-import threading
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -58,11 +57,10 @@ _CONV_B_INIT = 0.1  # every convolution bias at initialization
 # ``infer`` runs every many-sentence inference, which keeps the per-height
 # temporaries of concurrent heights small.
 BATCH_SIZE = 64
-# The smallest batch whose heights run on the pool; a smaller one stays in
-# the calling thread, where the hand-off would cost more than it saves.
-_POOL_MIN_BATCH = 4
-_pool = None  # (pid, workers, ThreadPoolExecutor) once a batch needs it
-_pool_lock = threading.Lock()
+# The smallest batch whose heights run on threads of their own; a smaller
+# one stays in the calling thread, where starting them would cost more than
+# they save.
+_POOL_MIN_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -274,7 +272,7 @@ def _filter_bank(w: np.ndarray, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The per-height worker pool
+# Per-height threads
 # ---------------------------------------------------------------------------
 
 
@@ -284,27 +282,22 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _height_map(n_heights: int, batch: int):
-    """The ``map`` that runs a batch's per-height tasks, yielding results in
-    task order: the pool's, sized to the CPUs this process may use capped at
-    ``n_heights``, or the builtin one when that size is 1 or the batch is
-    below ``_POOL_MIN_BATCH``. The pool is created on first use, and again
-    after a fork or when a model with more heights needs more workers."""
-    global _pool
-    workers = min(_usable_cpus(), n_heights) if batch >= _POOL_MIN_BATCH else 1
+def _per_height(fn, heights: Sequence[int], batch: int) -> dict:
+    """``{h: fn(h)}`` over ascending ``heights``, run largest height (the
+    most work) first on as many threads as CPUs this process may use,
+    capped at the number of heights. The threads start here and are joined
+    before the return. When that count is 1, or the batch is below
+    ``_POOL_MIN_BATCH``, the calling thread runs every task."""
+    desc = heights[::-1]
+    workers = min(_usable_cpus(), len(desc)) if batch >= _POOL_MIN_BATCH else 1
     if workers < 2:
-        return map
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid() or _pool[1] < workers:
-            # imported here: the module (with logging) costs a process that
-            # never runs a batch, such as `wordcam embed`, half a megabyte
-            from concurrent.futures import ThreadPoolExecutor
+        return {h: fn(h) for h in desc}
+    # imported here: the module (with logging) costs a process that never
+    # runs a batch, such as `wordcam embed`, half a megabyte
+    from concurrent.futures import ThreadPoolExecutor
 
-            # a replaced pool is not shut down: a caller may still be using
-            # it, and its idle threads exit once it is collected
-            pool = ThreadPoolExecutor(workers, thread_name_prefix="wordcam-height")
-            _pool = (os.getpid(), workers, pool)
-        return _pool[2].map
+    with ThreadPoolExecutor(workers, thread_name_prefix="wordcam-height") as pool:
+        return dict(zip(desc, pool.map(fn, desc)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +372,7 @@ def forward(
         f = np.maximum(pre, 0.0, out=pre)
         return f, f.mean(axis=1, dtype=np.float64).astype(dtype)
 
-    # largest height (the most work) first; combined in ascending order
-    run = _height_map(len(hyper.heights), ids_mat.shape[0])
-    done = dict(zip(hyper.heights[::-1], run(conv, hyper.heights[::-1])))
+    done = _per_height(conv, hyper.heights, ids_mat.shape[0])
     fmaps = {h: done[h][0] for h in hyper.heights}
     pooled = np.concatenate([done[h][1] for h in hyper.heights], axis=1)  # (B, n)
 
@@ -487,43 +478,31 @@ def backward(
     trainable = [c for c, ch in enumerate(channels.channels) if ch.trainable]
     cols = slice(trainable[0] * k, (trainable[-1] + 1) * k) if trainable else None
 
-    def window_grads(h):
+    def height_grads(h):
         dzh = dz[:, hyper.feature_slice(h)]  # (B, nf)
         length = dtype.type(hyper.fmap_len(h))
         dpre = (dzh[:, None, :] / length) * (trace.fmaps[h] > 0.0)
+        g_b = dpre.sum(axis=(0, 1)).astype(dtype)
         dy = gather(dpre, h).reshape(n_rows, h * hyper.n_filters)
-        return dpre.sum(axis=(0, 1)).astype(dtype), dy
-
-    def weight_grad(h):
-        g_bank = (x.T @ dys[h]).reshape(hyper.n_channels, k, h, hyper.n_filters)
-        return (
+        del dpre
+        g_bank = (x.T @ dy).reshape(hyper.n_channels, k, h, hyper.n_filters)
+        g_w = (
             g_bank.transpose(0, 3, 2, 1).reshape(params.conv_w[h].shape)
             + dtype.type(lam) * params.conv_w[h]
         )
+        dx = dy @ _filter_bank(params.conv_w[h], k)[cols].T if trainable else None
+        return g_w, g_b, dx
 
-    def input_grad(h):
-        return dys[h] @ _filter_bank(params.conv_w[h], k)[cols].T
-
-    run = _height_map(len(hyper.heights), batch)
-    desc = hyper.heights[::-1]  # largest height (the most work) first
-    firsts = dict(zip(desc, run(window_grads, desc)))
-    dys = {h: firsts[h][1] for h in hyper.heights}
-    # weight GEMMs before input GEMMs: the larger products go first
-    tasks = [(weight_grad, h) for h in desc]
-    if trainable:
-        tasks += [(input_grad, h) for h in desc]
-    products = dict(zip(tasks, run(lambda task: task[0](task[1]), tasks)))
-
+    done = _per_height(height_grads, hyper.heights, batch)
     grads = {}
     for h in hyper.heights:
-        grads[f"conv_w[{h}]"] = products[weight_grad, h]
-        grads[f"conv_b[{h}]"] = firsts[h][0]
+        grads[f"conv_w[{h}]"], grads[f"conv_b[{h}]"], _ = done[h]
     grads["fc_w"] = g_fc_w
     grads["fc_b"] = g_fc_b
     if trainable:
         dx = np.zeros((n_rows, cols.stop - cols.start), dtype=dtype)
         for h in hyper.heights:  # ascending, as the serial sum
-            dx += products[input_grad, h]
+            dx += done[h][2]
         flat_ids = trace.ids.reshape(-1)
         d_words = dx.reshape(n_rows, -1, k)
         for c in trainable:

@@ -475,7 +475,7 @@ def test_forward_backward_bitwise_deterministic(tiny_setup):
 
 
 # ---------------------------------------------------------------------------
-# the per-height worker pool
+# per-height threads
 # ---------------------------------------------------------------------------
 
 
@@ -518,13 +518,13 @@ def assert_same_step(got, want):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_pool_matches_serial_loop_at_paper_sizes(dtype, monkeypatch):
-    # k=100, d=100, heights 3/4/5, 128 filters, B=64; three workers, so the
-    # pool runs here whatever the CPU count
+    # k=100, d=100, heights 3/4/5, 128 filters, B=64; three CPUs, so the
+    # heights run on threads here whatever the CPU count, and one CPU for
+    # the serial loop
     params, config, sentences, labels = stack_model(dtype, 100, 100, 128, 64)
     monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
-    assert model._height_map(3, 64) is not map
     pooled = train_step(params, config, sentences, labels)
-    monkeypatch.setattr(model, "_height_map", lambda n_heights, batch: map)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
     assert_same_step(pooled, train_step(params, config, sentences, labels))
     # and the pooled feature maps are the per-token lowering's
     infer = pooled[2]
@@ -540,18 +540,32 @@ def test_pool_matches_serial_loop_at_paper_sizes(dtype, monkeypatch):
 
 
 def test_pool_is_for_batches_and_several_heights(monkeypatch):
+    def runners(heights, batch):
+        """The threads that ran the tasks, once the results are checked."""
+        ran = {}
+
+        def fn(h):
+            ran[h] = threading.get_ident()
+            return -h
+
+        done = model._per_height(fn, heights, batch)
+        assert done == {h: -h for h in heights}
+        return set(ran.values())
+
+    me = {threading.get_ident()}
     monkeypatch.setattr(model, "_usable_cpus", lambda: 4)
-    assert model._height_map(3, 1) is map  # one sentence: the calling thread
-    assert model._height_map(3, model._POOL_MIN_BATCH - 1) is map
-    assert model._height_map(1, 64) is map  # one height: nothing to share
-    assert model._height_map(3, model._POOL_MIN_BATCH) is not map
+    assert runners((3, 4, 5), 1) == me  # one sentence: the calling thread
+    assert runners((3, 4, 5), model._POOL_MIN_BATCH - 1) == me
+    assert runners((4,), 64) == me  # one height: nothing to share
+    assert not runners((3, 4, 5), model._POOL_MIN_BATCH) & me
+    assert not runners((3, 4, 5), 64) & me
     monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
-    assert model._height_map(3, 64) is map  # one CPU: a plain loop
+    assert runners((3, 4, 5), 64) == me  # one CPU: a plain loop
 
 
 def test_concurrent_callers_get_the_serial_bytes():
-    # four callers on the shared pool, more than the cores, with a short
-    # switch interval so their tasks interleave
+    # four callers, each starting its own height threads, more than the
+    # cores, with a short switch interval so their tasks interleave
     params, config, sentences, labels = stack_model(np.float32, 20, 30, 16, 16)
     batches = [(sentences[i:] + sentences[:i], np.roll(labels, i)) for i in range(4)]
     want = [train_step(params, config, *batch) for batch in batches]
@@ -579,10 +593,43 @@ def test_concurrent_callers_get_the_serial_bytes():
 def test_importing_the_model_starts_no_thread():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    code = "import threading, wordcam.model as m; print(threading.active_count(), m._pool)"
+    code = "import threading, wordcam.model; print(threading.active_count())"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.split() == ["1", "None"]
+    assert out.stdout.split() == ["1"]
+
+
+def assert_only_callers_threads(before: int):
+    assert threading.active_count() == before
+    assert not [t for t in threading.enumerate() if t.name.startswith("wordcam-height")]
+
+
+def test_no_height_thread_outlives_a_call(monkeypatch):
+    # three CPUs, so a B=64 batch runs its heights on threads
+    params, config, sentences, labels = stack_model(np.float32, 20, 30, 16, 64)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
+    before = threading.active_count()
+    train = forward(sentences, params, config, mode="train", rng=np.random.default_rng(1))
+    assert_only_callers_threads(before)
+    backward(train, params, config, labels, lam=0.1)
+    assert_only_callers_threads(before)
+
+
+def test_a_failing_height_reaches_the_caller_and_leaves_no_thread(monkeypatch):
+    params, config, sentences, _ = stack_model(np.float32, 20, 30, 16, 64)
+    monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
+    spread = model.spread
+
+    def spread_but_height_4(y, index):
+        if y.shape[1] == 4:
+            raise RuntimeError("height 4 failed")
+        return spread(y, index)
+
+    monkeypatch.setattr(model, "spread", spread_but_height_4)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="height 4 failed"):
+        forward(sentences, params, config, mode="infer")
+    assert_only_callers_threads(before)
 
 
 def blas_columns_ignore_column_count(params, n_rows, cols, dtype) -> bool:
