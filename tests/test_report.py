@@ -10,6 +10,7 @@ from wordcam.attention import AttentionResult
 from wordcam.errors import ConfigError, DataError
 from wordcam.report import (
     MODE_LABELS,
+    TopWordsTable,
     accuracy_table,
     aggregate_top_words,
     from_attention,
@@ -104,6 +105,55 @@ def test_render_ansi_reset_codes():
     out = render_highlight(_doc(top=(0,), bottom=(2,)), "ansi").decode("utf-8")
     assert out.count("\x1b[0m") == 2
     assert out.strip().endswith("[positive]")
+
+
+# the exact bytes of every format, under each predicted class: the marked
+# words' colors and ANSI codes swap with the class, and the table's csv
+# quotes a token that holds a comma or a quote
+_NEG_HTML = (
+    b'<!DOCTYPE html>\n<html><head><meta charset="utf-8"><title>word attention</title>'
+    b'</head>\n<body style="font-family:sans-serif;max-width:60em"><p>'
+    b'<span style="background:#1f5fbf;color:#fff">a</span> &lt;b&gt; '
+    b'<span style="background:#bf2b1f;color:#fff">good</span> film</p>'
+    b'<p>prediction: <strong style="color:#bf2b1f">negative</strong></p></body></html>\n'
+)
+_POS_HTML = (
+    b'<!DOCTYPE html>\n<html><head><meta charset="utf-8"><title>word attention</title>'
+    b'</head>\n<body style="font-family:sans-serif;max-width:60em"><p>'
+    b'<span style="background:#bf2b1f;color:#fff">a</span> &lt;b&gt; '
+    b'<span style="background:#1f5fbf;color:#fff">good</span> film</p>'
+    b'<p>prediction: <strong style="color:#1f5fbf">positive</strong></p></body></html>\n'
+)
+_WORDS_JSON = (
+    b'"words": [{"bottom": true, "norm": 0.0, "pos": 0, "raw": 0.0, "selected": false, '
+    b'"token": "a"}, {"bottom": false, "norm": 0.16666666666666666, "pos": 1, "raw": 1.0, '
+    b'"selected": false, "token": "<b>"}, {"bottom": false, "norm": 0.3333333333333333, '
+    b'"pos": 2, "raw": 2.0, "selected": true, "token": "good"}, {"bottom": false, '
+    b'"norm": 0.5, "pos": 3, "raw": 3.0, "selected": false, "token": "film"}]}\n'
+)
+
+
+@pytest.mark.parametrize("class_index, fmt, want", [
+    (0, "html", _NEG_HTML),
+    (0, "ansi", b"\x1b[44;97ma\x1b[0m <b> \x1b[41;97mgood\x1b[0m film  [negative]\n"),
+    (0, "json", b'{"class": 0, "class_name": "negative", ' + _WORDS_JSON),
+    (1, "html", _POS_HTML),
+    (1, "ansi", b"\x1b[41;97ma\x1b[0m <b> \x1b[44;97mgood\x1b[0m film  [positive]\n"),
+    (1, "json", b'{"class": 1, "class_name": "positive", ' + _WORDS_JSON),
+], ids=["negative-html", "negative-ansi", "negative-json",
+        "positive-html", "positive-ansi", "positive-json"])
+def test_render_bytes_are_pinned(class_index, fmt, want):
+    doc = _doc(tokens=("a", "<b>", "good", "film"), class_index=class_index, top=(2,),
+               bottom=(0,))
+    assert render_highlight(doc, fmt) == want
+
+
+def test_topwords_csv_bytes_are_pinned():
+    table = TopWordsTable({1: [("a,b", 3), ('say "hi"', 2)], 0: [("bad", 1)]})
+    assert table.to_csv() == (
+        'class,rank,token,frequency\r\nnegative,1,bad,1\r\n'
+        'positive,1,"a,b",3\r\npositive,2,"say ""hi""",2\r\n'
+    )
 
 
 def test_render_unknown_format():
