@@ -1,10 +1,10 @@
 """Per-word class scores derived from the trained CNN: a class activation
 map (Zhou et al. 2016), computed by ``class_scores`` for a batch of trace
-rows and every class at once. For each filter height, the cached feature map
-times a class's FC weight slice is a score vector over feature-map positions;
-averaging the h entries whose convolution windows contain a word
-redistributes those scores onto the d word positions, and summing across
-filter heights gives the raw per-word score.
+rows, each for the one class it explains. For each filter height, the cached
+feature map times that class's FC weight slice is a score vector over
+feature-map positions; averaging the h entries whose convolution windows
+contain a word redistributes those scores onto the d word positions, and
+summing across filter heights gives the raw per-word score.
 
 Because the pooled feature vector is the positional mean of each feature
 map, the position-mean of the score vectors summed over heights equals the
@@ -30,50 +30,51 @@ FRACTION = 0.10  # share of a sentence's words selected as its top words
 
 
 def class_scores(
-    trace: ForwardTrace, params: ModelParams, rows=slice(None), classes=slice(None)
+    trace: ForwardTrace, params: ModelParams, classes, rows=slice(None)
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Raw word scores (b, d, c) of the trace rows ``rows`` for the classes
-    ``classes`` (every class by default), and the (b, c) score/logit
-    consistency gap |sum over heights of mean(score vector) - (logit - fc
-    bias)|. A class's entries have the same bits whichever other classes
-    are scored with it.
+    """Raw word scores (b, d) of the trace rows ``rows``, row i scored for
+    class ``classes[i]``, and the (b,) score/logit consistency gap |sum over
+    heights of mean(score vector) - (logit - fc bias)|. A row's entries have
+    the same bits whichever other rows are scored with it.
 
     Requires an infer-mode trace; a dropout mask would break the relation
     between feature maps and the logits being explained.
     """
     if trace.mode != "infer":
         raise ConfigError("attention needs an infer-mode trace (no dropout)")
+    logits = trace.logits[rows].astype(np.float64)
+    classes = np.asarray(classes)
+    if classes.shape != (len(logits),):
+        raise ConfigError(f"got {classes.size} classes for {len(logits)} trace rows")
+    if np.any((classes < 0) | (classes >= params.hyper.n_classes)):
+        raise ConfigError(f"class index out of range in {classes.tolist()}")
     hyper = params.hyper
     raw = 0.0
     means = []
     for h in hyper.heights:
         fmap = trace.fmaps[h][rows].astype(np.float64)
-        fc_w = params.fc_w[classes, hyper.feature_slice(h)].astype(np.float64)
-        # the (b, c, d+h-1) score vectors, one matvec per class: bit-identical
-        # to scoring each row or class alone, which a single (..., n) @ (n, c)
-        # GEMM is not
-        v = np.stack([fmap @ w for w in fc_w], axis=1)
-        # classes ride in gather's batch axis, so the window mean reduces a
-        # contiguous axis; with classes last it is strided and slower
-        s = gather(v.reshape(-1, v.shape[2], 1), h).mean(axis=2)
-        raw = raw + s.reshape(v.shape[0], v.shape[1], -1).transpose(0, 2, 1)
-        means.append(v.mean(axis=2))
-    logits = trace.logits[rows][:, classes].astype(np.float64)
-    gap = np.abs(sum(means, 0.0) - (logits - params.fc_b[classes].astype(np.float64)))
+        w = params.fc_w[classes, hyper.feature_slice(h)].astype(np.float64)
+        # the (b, d+h-1, 1) score vectors, one matvec per row: bit-identical
+        # to scoring each row alone, which an einsum over the rows is not
+        v = fmap @ w[:, :, None]
+        raw = raw + gather(v, h).mean(axis=2)[:, :, 0]
+        means.append(v[:, :, 0].mean(axis=1))
+    bias = params.fc_b[classes].astype(np.float64)
+    gap = np.abs(sum(means, 0.0) - (logits[np.arange(len(logits)), classes] - bias))
     return raw, gap
 
 
 def consistency_gap(
     trace: ForwardTrace, params: ModelParams, class_index: int, item: int = 0
 ) -> float:
-    """Entry [0, 0] of the gap that ``class_scores`` returns for trace row
-    ``item`` and class ``class_index``.
+    """The gap that ``class_scores`` returns for trace row ``item`` scored
+    for class ``class_index``.
 
     Algebraically zero for any parameters: average pooling makes each score
     vector's positional mean equal that height's contribution to the logit.
     """
-    _, gap = class_scores(trace, params, slice(item, item + 1), [class_index])
-    return float(gap[0, 0])
+    _, gap = class_scores(trace, params, [class_index], slice(item, item + 1))
+    return float(gap[0])
 
 
 def normalize_scores(raw: np.ndarray, n_words: int) -> np.ndarray:
@@ -167,10 +168,8 @@ def attend(
         raise DataError(f"got {len(tokens)} tokens for a {n_words}-word trace entry")
     if class_index is None:
         class_index = int(np.argmax(trace.logits[item]))
-    if not 0 <= class_index < params.hyper.n_classes:
-        raise ConfigError(f"class index {class_index} out of range")
-    raw, _ = class_scores(trace, params, slice(item, item + 1), [class_index])
-    return _readout(raw[0, :, 0], tokens, class_index)
+    raw, _ = class_scores(trace, params, [class_index], slice(item, item + 1))
+    return _readout(raw[0], tokens, class_index)
 
 
 def attend_sentences(
@@ -183,17 +182,12 @@ def attend_sentences(
     as ``model.infer`` runs the sentences through the model, one chunk at a
     time. When class_index is None each sentence's predicted class is
     scored; each row is scored for its own class only."""
-    if class_index is not None and not 0 <= class_index < params.hyper.n_classes:
-        raise ConfigError(f"class index {class_index} out of range")
     for start, trace in infer(params, channels, [ids for _, ids in sentences]):
         chunk = sentences[start : start + trace.batch_size]
         if class_index is None:
             classes = np.argmax(trace.logits, axis=1)
         else:
             classes = np.full(len(chunk), class_index)
-        raw = np.empty((len(chunk), params.hyper.d))
-        for c in np.unique(classes):
-            rows = np.flatnonzero(classes == c)
-            raw[rows] = class_scores(trace, params, rows, [c])[0][:, :, 0]
+        raw, _ = class_scores(trace, params, classes)
         for (tokens, _), r, c in zip(chunk, raw, classes):
             yield _readout(r, tuple(tokens), int(c))

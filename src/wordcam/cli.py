@@ -25,6 +25,7 @@ from wordcam.embed import (
     ChannelConfig,
     InputMode,
     assemble,
+    check_sources,
     load_channel,
     save_channel,
     train_sources,
@@ -38,7 +39,7 @@ from wordcam.model import (
     params_digest,
     save_checkpoint,
 )
-from wordcam.report import FORMATS, aggregate_top_words, from_attention, render_highlight
+from wordcam.report import FORMATS, aggregate_top_words, check_top_k, from_attention, render_highlight
 from wordcam.train import TrainConfig, evaluate, history_csv, train_epochs
 
 
@@ -157,12 +158,9 @@ def _add(parser: argparse.ArgumentParser, name: str, help: str = "") -> None:
 
 def _parse_heights(spec: str) -> tuple[int, ...]:
     try:
-        hs = tuple(int(x) for x in spec.split(",") if x.strip())
+        return tuple(int(x) for x in spec.split(",") if x.strip())
     except ValueError as exc:
         raise ConfigError(f"cannot parse heights {spec!r}") from exc
-    if not hs or min(hs) < 1 or len(set(hs)) != len(hs):
-        raise ConfigError(f"heights must be distinct and >= 1, got {spec!r}")
-    return hs
 
 
 def _scheme_from_config(cfg: RunConfig) -> corpus_mod.LabelScheme:
@@ -183,6 +181,7 @@ def _log_seed(cfg: RunConfig) -> None:
 def cmd_prepare(cfg: RunConfig) -> int:
     if not cfg.data:
         raise ConfigError("--data is required")
+    corpus_mod.check_prepare(cfg.d, cfg.ratio)
     _log_seed(cfg)
     scheme = _scheme_from_config(cfg)
     if cfg.data_format == "imdb":
@@ -214,6 +213,7 @@ def cmd_embed(cfg: RunConfig) -> int:
     if not cfg.corpus:
         raise ConfigError("--corpus is required (output directory of prepare)")
     mode = InputMode.parse(cfg.mode)
+    check_sources(cfg.k, cfg.embed_epochs)
     _log_seed(cfg)
     prepared = corpus_mod.load_prepared(cfg.corpus)
     sources = train_sources(
@@ -281,6 +281,9 @@ def cmd_train(cfg: RunConfig) -> int:
     if not cfg.channels:
         raise ConfigError("--channels is required (output directory of embed)")
     heights = _parse_heights(cfg.heights)
+    # the command line's part of the model, checked before any input is
+    # read; the channels and the corpus then give k, d and the channel count
+    hyper = ModelHyper(k=1, d=1, heights=heights, n_filters=cfg.n_filters)
     tconfig = _train_config(cfg)
     _log_seed(cfg)
     prepared = corpus_mod.load_prepared(cfg.corpus)
@@ -288,12 +291,8 @@ def cmd_train(cfg: RunConfig) -> int:
     if channels_meta.get("vocab_sha256") != prepared.vocab.digest():
         raise DataError(f"{Path(cfg.channels) / 'channels.json'}: channels were trained against "
                         f"another vocabulary than {Path(cfg.corpus) / 'meta.json'} records")
-    hyper = ModelHyper(
-        k=channels.dim,
-        d=prepared.d,
-        heights=heights,
-        n_filters=cfg.n_filters,
-        n_channels=len(channels.channels),
+    hyper = dataclasses.replace(
+        hyper, k=channels.dim, d=prepared.d, n_channels=len(channels.channels)
     )
     echo = {
         "mode": channels.mode.value,
@@ -439,6 +438,7 @@ def cmd_attend(cfg: RunConfig) -> int:
 
 
 def cmd_topwords(cfg: RunConfig) -> int:
+    check_top_k(cfg.top_k)
     params, channels, prepared = _load_model_and_corpus(cfg)
     _log_seed(cfg)
     if not prepared.test:

@@ -290,8 +290,6 @@ def split(examples: Sequence, ratio: float = 0.7, seed: int = 0) -> CorpusSplit:
     (clamped so neither side is empty), so the train fraction holds within
     one example per class.
     """
-    if not 0.0 < ratio < 1.0:
-        raise ConfigError(f"split ratio must be in (0, 1), got {ratio}")
     by_class: dict[Polarity, list[int]] = {}
     for i, ex in enumerate(examples):
         by_class.setdefault(ex.label, []).append(i)
@@ -415,6 +413,14 @@ def label_reviews(
     return kept, stats
 
 
+def check_prepare(d: int, ratio: float) -> None:
+    """Reject a sentence length or a train fraction ``prepare`` cannot use."""
+    if d < 1:
+        raise ConfigError(f"d must be >= 1, got {d}")
+    if not 0.0 < ratio < 1.0:
+        raise ConfigError(f"split ratio must be in (0, 1), got {ratio}")
+
+
 def prepare(
     examples: Iterable[TokenizedExample] | Iterable[RawReview],
     scheme: LabelScheme | None = None,
@@ -429,8 +435,7 @@ def prepare(
     counts then join the stats. The vocabulary sees only the training split,
     so test-time tokens absent from it encode to the padding id.
     """
-    if d < 1:
-        raise ConfigError(f"d must be >= 1, got {d}")
+    check_prepare(d, ratio)
     stats: dict = {}
     if scheme is not None:
         examples, stats = label_reviews(examples, scheme)

@@ -10,6 +10,7 @@ from wordcam.embed.channels import (
     InputMode,
     Source,
     assemble,
+    check_dim,
     init_random,
     load_channel,
     save_channel,
@@ -18,6 +19,13 @@ from wordcam.embed.cooccur import CoocFit, build_cooc, fit_cooc, train_cooc_fact
 from wordcam.embed.skipgram import SGNSFit, fit_skipgram, train_skipgram
 from wordcam.embed.subword import fit_subword, ngram_bucket, train_subword, word_ngrams
 from wordcam.errors import ConfigError
+
+
+def check_sources(k: int, epochs: int) -> None:
+    """Reject a dimension or an epoch count ``train_sources`` cannot use."""
+    check_dim(k)
+    if epochs < 0:
+        raise ConfigError(f"embedding epochs must be >= 0, got {epochs}")
 
 
 def train_sources(
@@ -30,8 +38,7 @@ def train_sources(
     Skip-gram and subword train ``epochs`` epochs and co-occurrence
     ``5 * epochs``, so ``epochs=0`` leaves every table at its initial
     values."""
-    if epochs < 0:
-        raise ConfigError(f"embedding epochs must be >= 0, got {epochs}")
+    check_sources(k, epochs)
     vocab_size = len(id_to_token)
     needed = {source for mode in modes for source, _ in STACKS[mode]}
     sources = {}
@@ -73,5 +80,6 @@ __all__ = [
     "ngram_bucket",
     "train_subword",
     "word_ngrams",
+    "check_sources",
     "train_sources",
 ]

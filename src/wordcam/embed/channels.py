@@ -162,10 +162,17 @@ def scatter_add(table: np.ndarray, rows: np.ndarray, values: np.ndarray) -> None
         np.add.at(flat_table, flat_rows.reshape(-1), values[lo : lo + block].reshape(-1))
 
 
+def check_dim(k: int) -> None:
+    """Reject an embedding dimension below 1."""
+    if k < 1:
+        raise ConfigError(f"embedding dimension must be >= 1, got {k}")
+
+
 def init_random(vocab_size: int, k: int, seed: int, dtype=np.float32) -> np.ndarray:
     """A (V, k) uniform [-0.25, 0.25] table with the padding row zeroed."""
-    if vocab_size < 1 or k < 1:
-        raise ConfigError(f"need V >= 1 and k >= 1, got V={vocab_size}, k={k}")
+    check_dim(k)
+    if vocab_size < 1:
+        raise ConfigError(f"need V >= 1, got V={vocab_size}")
     rng = np.random.default_rng(seed)
     table = rng.uniform(-0.25, 0.25, size=(vocab_size, k)).astype(dtype)
     table[0] = 0.0

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from wordcam.corpus import PAD_ID
-from wordcam.embed.channels import scatter_add
+from wordcam.embed.channels import check_dim, scatter_add
 from wordcam.embed.skipgram import WINDOW, context_pairs
 from wordcam.errors import ConfigError
 
@@ -87,8 +87,7 @@ def fit_cooc(
     epochs: int = 25,
     seed: int = 0,
 ) -> CoocFit:
-    if k < 1:
-        raise ConfigError(f"embedding dimension must be >= 1, got {k}")
+    check_dim(k)
     rng = np.random.default_rng(seed)
     w = rng.uniform(-0.5 / k, 0.5 / k, size=(vocab_size, k))
     u = rng.uniform(-0.5 / k, 0.5 / k, size=(vocab_size, k))

@@ -9,8 +9,9 @@ passes none.
 Pairs are processed in chunks (``sgns_chunks``) so the update arithmetic is
 vectorized; within a chunk, repeated rows accumulate through
 ``channels.scatter_add``, in pair order. A center's vector is summed once
-per chunk, and the n-gram and negative-sample updates are built one scatter
-block of rows at a time, so a chunk's memory does not grow with word length.
+per chunk. The n-gram updates and the negatives' rows and updates are built
+one scatter block of rows at a time, so a chunk's memory does not grow with
+word length or with the negatives.
 Deterministic given (sentence order, seed).
 
 ``WINDOW``, ``NEGATIVES`` and ``LR`` are the context window, negative
@@ -28,7 +29,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from wordcam.corpus import PAD_ID
-from wordcam.embed.channels import scatter_add, scatter_rows
+from wordcam.embed.channels import check_dim, scatter_add, scatter_rows
 from wordcam.errors import ConfigError, DataError
 
 _CHUNK = 2048
@@ -94,8 +95,7 @@ def _log_sigmoid(x: np.ndarray) -> np.ndarray:
 
 def check_sgns(k: int, negatives: int, chunk: int) -> None:
     """Reject settings a negative-sampling trainer cannot run with."""
-    if k < 1:
-        raise ConfigError(f"embedding dimension must be >= 1, got {k}")
+    check_dim(k)
     if negatives < 1:
         raise ConfigError(f"need at least one negative sample, got {negatives}")
     if chunk < 1:
@@ -129,25 +129,30 @@ def sgns_step(
     summed loss with respect to h, and that loss."""
     u_pos = w_out[contexts]  # (n, k)
     negs = noise.sample(rng, (len(h), negatives))
-    u_neg = w_out[negs]  # (n, neg, k)
-
-    pos_score = np.einsum("nk,nk->n", h, u_pos)
-    neg_score = np.einsum("nk,njk->nj", h, u_neg)
     # a negative that collides with the true context is skipped
     live = negs != contexts[:, None]
 
+    pos_score = np.einsum("nk,nk->n", h, u_pos)
     g_pos = _sigmoid(pos_score) - 1.0  # (n,)
-    g_neg = _sigmoid(neg_score) * live  # (n, neg)
-    loss = -(_log_sigmoid(pos_score).sum() + (_log_sigmoid(-neg_score) * live).sum())
-
-    grad_h = g_pos[:, None] * u_pos + np.einsum("nj,njk->nk", g_neg, u_neg)
-    scatter_add(w_out, contexts, -step_lr * g_pos[:, None] * h)
-    # the negatives' update values, built for one scatter block at a time
+    grad_h = g_pos[:, None] * u_pos
+    # the negatives' rows and gradients, and then their updates, one scatter
+    # block of pairs at a time: every update follows every gather
     k = h.shape[1]
     block = max(1, scatter_rows(k) // negatives)
+    neg_score, g_neg = np.empty((2, *negs.shape))
     for lo in range(0, len(h), block):
-        values = -step_lr * g_neg[lo : lo + block, :, None] * h[lo : lo + block, None, :]
-        scatter_add(w_out, negs[lo : lo + block].reshape(-1), values.reshape(-1, k))
+        rows = slice(lo, lo + block)
+        u_neg = w_out[negs[rows]]  # (block, neg, k)
+        neg_score[rows] = np.einsum("nk,njk->nj", h[rows], u_neg)
+        g_neg[rows] = _sigmoid(neg_score[rows]) * live[rows]
+        grad_h[rows] += np.einsum("nj,njk->nk", g_neg[rows], u_neg)
+    loss = -(_log_sigmoid(pos_score).sum() + (_log_sigmoid(-neg_score) * live).sum())
+
+    scatter_add(w_out, contexts, -step_lr * g_pos[:, None] * h)
+    for lo in range(0, len(h), block):
+        rows = slice(lo, lo + block)
+        values = -step_lr * g_neg[rows, :, None] * h[rows, None, :]
+        scatter_add(w_out, negs[rows].reshape(-1), values.reshape(-1, k))
     return grad_h, loss
 
 

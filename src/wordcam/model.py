@@ -19,9 +19,9 @@ Conventions used throughout:
   ``gather`` reads them back; they are the only code that knows the window
   rule, and the backward pass (per token) and attention reuse ``gather``.
 * the filter heights are independent until the FC layer, so ``forward``
-  and ``backward`` each run one task per height on threads started and
-  joined inside the call (numpy releases the interpreter lock inside its
-  kernels). Results are combined in ascending height order, so every bit
+  and ``backward`` each run one task per height, the largest in the calling
+  thread and the rest on threads started and joined inside the call (numpy
+  releases the interpreter lock inside its kernels). Results are combined in ascending height order, so every bit
   matches the same tasks run one after another.
 * the pooled feature vector z concatenates heights in ascending order,
   filter index ascending within a height; the fully connected layer and the
@@ -283,11 +283,11 @@ def _usable_cpus() -> int:
 
 
 def _per_height(fn, heights: Sequence[int], batch: int) -> dict:
-    """``{h: fn(h)}`` over ascending ``heights``, run largest height (the
-    most work) first on as many threads as CPUs this process may use,
-    capped at the number of heights. The threads start here and are joined
-    before the return. When that count is 1, or the batch is below
-    ``_POOL_MIN_BATCH``, the calling thread runs every task."""
+    """``{h: fn(h)}`` over ascending ``heights`` on as many threads as CPUs
+    this process may use, capped at the number of heights: the calling
+    thread runs the largest height (the most work), and threads started here
+    and joined before the return run the rest. When that count is 1, or the
+    batch is below ``_POOL_MIN_BATCH``, the calling thread runs every task."""
     desc = heights[::-1]
     workers = min(_usable_cpus(), len(desc)) if batch >= _POOL_MIN_BATCH else 1
     if workers < 2:
@@ -296,8 +296,9 @@ def _per_height(fn, heights: Sequence[int], batch: int) -> dict:
     # runs a batch, such as `wordcam embed`, half a megabyte
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(workers, thread_name_prefix="wordcam-height") as pool:
-        return dict(zip(desc, pool.map(fn, desc)))
+    with ThreadPoolExecutor(workers - 1, thread_name_prefix="wordcam-height") as pool:
+        rest = pool.map(fn, desc[1:])
+        return {desc[0]: fn(desc[0]), **dict(zip(desc[1:], rest))}
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ tables, and accuracy tables. All renderers are deterministic byte-for-byte.
 
 from __future__ import annotations
 
+import csv
 import html
 import io
 import json
@@ -19,16 +20,21 @@ from wordcam.embed.channels import InputMode
 from wordcam.errors import ConfigError, DataError
 from wordcam.train import EvalReport
 
-# Blue family marks words supporting a positive prediction, red family a
-# negative one; the exact hex values are arbitrary constants.
-POSITIVE_COLOR = "#1f5fbf"
-NEGATIVE_COLOR = "#bf2b1f"
-_ANSI_POSITIVE = "\x1b[44;97m"
-_ANSI_NEGATIVE = "\x1b[41;97m"
-_ANSI_RESET = "\x1b[0m"
-
 # each render format and the suffix of the file that `attend` writes it to
 FORMATS = {"html": "html", "json": "json", "ansi": "ansi.txt"}
+# how html and ansi write a sentence: each class's mark by class index (a
+# red family for negative, a blue one for positive; the exact values are
+# arbitrary), the template that wraps an escaped word in a mark, the escape,
+# and the template of the whole output
+_MARKUP = {
+    "html": (("#bf2b1f", "#1f5fbf"), '<span style="background:{};color:#fff">{}</span>',
+             html.escape,
+             '<!DOCTYPE html>\n<html><head><meta charset="utf-8"><title>word attention'
+             '</title></head>\n<body style="font-family:sans-serif;max-width:60em">'
+             '<p>{body}</p><p>prediction: <strong style="color:{main}">{label}</strong>'
+             "</p></body></html>\n"),
+    "ansi": (("\x1b[41;97m", "\x1b[44;97m"), "{}{}\x1b[0m", str, "{body}  [{label}]\n"),
+}
 
 MODE_LABELS = {
     "rand": "CNN-Rand",
@@ -53,12 +59,6 @@ def from_attention(
     return replace(result, bottom=bottom)
 
 
-def _span_colors(predicted: int) -> tuple[str, str]:
-    main = POSITIVE_COLOR if predicted == 1 else NEGATIVE_COLOR
-    other = NEGATIVE_COLOR if predicted == 1 else POSITIVE_COLOR
-    return main, other
-
-
 def render_highlight(result: AttentionResult, fmt: str = "html") -> bytes:
     """Render one sentence with its selected (and bottom) words marked.
 
@@ -67,10 +67,11 @@ def render_highlight(result: AttentionResult, fmt: str = "html") -> bytes:
     """
     predicted = result.class_index
     top, bottom = set(result.selected), set(result.bottom)
+    label = CLASS_NAMES[predicted]
     if fmt == "json":
         payload = {
             "class": predicted,
-            "class_name": CLASS_NAMES[predicted],
+            "class_name": label,
             "words": [
                 {
                     "token": tok,
@@ -84,50 +85,17 @@ def render_highlight(result: AttentionResult, fmt: str = "html") -> bytes:
             ],
         }
         return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    if fmt not in _MARKUP:
+        raise ConfigError(f"unknown render format {fmt!r} ({', '.join(FORMATS)})")
 
-    main, other = _span_colors(predicted)
-    if fmt == "html":
-        parts = []
-        for p, tok in enumerate(result.tokens):
-            safe = html.escape(tok)
-            if p in top:
-                parts.append(
-                    f'<span style="background:{main};color:#fff">{safe}</span>'
-                )
-            elif p in bottom:
-                parts.append(
-                    f'<span style="background:{other};color:#fff">{safe}</span>'
-                )
-            else:
-                parts.append(safe)
-        body = " ".join(parts)
-        label = CLASS_NAMES[predicted]
-        page = (
-            "<!DOCTYPE html>\n"
-            '<html><head><meta charset="utf-8">'
-            "<title>word attention</title></head>\n"
-            '<body style="font-family:sans-serif;max-width:60em">'
-            f"<p>{body}</p>"
-            f'<p>prediction: <strong style="color:{main}">{label}</strong></p>'
-            "</body></html>\n"
-        )
-        return page.encode("utf-8")
-
-    if fmt == "ansi":
-        main_code = _ANSI_POSITIVE if predicted == 1 else _ANSI_NEGATIVE
-        other_code = _ANSI_NEGATIVE if predicted == 1 else _ANSI_POSITIVE
-        parts = []
-        for p, tok in enumerate(result.tokens):
-            if p in top:
-                parts.append(f"{main_code}{tok}{_ANSI_RESET}")
-            elif p in bottom:
-                parts.append(f"{other_code}{tok}{_ANSI_RESET}")
-            else:
-                parts.append(tok)
-        line = " ".join(parts) + f"  [{CLASS_NAMES[predicted]}]\n"
-        return line.encode("utf-8")
-
-    raise ConfigError(f"unknown render format {fmt!r} ({', '.join(FORMATS)})")
+    marks, marked, escape, page = _MARKUP[fmt]
+    # selected words take the predicted class's mark, bottom words the other's
+    main, other = marks[predicted], marks[1 - predicted]
+    words = []
+    for p, tok in enumerate(result.tokens):
+        mark = main if p in top else other if p in bottom else None
+        words.append(escape(tok) if mark is None else marked.format(mark, escape(tok)))
+    return page.format(body=" ".join(words), main=main, label=label).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -161,13 +129,11 @@ class TopWordsTable:
 
     def to_csv(self) -> str:
         buf = io.StringIO()
-        buf.write("class,rank,token,frequency\r\n")
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(("class", "rank", "token", "frequency"))
         for cls in sorted(self.by_class):
-            for rank, (tok, freq) in enumerate(self.by_class[cls], start=1):
-                safe = tok.replace('"', '""')
-                if any(ch in tok for ch in ',"\n'):
-                    safe = f'"{safe}"'
-                buf.write(f"{CLASS_NAMES[cls]},{rank},{safe},{freq}\r\n")
+            writer.writerows((CLASS_NAMES[cls], rank, tok, freq)
+                             for rank, (tok, freq) in enumerate(self.by_class[cls], start=1))
         return buf.getvalue()
 
 
@@ -179,12 +145,17 @@ def sentence_top_tokens(result: AttentionResult, k: int) -> list[str]:
     return [result.tokens[int(i)] for i in order[: min(k, n)]]
 
 
+def check_top_k(k: int) -> None:
+    """Reject a per-sentence word count below 1."""
+    if k < 1:
+        raise ConfigError(f"top_k must be >= 1, got {k}")
+
+
 def aggregate_top_words(results: Iterable[AttentionResult], k: int = 5) -> TopWordsTable:
     """Pool each sentence's top-k words by its scored (predicted) class and
     rank tokens by frequency, ties lexicographic. Stop words count like any
     other word, to mirror raw model behavior."""
-    if k < 1:
-        raise ConfigError(f"top_k must be >= 1, got {k}")
+    check_top_k(k)
     counters: dict[int, Counter] = {}
     n_results = 0
     for res in results:

@@ -50,7 +50,7 @@ def scores_of_vector(v, h: int) -> np.ndarray:
     class_scores of a one-height, one-filter model whose feature map is v
     and whose FC weights are 1."""
     trace, params = given_fmaps({h: np.reshape(v, (1, -1, 1))}, np.ones((2, 1)))
-    return class_scores(trace, params)[0][0, :, 0]
+    return class_scores(trace, params, [0])[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +61,8 @@ def scores_of_vector(v, h: int) -> np.ndarray:
 def test_score_vector_zero_weights():
     fmap = np.random.default_rng(0).normal(size=(1, 7, 5))
     trace, params = given_fmaps({1: fmap}, np.zeros((2, 5)))
-    assert np.all(class_scores(trace, params)[0] == 0.0)
+    for c in range(2):
+        assert np.all(class_scores(trace, params, [c])[0] == 0.0)
 
 
 def test_score_vector_one_hot():
@@ -70,7 +71,7 @@ def test_score_vector_one_hot():
     w = np.zeros((2, 4))
     w[0, 3] = -1.5
     trace, params = given_fmaps({1: fmap}, w)
-    v = class_scores(trace, params)[0][0, :, 0]
+    v = class_scores(trace, params, [0])[0][0]
     assert v[2] == -1.5
     assert np.count_nonzero(v) == 1
 
@@ -80,9 +81,9 @@ def test_score_vector_matches_double_loop():
     fmap = rng.normal(size=(1, 9, 6))
     w = rng.normal(size=(2, 6))
     trace, params = given_fmaps({1: fmap}, w)
-    raw = class_scores(trace, params)[0]
     for c in range(2):
-        assert np.allclose(raw[0, :, c], score_vector_loops(fmap[0], w[c]), atol=1e-6)
+        raw = class_scores(trace, params, [c])[0]
+        assert np.allclose(raw[0], score_vector_loops(fmap[0], w[c]), atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +142,8 @@ def test_word_attention_zero_weights(tiny_setup):
     hyper, params, config = tiny_setup()
     params.fc_w[:] = 0.0
     trace = forward([1, 2, 3], params, config, mode="infer")
-    assert np.all(class_scores(trace, params)[0] == 0.0)
+    for c in range(2):
+        assert np.all(class_scores(trace, params, [c])[0] == 0.0)
 
 
 @given(
@@ -153,7 +155,8 @@ def test_word_attention_zero_weights(tiny_setup):
 )
 def test_word_attention_is_sum_over_heights(lengths, heights, n_filters, seed):
     # every row and class against the heights' sum of the scalar oracles;
-    # each one-row slice is the same bits as its row of the batched call
+    # each one-row slice, and each row of a call that scores the rows for
+    # different classes, is the same bits as its row of the batched call
     d, k, vocab = 8, 4, 20
     hyper = ModelHyper(k=k, d=d, heights=tuple(heights), n_filters=n_filters)
     params = ModelParams.init(hyper, seed=seed, w_scale=0.5, dtype=np.float64)
@@ -162,8 +165,10 @@ def test_word_attention_is_sum_over_heights(lengths, heights, n_filters, seed):
     rng = np.random.default_rng(seed)
     ids = [rng.integers(1, vocab, size=n).tolist() for n in lengths]
     trace = forward(ids, params, config, mode="infer")
-    raw, gap = class_scores(trace, params)
-    assert raw.shape == (len(ids), d, 2) and gap.shape == (len(ids), 2)
+    scored = [class_scores(trace, params, np.full(len(ids), c)) for c in range(2)]
+    assert all(r.shape == (len(ids), d) and g.shape == (len(ids),) for r, g in scored)
+    raw = np.stack([r for r, _ in scored], axis=2)
+    gap = np.stack([g for _, g in scored], axis=1)
     for b in range(len(ids)):
         for c in range(2):
             want = sum(
@@ -175,9 +180,14 @@ def test_word_attention_is_sum_over_heights(lengths, heights, n_filters, seed):
                 for h in hyper.heights
             )
             assert np.allclose(raw[b, :, c], want, rtol=0.0, atol=1e-12)
-        one_raw, one_gap = class_scores(trace, params, slice(b, b + 1))
-        assert np.array_equal(one_raw[0], raw[b])
-        assert np.array_equal(one_gap[0], gap[b])
+        for c in range(2):
+            one_raw, one_gap = class_scores(trace, params, [c], slice(b, b + 1))
+            assert np.array_equal(one_raw[0], raw[b, :, c])
+            assert np.array_equal(one_gap[0], gap[b, c])
+    mixed = np.arange(len(ids)) % 2
+    mixed_raw, mixed_gap = class_scores(trace, params, mixed)
+    assert np.array_equal(mixed_raw, raw[np.arange(len(ids)), :, mixed])
+    assert np.array_equal(mixed_gap, gap[np.arange(len(ids)), mixed])
     assert gap.max() <= 1e-10
 
 
@@ -186,7 +196,22 @@ def test_word_attention_requires_infer_trace(tiny_setup):
     rng = np.random.default_rng(0)
     trace = forward([1, 2], params, config, mode="train", rng=rng, keep=0.5)
     with pytest.raises(ConfigError):
-        class_scores(trace, params)
+        class_scores(trace, params, [0])
+
+
+def test_class_scores_needs_one_class_per_row(tiny_setup):
+    # a classes list of another length raises rather than broadcasting
+    hyper, params, config = tiny_setup()
+    trace = forward([[1, 2], [3, 4, 5], [6]], params, config, mode="infer")
+    for classes in ([0], [0, 1], [0, 1, 1, 0], np.zeros((3, 1), dtype=int)):
+        with pytest.raises(ConfigError, match="classes for 3 trace rows"):
+            class_scores(trace, params, classes)
+    with pytest.raises(ConfigError, match="2 classes for 1 trace rows"):
+        class_scores(trace, params, [0, 1], slice(1, 2))
+    # and every class must exist: a negative index would wrap around
+    for classes in ([0, 2, 1], [-1, 0, 0]):
+        with pytest.raises(ConfigError, match="out of range"):
+            class_scores(trace, params, classes)
 
 
 def test_consistency_gap_random_models(tiny_setup):
@@ -211,8 +236,8 @@ def test_consistency_gap_random_models(tiny_setup):
 
 def test_consistency_gap_has_the_bits_of_class_scores(tiny_setup):
     # consistency_gap and attend score one row and class through
-    # class_scores: the same bits as scoring every row and class at once, in
-    # both dtypes, with three classes
+    # class_scores: the same bits as scoring every row for that class at
+    # once, in both dtypes, with three classes
     for dtype in (np.float32, np.float64):
         hyper, _, config = tiny_setup(d=8, dtype=dtype)
         params = ModelParams.init(
@@ -220,12 +245,12 @@ def test_consistency_gap_has_the_bits_of_class_scores(tiny_setup):
             seed=2, dtype=dtype,
         )
         trace = forward([[1, 2, 3], [4, 5, 6, 7, 8, 9], [10]], params, config, mode="infer")
-        raw, gap = class_scores(trace, params)
-        for item, n_words in enumerate((3, 6, 1)):
-            for c in range(3):
-                assert consistency_gap(trace, params, c, item=item) == gap[item, c]
+        for c in range(3):
+            raw, gap = class_scores(trace, params, np.full(3, c))
+            for item, n_words in enumerate((3, 6, 1)):
+                assert consistency_gap(trace, params, c, item=item) == gap[item]
                 got = attend(trace, params, ["w"] * n_words, class_index=c, item=item)
-                assert np.array_equal(got.raw, raw[item, :, c])
+                assert np.array_equal(got.raw, raw[item])
 
 
 def test_monotone_in_feature_map(tiny_setup):
@@ -238,9 +263,9 @@ def test_monotone_in_feature_map(tiny_setup):
     w = params.fc_w[cls, hyper.feature_slice(h)]
     i = int(np.argmax(w))
     assert w[i] > 0
-    before = class_scores(trace, params)[0][0, :, cls]
+    before = class_scores(trace, params, [cls])[0][0]
     trace.fmaps[h][0, 2, i] += 1.0
-    after = class_scores(trace, params)[0][0, :, cls]
+    after = class_scores(trace, params, [cls])[0][0]
     assert np.all(after >= before - 1e-12)
     assert np.any(after > before + 1e-9)
 

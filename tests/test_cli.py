@@ -1114,14 +1114,27 @@ def test_attend_configuration_error_precedes_artifact_reads(tmp_path, capsys, ex
     (["train", "--batch-size", "0"], "batch_size must be >= 1"),
     (["train", "--epochs", "-1"], "epochs must be >= 0"),
     (["embed", "--mode", "bogus"], "unknown input mode 'bogus'"),
+    (["prepare", "--d", "0"], "d must be >= 1"),
+    (["prepare", "--ratio", "1.5"], "split ratio must be in (0, 1)"),
+    (["embed", "--k", "0"], "embedding dimension must be >= 1"),
+    (["embed", "--embed-epochs", "-1"], "embedding epochs must be >= 0"),
+    (["train", "--n-filters", "0"], "k, d, and n_filters must all be >= 1"),
+    (["topwords", "--top-k", "0"], "top_k must be >= 1"),
 ], ids=["train-lr-negative", "train-heights-0", "train-batch-size-0",
-        "train-epochs-negative", "embed-mode-unknown"])
+        "train-epochs-negative", "embed-mode-unknown", "prepare-d-0", "prepare-ratio-1.5",
+        "embed-k-0", "embed-epochs-negative", "train-n-filters-0", "topwords-top-k-0"])
 def test_configuration_error_precedes_corpus_reads(tmp_path, capsys, argv, message):
-    """A bad train or embed setting exits 2 before the corpus is read, so a
-    missing corpus does not hide it behind exit 3."""
-    paths = ["--corpus", tmp_path / "nothere", "--out", tmp_path / "out"]
+    """A bad setting exits 2 before any input is read, so a missing dataset,
+    corpus, channel directory or checkpoint does not hide it behind exit 3."""
+    paths = ["--out", tmp_path / "out"]
+    if argv[0] == "prepare":
+        paths += ["--data", tmp_path / "nothere", "--data-format", "csv"]
+    else:
+        paths += ["--corpus", tmp_path / "nothere"]
     if argv[0] == "train":
         paths += ["--channels", tmp_path / "nothere"]
+    if argv[0] == "topwords":
+        paths += ["--checkpoint", tmp_path / "nothere.ckpt"]
     assert run(argv + paths) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

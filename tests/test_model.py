@@ -541,7 +541,8 @@ def test_pool_matches_serial_loop_at_paper_sizes(dtype, monkeypatch):
 
 def test_pool_is_for_batches_and_several_heights(monkeypatch):
     def runners(heights, batch):
-        """The threads that ran the tasks, once the results are checked."""
+        """The thread that ran each height's task, once the results are
+        checked."""
         ran = {}
 
         def fn(h):
@@ -550,17 +551,22 @@ def test_pool_is_for_batches_and_several_heights(monkeypatch):
 
         done = model._per_height(fn, heights, batch)
         assert done == {h: -h for h in heights}
-        return set(ran.values())
+        return ran
 
-    me = {threading.get_ident()}
+    me = threading.get_ident()
     monkeypatch.setattr(model, "_usable_cpus", lambda: 4)
-    assert runners((3, 4, 5), 1) == me  # one sentence: the calling thread
-    assert runners((3, 4, 5), model._POOL_MIN_BATCH - 1) == me
-    assert runners((4,), 64) == me  # one height: nothing to share
-    assert not runners((3, 4, 5), model._POOL_MIN_BATCH) & me
-    assert not runners((3, 4, 5), 64) & me
+    for heights, batch in [
+        ((3, 4, 5), 1),  # one sentence: the calling thread
+        ((3, 4, 5), model._POOL_MIN_BATCH - 1),
+        ((4,), 64),  # one height: nothing to share
+    ]:
+        assert set(runners(heights, batch).values()) == {me}
+    for batch in (model._POOL_MIN_BATCH, 64):
+        # the calling thread runs the largest height, other threads the rest
+        ran = runners((3, 4, 5), batch)
+        assert ran[5] == me and me not in (ran[3], ran[4])
     monkeypatch.setattr(model, "_usable_cpus", lambda: 1)
-    assert runners((3, 4, 5), 64) == me  # one CPU: a plain loop
+    assert set(runners((3, 4, 5), 64).values()) == {me}  # one CPU: a plain loop
 
 
 def test_concurrent_callers_get_the_serial_bytes():
@@ -616,20 +622,22 @@ def test_no_height_thread_outlives_a_call(monkeypatch):
 
 
 def test_a_failing_height_reaches_the_caller_and_leaves_no_thread(monkeypatch):
+    # height 4 fails on a helper thread, height 5 on the calling thread
     params, config, sentences, _ = stack_model(np.float32, 20, 30, 16, 64)
     monkeypatch.setattr(model, "_usable_cpus", lambda: 3)
     spread = model.spread
+    for failing in (4, 5):
 
-    def spread_but_height_4(y, index):
-        if y.shape[1] == 4:
-            raise RuntimeError("height 4 failed")
-        return spread(y, index)
+        def spread_but_one_height(y, index):
+            if y.shape[1] == failing:
+                raise RuntimeError(f"height {failing} failed")
+            return spread(y, index)
 
-    monkeypatch.setattr(model, "spread", spread_but_height_4)
-    before = threading.active_count()
-    with pytest.raises(RuntimeError, match="height 4 failed"):
-        forward(sentences, params, config, mode="infer")
-    assert_only_callers_threads(before)
+        monkeypatch.setattr(model, "spread", spread_but_one_height)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"height {failing} failed"):
+            forward(sentences, params, config, mode="infer")
+        assert_only_callers_threads(before)
 
 
 def blas_columns_ignore_column_count(params, n_rows, cols, dtype) -> bool:
