@@ -21,8 +21,9 @@ Conventions used throughout:
 * the filter heights are independent until the FC layer, so ``forward``
   and ``backward`` each run one task per height, the largest in the calling
   thread and the rest on threads started and joined inside the call (numpy
-  releases the interpreter lock inside its kernels). Results are combined in ascending height order, so every bit
-  matches the same tasks run one after another.
+  releases the interpreter lock inside its kernels). Results are combined
+  in ascending height order, so every bit matches the same tasks run one
+  after another.
 * the pooled feature vector z concatenates heights in ascending order,
   filter index ascending within a height; the fully connected layer and the
   attention scores both index it that way.
