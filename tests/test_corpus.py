@@ -73,6 +73,25 @@ def test_tokenize_matches_character_class_oracle(text):
     assert tokenize(text) == expected
 
 
+_BMP = [chr(cp) for cp in range(0x10000) if not 0xD800 <= cp <= 0xDFFF]
+
+
+@pytest.mark.parametrize(
+    "context", ["{c}", "a{c}b", "a {c} b", "{c}{c} x", "\t{c}\n", "İ{c}Σ"]
+)
+def test_tokenize_matches_oracle_for_every_bmp_character(context):
+    """Every BMP code point (surrogates excepted) in one context. Random
+    texts rarely reach the rarer whitespace (``\\x1c``-``\\x1f``, ``\\x85``,
+    NBSP) or a character whose lowercase is two characters, such as ``İ``."""
+    wrong = []
+    for c in _BMP:
+        text = context.format(c=c)
+        expected = [t for t in (strip_oracle(r) for r in text.split()) if t]
+        if tokenize(text) != expected:
+            wrong.append(f"U+{ord(c):04X}")
+    assert wrong == []
+
+
 @given(st.text(max_size=60))
 def test_tokenize_idempotent(text):
     once = tokenize(text)
@@ -372,6 +391,52 @@ def test_prepared_roundtrip(tmp_path):
     assert loaded.train == prepared.train
     assert loaded.test == prepared.test
     assert loaded.train_sentences == prepared.train_sentences
+
+
+_PINNED_REVIEWS = [
+    ("A great film, truly GREAT!", 9),
+    ("Rated 10/10 -- İstanbul\x1cnights\x1dand\x1edays\x1fend", 10),
+    ("dull\x85boring\xa0film ... !!! 1999", 2),
+    ("최고의 영화, 진짜! great", 8),
+    ("the worst film of 2020: boring, dull & SLOW", 1),
+    (" ".join(f"w{'abcdefg'[i % 7]}{i}" for i in range(20)) + " great", 7),
+    ("((( ))) --- 42", 3),
+    ("meh", 5),
+    ("İİ Σσ film end　really", 4),
+    ("Fine. Good? Good!", 9),
+]
+
+
+def test_prepare_bytes_are_pinned(tmp_path):
+    """The bytes of the five files ``prepare`` writes for a fixed CSV, so
+    that a change to tokenizing, encoding or layout is made on purpose. The
+    CSV holds rare whitespace, digits, punctuation-only runs, Korean, a
+    character whose lowercase is two characters, an excluded rating and one
+    review longer than ``d``."""
+    import csv
+    import hashlib
+
+    from wordcam.cli import main
+
+    data = tmp_path / "reviews.csv"
+    with open(data, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["text", "rating"])
+        writer.writerows(_PINNED_REVIEWS)
+    out = tmp_path / "corpus"
+    assert main(["prepare", "--data", str(data), "--data-format", "csv",
+                 "--d", "8", "--ratio", "0.6", "--seed", "3", "--out", str(out)]) == 0
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.iterdir())
+    }
+    assert digests == {
+        "embed_corpus.txt": "f41d883a36045ed15d3be2b6f8c60aa3d4b79e5098bbb9565880487061357a3f",
+        "meta.json": "76cea4a8c0838840f1d4ce275f710ef41b68db0001dc0b91af9fa2ca4a4379ae",
+        "test.tsv": "bdd21a1a874c1edb17d8b1bfeda773fd70892ce16baf3a8500e9889c42585d0d",
+        "train.tsv": "3edc2e452560a6d0d64d983b05aaf7bc85ed4bd3d5a27f096fb96a865c643e02",
+        "vocab.tsv": "b224bb552a61c2364593df8e6b78f795d21accb41e8e9952d4219727decf6d62",
+    }
 
 
 def test_labeled_example_invariants():
