@@ -77,13 +77,14 @@ def tokenize(text: str) -> list[str]:
 
     Tokens that become empty after stripping are dropped, so the result may
     be empty. Idempotent on its own (space-joined) output.
+
+    The whole text is translated once and then split. That gives the tokens
+    of translating each whitespace run: the map keeps every whitespace
+    character, deletes none (no P* or Nd character is whitespace) and makes
+    none (the lowercase of a Latin letter holds no whitespace), so the runs
+    are the same and a run stripped to nothing is dropped by the split.
     """
-    out = []
-    for run in text.split():
-        tok = run.translate(_CHAR_MAP)
-        if tok:
-            out.append(tok)
-    return out
+    return text.translate(_CHAR_MAP).split()
 
 
 # ---------------------------------------------------------------------------
@@ -444,12 +445,16 @@ def prepare(
         raise DataError("no labeled examples after rating filter")
     parts = split(examples, ratio=ratio, seed=seed)
     vocab = Vocabulary.build(ex.tokens for ex in parts.train)
-    train = tuple(encode_example(ex, vocab, d) for ex in parts.train)
-    test = tuple(encode_example(ex, vocab, d) for ex in parts.test)
-    # embeddings train on whole sentences, not the d-truncated model input
+    # embeddings train on whole sentences; the model's input is the first d
+    # ids and tokens of each
     train_sentences = tuple(
         tuple(vocab.encode(ex.tokens, len(ex.tokens))) for ex in parts.train
     )
+    train = tuple(
+        LabeledExample(ids[:d], ex.label, tuple(ex.tokens[:d]))
+        for ids, ex in zip(train_sentences, parts.train)
+    )
+    test = tuple(encode_example(ex, vocab, d) for ex in parts.test)
     stats.update(
         {
             "train": len(train),
