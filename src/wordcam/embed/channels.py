@@ -118,12 +118,7 @@ class ChannelConfig:
         return self.channels[i]
 
     def copy(self) -> "ChannelConfig":
-        """A config whose trainable tables are copies; a frozen table is
-        shared as a read-only view, since nothing may change it."""
-        return ChannelConfig.of(self.mode, [
-            c.table.copy() if c.trainable else _read_only(c.table)
-            for c in self.channels
-        ])
+        return ChannelConfig.of(self.mode, [c.table.copy() for c in self.channels])
 
     @property
     def vocab_size(self) -> int:
@@ -132,12 +127,6 @@ class ChannelConfig:
     @property
     def dim(self) -> int:
         return self.channels[0].dim
-
-
-def _read_only(table: np.ndarray) -> np.ndarray:
-    view = table.view()
-    view.flags.writeable = False
-    return view
 
 
 def scatter_rows(k: int) -> int:

@@ -189,9 +189,9 @@ def train_epochs(
     """Seeded mini-batch training, evaluated on the test set after every
     epoch.
 
-    The incoming channel config is copied: the optimizer updates the
-    trainable copies in place, and frozen tables are shared read-only. The
-    best checkpoint by test accuracy is retained alongside the final state.
+    The incoming channel config is copied; trainable copies are updated in
+    place by the optimizer while frozen copies are left untouched. The best
+    checkpoint by test accuracy is retained alongside the final state.
     """
     if not train_set:
         raise DataError("empty training set")
@@ -213,10 +213,11 @@ def train_epochs(
 
     history: list[EpochRecord] = []
     best_acc = -1.0
-    # until an epoch is evaluated (never, at epochs=0) the live state is the
-    # best known state; epoch 1's accuracy always beats best_acc
-    result = TrainResult(params, channels, history, params, channels, float("nan"))
-    trainable = [ch.table for ch in channels.channels if ch.trainable]
+    # until an epoch is evaluated (never, at epochs=0) the initial state is
+    # the best known state
+    result = TrainResult(
+        params, channels, history, params.copy(), channels.copy(), float("nan")
+    )
 
     n = len(train_set)
     for epoch in range(1, config.epochs + 1):
@@ -237,9 +238,8 @@ def train_epochs(
                     "reduce the learning rate or the regularization weight"
                 )
             optimizer.step(grads)
-            del trace, grads  # before the next forward builds its own
-            for table in trainable:
-                table[PAD_ID] = 0.0
+            for ch in channels.channels:
+                ch.table[PAD_ID] = 0.0
             loss_sum += loss
             n_batches += 1
 
