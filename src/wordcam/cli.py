@@ -313,8 +313,7 @@ def cmd_train(cfg: RunConfig) -> int:
     # written first, so an interrupted run's last.ckpt is usable without --vocab
     prepared.vocab.save(out / "vocab.tsv")
     vocab_hash = prepared.vocab.digest()
-    initial_params = ModelParams.init(hyper, seed=cfg.seed)
-    initial_digest = params_digest(initial_params)
+    initial_digest = params_digest(ModelParams.init(hyper, seed=cfg.seed))
 
     def checkpoint_epoch(epoch: int, state) -> None:
         save_checkpoint(out / "last.ckpt", state.params, state.channels, vocab_hash,
@@ -322,7 +321,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
     result = train_epochs(
         prepared.train, prepared.test, channels, hyper, tconfig,
-        params=initial_params, on_epoch_end=checkpoint_epoch,
+        on_epoch_end=checkpoint_epoch,
     )
     (out / "history.csv").write_text(history_csv(result.history), encoding="utf-8")
     save_checkpoint(

@@ -139,10 +139,10 @@ def fit_cooc(
             scatter_add(b, i, -_LR * g / np.sqrt(gb[i]))
             scatter_add(c, j, -_LR * g / np.sqrt(gc[j]))
         fit.epoch_losses.append(loss_sum / n)
+    # the pad's w and u rows start random; its b and c entries start at zero
+    # and, as no key holds the pad, stay there
     w[PAD_ID] = 0.0
     u[PAD_ID] = 0.0
-    b[PAD_ID] = 0.0
-    c[PAD_ID] = 0.0
     return fit
 
 

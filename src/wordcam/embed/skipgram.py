@@ -261,7 +261,6 @@ def fit_sgns(
         for seg, gram_rows in _ngram_blocks(centers, offsets, grams, block):
             scatter_add(gram_vecs, gram_rows, step[seg])
         losses[epoch] += loss
-    word_vecs[PAD_ID] = 0.0
     return SGNSFit(word_vecs, w_out, buckets, gram_vecs, offsets, grams,
                    [s / len(pairs) for s in losses])
 

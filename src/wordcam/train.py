@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from wordcam.corpus import LabeledExample, PAD_ID
+from wordcam.corpus import LabeledExample
 from wordcam.embed.channels import ChannelConfig
 from wordcam.errors import ConfigError, DataError, DivergenceError
 from wordcam.model import (
@@ -183,14 +183,15 @@ def train_epochs(
     channels: ChannelConfig,
     hyper: ModelHyper,
     config: TrainConfig,
-    params: ModelParams | None = None,
     on_epoch_end: Callable[[int, "TrainResult"], None] | None = None,
 ) -> TrainResult:
-    """Seeded mini-batch training, evaluated on the test set after every
-    epoch.
+    """Seeded mini-batch training from ``ModelParams.init(hyper,
+    seed=config.seed)``, evaluated on the test set after every epoch.
 
     The incoming channel config is copied; trainable copies are updated in
-    place by the optimizer while frozen copies are left untouched. The best
+    place by the optimizer while frozen copies are left untouched. No step
+    writes a pad row: ``backward`` gives it a +0.0 gradient, which Adam turns
+    into a +0.0 step, so every table keeps its pad-row bits. The best
     checkpoint by test accuracy is retained alongside the final state.
     """
     if not train_set:
@@ -203,10 +204,7 @@ def train_epochs(
         raise ConfigError("hyper.k disagrees with the channel dimension")
 
     channels = channels.copy()
-    if params is None:
-        params = ModelParams.init(hyper, seed=config.seed)
-    else:
-        params = params.copy()
+    params = ModelParams.init(hyper, seed=config.seed)
 
     rng = np.random.default_rng(config.seed)
     optimizer = Adam(trainable_arrays(params, channels), config.lr)
@@ -238,8 +236,6 @@ def train_epochs(
                     "reduce the learning rate or the regularization weight"
                 )
             optimizer.step(grads)
-            for ch in channels.channels:
-                ch.table[PAD_ID] = 0.0
             loss_sum += loss
             n_batches += 1
 

@@ -355,8 +355,17 @@ def test_lr_zero_warning(pipeline_dirs, capsys):
     assert _prepare(dirs) == 0
     assert _embed(dirs) == 0
     capsys.readouterr()
+    warning = "warning: parameters unchanged by training (lr=0?)"
     assert _train(dirs, extra=["--lr", "0", "--epochs", "1"]) == 0
-    assert "parameters unchanged" in capsys.readouterr().out
+    assert warning in capsys.readouterr().out.splitlines()
+    # the default learning rate (no --lr) moves the parameters
+    assert run([
+        "train", "--corpus", dirs["corpus"], "--channels", dirs["channels"],
+        "--out", dirs["run"], "--seed", 3, "--epochs", "1",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "lr=0.001" in out
+    assert warning not in out
 
 
 def test_attend_batch_preserves_order(pipeline_dirs, tmp_path):

@@ -144,16 +144,22 @@ def test_empty_split_raises_and_zero_epochs_keep_the_initial_state():
 def test_frozen_channel_untouched_by_training():
     examples = _separable_set(vocab_size=12)
     sg = init_random(12, 8, seed=9)
-    config = assemble(InputMode.TWO_CH, skipgram=sg)
+    # a channel accepts a -0.0 pad row as zero; training must keep its sign
+    negative_pad = sg.copy()
+    negative_pad[0] = -0.0
     hyper = ModelHyper(k=8, d=6, heights=(2, 3), n_filters=4, n_channels=2)
     cfg = TrainConfig(batch_size=8, epochs=3, seed=2, lam=0.01)
-    before_frozen = config.channels[0].digest()
-    before_trainable = config.channels[1].digest()
-    result = train_epochs(examples, examples, config, hyper, cfg)
-    assert result.channels[0].digest() == before_frozen
-    assert result.channels[1].digest() != before_trainable
-    # the caller's config object is never mutated either
-    assert config.channels[1].digest() == before_trainable
+    for table in (sg, negative_pad):
+        config = assemble(InputMode.TWO_CH, skipgram=table)
+        before_frozen = config.channels[0].digest()
+        before_trainable = config.channels[1].digest()
+        result = train_epochs(examples, examples, config, hyper, cfg)
+        for frozen in (result.channels[0], result.best_channels[0]):
+            assert frozen.digest() == before_frozen
+            assert np.array_equal(np.signbit(frozen.table[0]), np.signbit(table[0]))
+        assert result.channels[1].digest() != before_trainable
+        # the caller's config object is never mutated either
+        assert config.channels[1].digest() == before_trainable
 
 
 def test_evaluate_zero_model_predicts_negative_everywhere():
