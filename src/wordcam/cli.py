@@ -334,7 +334,8 @@ def cmd_train(cfg: RunConfig) -> int:
     if params_digest(result.params) == initial_digest:
         print("warning: parameters unchanged by training (lr=0?)")
     print(f"best test accuracy: {result.best_accuracy:.4f}")
-    print(f"wrote checkpoint.ckpt, last.ckpt, history.csv, vocab.tsv to {cfg.out}")
+    last = ", last.ckpt" if result.history else ""  # written after each epoch
+    print(f"wrote checkpoint.ckpt{last}, history.csv, vocab.tsv to {cfg.out}")
     return 0
 
 

@@ -63,8 +63,9 @@ class EmbeddingChannel:
     source: Source
 
     def __post_init__(self):
-        if self.table.ndim != 2 or self.table.shape[0] < 1:
-            raise ConfigError(f"embedding table must be (V, k), got {self.table.shape}")
+        if self.table.ndim != 2 or min(self.table.shape) < 1:
+            raise ConfigError(f"embedding table must be (V, k) with V, k >= 1, "
+                              f"got {self.table.shape}")
         if not np.all(np.isfinite(self.table)):
             raise DataError("embedding table contains non-finite entries")
         if np.any(self.table[0] != 0.0):

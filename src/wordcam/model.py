@@ -41,7 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from wordcam.corpus import PAD_ID
+from wordcam.corpus import CLASS_NAMES, PAD_ID
 from wordcam.embed.channels import (
     ChannelConfig,
     InputMode,
@@ -85,8 +85,9 @@ class ModelHyper:
             raise ConfigError(f"heights must be integers, got {self.heights!r}")
         if self.k < 1 or self.d < 1 or self.n_filters < 1:
             raise ConfigError("k, d, and n_filters must all be >= 1")
-        if self.n_classes < 2:
-            raise ConfigError("need at least 2 classes")
+        if self.n_classes != len(CLASS_NAMES):
+            raise ConfigError(f"n_classes must be {len(CLASS_NAMES)} "
+                              f"({', '.join(CLASS_NAMES)}), got {self.n_classes}")
         if self.n_channels < 1:
             raise ConfigError("need at least 1 channel")
         hs = tuple(sorted(self.heights))
@@ -174,13 +175,7 @@ class ModelParams:
         return out
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            self.hyper,
-            {h: w.copy() for h, w in self.conv_w.items()},
-            {h: b.copy() for h, b in self.conv_b.items()},
-            self.fc_w.copy(),
-            self.fc_b.copy(),
-        )
+        return self.from_named(self.hyper, {n: a.copy() for n, a in self.named_arrays()})
 
     def weight_sq_norm(self) -> float:
         """Sum of squared convolution and FC weights (biases excluded)."""
@@ -342,11 +337,15 @@ def forward(
     hyper = params.hyper
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
+    if mode == "train" and not 0.0 < keep <= 1.0:
+        raise ConfigError(f"keep probability must be in (0, 1], got {keep}")
     if len(channels.channels) != hyper.n_channels:
         raise ConfigError(
             f"model expects {hyper.n_channels} channel(s), config has "
             f"{len(channels.channels)}"
         )
+    if channels.dim != hyper.k:
+        raise ConfigError(f"model expects channels of k={hyper.k}, config has k={channels.dim}")
     ids_mat, lengths = _as_batch(ids, hyper.d)
     if n_words is not None:
         lengths = np.asarray(n_words, dtype=np.int64)
@@ -381,8 +380,6 @@ def forward(
     if mode == "train" and keep < 1.0:
         if rng is None:
             raise ConfigError("train-mode forward needs an rng for dropout")
-        if not 0.0 < keep <= 1.0:
-            raise ConfigError(f"keep probability must be in (0, 1], got {keep}")
         mask = (rng.random(pooled.shape) < keep).astype(dtype) / dtype.type(keep)
         pooled_dropped = pooled * mask
     else:

@@ -193,15 +193,13 @@ def train_epochs(
     writes a pad row: ``backward`` gives it a +0.0 gradient, which Adam turns
     into a +0.0 step, so every table keeps its pad-row bits. The best
     checkpoint by test accuracy is retained alongside the final state.
+    ``forward`` refuses channels that ``hyper`` does not fit, at the first
+    batch; at epochs=0 no batch runs, and nothing checks the fit.
     """
     if not train_set:
         raise DataError("empty training set")
     if not test_set:
         raise DataError("empty test set")
-    if hyper.n_channels != len(channels.channels):
-        raise ConfigError("hyper.n_channels disagrees with the channel config")
-    if hyper.k != channels.dim:
-        raise ConfigError("hyper.k disagrees with the channel dimension")
 
     channels = channels.copy()
     params = ModelParams.init(hyper, seed=config.seed)
@@ -211,11 +209,9 @@ def train_epochs(
 
     history: list[EpochRecord] = []
     best_acc = -1.0
-    # until an epoch is evaluated (never, at epochs=0) the initial state is
-    # the best known state
-    result = TrainResult(
-        params, channels, history, params.copy(), channels.copy(), float("nan")
-    )
+    # until an epoch is scored (never, at epochs=0) the live state is the
+    # best state; epoch 1 replaces it, since any accuracy beats -1.0
+    result = TrainResult(params, channels, history, params, channels, float("nan"))
 
     n = len(train_set)
     for epoch in range(1, config.epochs + 1):

@@ -237,15 +237,15 @@ def test_consistency_gap_random_models(tiny_setup):
 def test_consistency_gap_has_the_bits_of_class_scores(tiny_setup):
     # consistency_gap and attend score one row and class through
     # class_scores: the same bits as scoring every row for that class at
-    # once, in both dtypes, with three classes
+    # once, in both dtypes, for both classes
     for dtype in (np.float32, np.float64):
         hyper, _, config = tiny_setup(d=8, dtype=dtype)
         params = ModelParams.init(
-            ModelHyper(k=hyper.k, d=8, heights=(1, 2, 4), n_filters=4, n_classes=3),
+            ModelHyper(k=hyper.k, d=8, heights=(1, 2, 4), n_filters=4),
             seed=2, dtype=dtype,
         )
         trace = forward([[1, 2, 3], [4, 5, 6, 7, 8, 9], [10]], params, config, mode="infer")
-        for c in range(3):
+        for c in range(2):
             raw, gap = class_scores(trace, params, np.full(3, c))
             for item, n_words in enumerate((3, 6, 1)):
                 assert consistency_gap(trace, params, c, item=item) == gap[item]

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wordcam.attention import attend
+from wordcam.attention import attend, class_scores
 from wordcam import cli as cli_module
 from wordcam.cli import RunConfig, build_parser, main, read_config_file
 from wordcam.corpus import Vocabulary, load_prepared, tokenize
@@ -33,6 +33,7 @@ from wordcam.model import (
     ModelHyper,
     ModelParams,
     forward,
+    infer,
     load_checkpoint,
     save_checkpoint,
 )
@@ -368,6 +369,52 @@ def test_lr_zero_warning(pipeline_dirs, capsys):
     assert warning not in out
 
 
+def test_train_names_only_the_files_it_wrote(pipeline_dirs, capsys):
+    # last.ckpt is written after each epoch, so a run of no epochs has none
+    dirs = pipeline_dirs
+    assert _prepare(dirs) == 0
+    assert _embed(dirs) == 0
+    for epochs, files in ((0, "checkpoint.ckpt, history.csv, vocab.tsv"),
+                          (1, "checkpoint.ckpt, last.ckpt, history.csv, vocab.tsv")):
+        out = dirs["run"].with_name(f"run_{epochs}")
+        capsys.readouterr()
+        assert _train(dict(dirs, run=out), extra=["--epochs", str(epochs)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"wrote {files} to {out}"
+        assert sorted(p.name for p in out.iterdir()) == sorted(files.split(", "))
+
+
+def test_attend_fixed_class_scores_that_class(pipeline_dirs, tmp_path):
+    # --label negative scores class 0 on every line, whatever the model
+    # predicts: each report's raw scores are class_scores of the infer chunk
+    # for class 0, and a line predicted negative gets --label auto's bytes
+    dirs = pipeline_dirs
+    assert _prepare(dirs) == 0
+    assert _embed(dirs) == 0
+    assert _train(dirs, extra=["--epochs", "20"]) == 0  # far from the class boundary
+    sentences = ["a dreary slog tonight", "a delight truly", "movie was seen"]
+    lines = tmp_path / "lines.txt"
+    lines.write_text("\n".join(sentences) + "\n", encoding="utf-8")
+    ckpt = dirs["run"] / "checkpoint.ckpt"
+    for label in ("negative", "auto"):
+        assert run(["attend", "--checkpoint", ckpt, "--input", lines, "--label", label,
+                    "--formats", "json", "--out", tmp_path / label]) == 0
+    params, channels, _ = load_checkpoint(ckpt)
+    vocab = Vocabulary.load(dirs["corpus"] / "vocab.tsv")
+    ids = [vocab.encode(tokenize(s), params.hyper.d) for s in sentences]
+    [(_, trace)] = list(infer(params, channels, ids))
+    raw, _ = class_scores(trace, params, np.zeros(len(ids), dtype=np.int64))
+    predicted = np.argmax(trace.logits, axis=1)
+    assert set(predicted) == {0, 1}  # both the equal and the differing case run
+    for i, sentence in enumerate(sentences):
+        fixed = (tmp_path / "negative" / f"attend_{i:04d}.json").read_bytes()
+        report = json.loads(fixed)
+        assert report["class"] == 0
+        n_words = len(tokenize(sentence))
+        assert [w["raw"] for w in report["words"]] == raw[i, :n_words].tolist()
+        auto = (tmp_path / "auto" / f"attend_{i:04d}.json").read_bytes()
+        assert (fixed == auto) == (predicted[i] == 0)
+
+
 def test_attend_batch_preserves_order(pipeline_dirs, tmp_path):
     dirs = pipeline_dirs
     assert _prepare(dirs) == 0
@@ -667,13 +714,14 @@ def _save_tiny(path, fmt):
     return load_checkpoint
 
 
-def _rewrite_header(path, change):
+def _rewrite_header(path, change, **arrays):
     """Rewrite a channel file's or checkpoint's header through ``change``,
-    keeping its arrays: a well-formed file whose fields ``change`` sets."""
+    keeping its arrays but those given by name: a well-formed file whose
+    fields ``change`` sets."""
     magic = channels_module._MAGIC if path.suffix == ".emb" else model_module._CKPT_MAGIC
-    header, arrays = channels_module.read_container(path, magic, "an artifact")
+    header, kept = channels_module.read_container(path, magic, "an artifact")
     change(header)
-    channels_module.write_container(path, magic, header, list(arrays.items()))
+    channels_module.write_container(path, magic, header, list({**kept, **arrays}.items()))
 
 
 # header fields of the wrong JSON type, which a loader must refuse, not coerce
@@ -968,6 +1016,25 @@ def _mistyped_trainable_in_4ch(dirs):
     _rewrite_header(dirs["channels"] / "channel_1.emb", lambda h: h.update(trainable="no"))
 
 
+def _three_class_checkpoint(dirs):
+    """A well-formed checkpoint of a 3-class model: its header says
+    n_classes 3, and its FC arrays have a third row, whose bias makes the
+    third class every sentence's prediction."""
+    path = dirs["run"] / "checkpoint.ckpt"
+    params, _, _ = load_checkpoint(path)
+    _rewrite_header(path, lambda h: h["hyper"].update(n_classes=3),
+                    fc_w=np.vstack([params.fc_w, np.zeros_like(params.fc_w[:1])]),
+                    fc_b=np.append(params.fc_b, np.float32(100.0)))
+
+
+def _zero_width_channel(dirs):
+    """A rand channel file whose table is (V, 0)."""
+    assert _embed(dirs) == 0
+    path = dirs["channels"] / "channel_0.emb"
+    v = load_channel(path).table.shape[0]
+    _rewrite_header(path, lambda h: None, table=np.zeros((v, 0), dtype="<f4"))
+
+
 def _old_three_field_line(line):
     label, tokens = line.split("\t")
     return f"{label}\t{','.join('1' for _ in tokens.split())}\t{tokens}"
@@ -988,6 +1055,8 @@ _ATTEND_FRESH = ["attend", "--checkpoint", "{run}/checkpoint.ckpt", "--sentence"
                  "--out", "{tmp}/fresh"]
 _TOPWORDS = ["topwords", "--checkpoint", "{run}/checkpoint.ckpt", "--corpus", "{corpus}",
              "--out", "{tmp}/top"]
+# the label set has two classes, and a checkpoint of another count is malformed
+_THREE_CLASSES = "checkpoint.ckpt: malformed header (ConfigError('n_classes must be 2"
 
 
 @pytest.mark.parametrize("edit, argv, code, names", [
@@ -1031,12 +1100,20 @@ _TOPWORDS = ["topwords", "--checkpoint", "{run}/checkpoint.ckpt", "--corpus", "{
      "checkpoint.ckpt: malformed header"),
     (_mistyped_trainable_in_4ch, _TRAIN_FRESH, 3,
      "channel_1.emb: trainable must be true or false, got 'no'"),
+    (_three_class_checkpoint, _ATTEND_FRESH, 3, _THREE_CLASSES),
+    (_three_class_checkpoint, _EVALUATE, 3, _THREE_CLASSES),
+    (_three_class_checkpoint, _TOPWORDS, 3, _THREE_CLASSES),
+    (_zero_width_channel, _TRAIN_FRESH, 3,
+     "channel_0.emb: malformed header (ConfigError('embedding table must be (V, k) "
+     "with V, k >= 1"),
 ], ids=["vocab-id", "vocab-count", "meta-not-json", "meta-no-seed", "no-vocab",
         "no-train", "config-value", "config-not-utf8", "attend-input-not-utf8",
         "csv-not-utf8", "test-excluded-label", "vocab-not-meta-digest", "no-embed-corpus",
         "train-unknown-token", "train-old-three-fields", "meta-d-negative", "meta-d-zero",
         "meta-d-bool", "meta-seed-bool", "ckpt-k-float-attend", "ckpt-k-float-evaluate",
-        "ckpt-k-float-topwords", "ckpt-d-bool", "emb-trainable-string"])
+        "ckpt-k-float-topwords", "ckpt-d-bool", "emb-trainable-string",
+        "ckpt-three-classes-attend", "ckpt-three-classes-evaluate",
+        "ckpt-three-classes-topwords", "emb-zero-width-train"])
 def test_malformed_input_exits_without_traceback(
     pipeline_dirs, tmp_path, edit, argv, code, names
 ):
@@ -1045,7 +1122,7 @@ def test_malformed_input_exits_without_traceback(
     traceback would show."""
     dirs = dict(pipeline_dirs, tmp=tmp_path)
     assert _prepare(dirs) == 0
-    if argv in (_ATTEND, _EVALUATE, _TOPWORDS):
+    if argv in (_ATTEND, _ATTEND_FRESH, _EVALUATE, _TOPWORDS):
         assert _embed(dirs) == 0
         assert _train(dirs, extra=["--epochs", "1"]) == 0
     edit(dirs)

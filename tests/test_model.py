@@ -148,10 +148,14 @@ def test_conv_multichannel_sums_before_relu():
 
 
 def test_conv_shape_mismatch(tiny_setup):
-    _, _, config = tiny_setup()
-    params = ModelParams.init(ModelHyper(k=6, d=10, n_channels=2), seed=0)
-    with pytest.raises(ConfigError):
-        forward([1, 2], params, config)
+    # one channel of k=6: a model of two channels, or of k=8, does not fit
+    _, _, config = tiny_setup(k=6)
+    for hyper, message in ((ModelHyper(k=6, d=10, n_channels=2), "2 channel"),
+                           (ModelHyper(k=8, d=10), "k=8, config has k=6")):
+        params = ModelParams.init(hyper, seed=0)
+        for mode in ("infer", "train"):
+            with pytest.raises(ConfigError, match=message):
+                forward([1, 2], params, config, mode=mode, rng=np.random.default_rng(0))
 
 
 def test_avg_pool_constant_and_single_entry():
@@ -225,6 +229,14 @@ def test_forward_train_needs_rng(tiny_setup):
     hyper, params, config = tiny_setup()
     with pytest.raises(ConfigError):
         forward([1, 2], params, config, mode="train")
+
+
+@pytest.mark.parametrize("keep", [1.5, float("nan"), 0.0, -1.0])
+def test_forward_train_refuses_keep_outside_unit_interval(tiny_setup, keep):
+    # refused whatever the value, not only where dropout would run
+    _, params, config = tiny_setup()
+    with pytest.raises(ConfigError, match=r"keep probability must be in \(0, 1\]"):
+        forward([1, 2], params, config, mode="train", rng=np.random.default_rng(0), keep=keep)
 
 
 def test_forward_dropout_expectation_scaling(tiny_setup):

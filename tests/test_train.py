@@ -141,6 +141,17 @@ def test_empty_split_raises_and_zero_epochs_keep_the_initial_state():
     assert np.isnan(result.best_accuracy)
 
 
+def test_hyper_that_does_not_fit_the_channels_raises():
+    # forward checks the model against its channels at the first batch
+    examples = _separable_set()
+    _, config = _setup(k=8)
+    cfg = TrainConfig(batch_size=8, epochs=1, seed=0)
+    for hyper in (ModelHyper(k=8, d=6, heights=(2, 3), n_filters=4, n_channels=2),
+                  ModelHyper(k=4, d=6, heights=(2, 3), n_filters=4)):
+        with pytest.raises(ConfigError):
+            train_epochs(examples, examples, config, hyper, cfg)
+
+
 def test_frozen_channel_untouched_by_training():
     examples = _separable_set(vocab_size=12)
     sg = init_random(12, 8, seed=9)
