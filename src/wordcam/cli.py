@@ -242,7 +242,8 @@ def cmd_embed(cfg: RunConfig) -> int:
 
 def load_channels_dir(path: str) -> tuple[ChannelConfig, dict]:
     """``channels.json`` and ``channel_<i>.emb`` for each channel i of its
-    mode's stack. A missing file, or one of another role, raises DataError."""
+    mode's stack. A missing file, one of another role, or a ``k`` in
+    ``channels.json`` other than the tables' width raises DataError."""
     meta_path = Path(path) / "channels.json"
     if not meta_path.is_file():
         raise DataError(f"no channels at {path} (missing channels.json)")
@@ -257,7 +258,12 @@ def load_channels_dir(path: str) -> tuple[ChannelConfig, dict]:
             raise DataError(f"{file}: ({ch.source.value}, trainable={ch.trainable}), but mode "
                             f"{mode.value} channel {i} is ({want[0].value}, trainable={want[1]})")
         chans.append(ch)
-    return ChannelConfig(mode, tuple(chans)), meta
+    config = ChannelConfig(mode, tuple(chans))
+    k = meta.get("k")
+    if not isinstance(k, int) or isinstance(k, bool) or k != config.dim:
+        raise DataError(f"{meta_path}: k must be the channel tables' width, {config.dim}, "
+                        f"got {k!r}")
+    return config, meta
 
 
 # ---------------------------------------------------------------------------

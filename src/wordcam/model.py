@@ -14,10 +14,15 @@ Conventions used throughout:
   The frame is never built. A word's filter responses depend only on its
   id, so each height is one GEMM of the (u, C*k) matrix of the batch's u
   distinct ids with the (C*k, h*n) filter bank (Devlin et al. 2014's
-  precomputation). ``spread`` reads each token's responses through the
-  token-to-row index into its windows, and its per-token transpose
-  ``gather`` reads them back; they are the only code that knows the window
-  rule, and the backward pass (per token) and attention reuse ``gather``.
+  precomputation). ``infer`` makes these products once per call, not once
+  per chunk: one response table over the distinct ids of all its
+  sentences, one (u, n) GEMM per height and filter row, each row's slab
+  contiguous, alive for the call (u*sum(h)*n values). Each chunk's
+  ``forward`` reads its tokens' rows from that table and makes no GEMM.
+  ``spread`` reads each token's responses through the token-to-row index
+  into its windows, and its per-token transpose ``gather`` reads them back;
+  they are the only code that knows the window rule, and the backward pass
+  (per token) and attention reuse ``gather``.
 * the filter heights are independent until the FC layer, so ``forward``
   and ``backward`` each run one task per height, the largest in the calling
   thread and the rest on threads started and joined inside the call (numpy
@@ -206,7 +211,7 @@ class ForwardTrace:
 
     ids: np.ndarray  # (B, d) right-padded with PAD_ID
     n_words: np.ndarray  # (B,) true token counts
-    words: np.ndarray  # (u, C, k) one row per distinct id, id-0 row zeroed
+    words: np.ndarray  # (u, C, k) one row per distinct id of the call, id-0 row zeroed
     index: np.ndarray  # (B, d) row of ``words`` holding each token
     fmaps: dict[int, np.ndarray]  # h -> (B, I_h, n_filters), post-ReLU
     pooled: np.ndarray  # (B, n_features)
@@ -241,7 +246,8 @@ def spread(y: np.ndarray, index: np.ndarray) -> np.ndarray:
     filter. index is (B, d): word p of sentence b is row index[b, p]. Word p
     sits in row t of window p+h-1-t, so the result is the (B, d+h-1, n)
     pre-activation with pre[:, p+h-1-t] += y[index[:, p], t], added in
-    ascending t.
+    ascending t. Each ``y[:, t]`` is read once, so a y whose (u, n) slabs
+    are contiguous (a transposed (h, u, n) array) gathers fastest.
     """
     _, h, n = y.shape
     batch, d = index.shape
@@ -318,6 +324,33 @@ def _as_batch(ids, d: int) -> tuple[np.ndarray, np.ndarray]:
     return pad_ids(seq, d)[None], np.asarray([seq.size], dtype=np.int64)
 
 
+def _check_fit(hyper: ModelHyper, channels: ChannelConfig) -> None:
+    """ConfigError unless the channels are the model's count and width."""
+    if len(channels.channels) != hyper.n_channels:
+        raise ConfigError(
+            f"model expects {hyper.n_channels} channel(s), config has "
+            f"{len(channels.channels)}"
+        )
+    if channels.dim != hyper.k:
+        raise ConfigError(f"model expects channels of k={hyper.k}, config has k={channels.dim}")
+
+
+def _word_rows(ids_mat: np.ndarray, channels: ChannelConfig, dtype):
+    """The (u, C, k) word-matrix rows of the u distinct ids of ``ids_mat``,
+    the pad row zeroed, and the index of each token's row. A word's filter
+    responses depend only on its id, so one row per distinct id suffices.
+    Every id is range-checked before any row is gathered."""
+    if ids_mat.min(initial=0) < 0 or ids_mat.max(initial=0) >= channels.vocab_size:
+        raise DataError("token id out of range for the embedding tables")
+    distinct, inverse = np.unique(ids_mat.ravel(), return_inverse=True)
+    # rows in (u, C, k) order, so the GEMM operand is a free reshape
+    words = np.empty((distinct.size, len(channels.channels), channels.dim), dtype=dtype)
+    for c, ch in enumerate(channels.channels):
+        words[:, c] = ch.table[distinct]
+    words[distinct == PAD_ID] = 0.0
+    return words, inverse.reshape(ids_mat.shape)
+
+
 def forward(
     ids,
     params: ModelParams,
@@ -326,6 +359,7 @@ def forward(
     rng: np.random.Generator | None = None,
     keep: float = 0.5,
     n_words: np.ndarray | None = None,
+    table: tuple | None = None,
 ) -> ForwardTrace:
     """Run the CNN on one sentence or a batch.
 
@@ -333,42 +367,40 @@ def forward(
     pre-padded (B, d) matrix (pass ``n_words`` alongside the latter). In
     train mode an inverted dropout mask with the given keep probability is
     applied to the pooled vector; infer mode is deterministic.
+
+    ``table`` is ``(words, index, slabs)`` from ``infer``'s response table:
+    the word rows, each token's row of them, and per height the (h, u, n)
+    responses. With it the ids have been checked already, and the forward
+    only spreads, adds the bias, applies ReLU and pools.
     """
     hyper = params.hyper
     if mode not in ("train", "infer"):
         raise ConfigError(f"mode must be 'train' or 'infer', got {mode!r}")
     if mode == "train" and not 0.0 < keep <= 1.0:
         raise ConfigError(f"keep probability must be in (0, 1], got {keep}")
-    if len(channels.channels) != hyper.n_channels:
-        raise ConfigError(
-            f"model expects {hyper.n_channels} channel(s), config has "
-            f"{len(channels.channels)}"
-        )
-    if channels.dim != hyper.k:
-        raise ConfigError(f"model expects channels of k={hyper.k}, config has k={channels.dim}")
+    _check_fit(hyper, channels)
     ids_mat, lengths = _as_batch(ids, hyper.d)
     if n_words is not None:
         lengths = np.asarray(n_words, dtype=np.int64)
         if lengths.shape != (ids_mat.shape[0],):
             raise DataError("n_words must have one entry per batch row")
-    if ids_mat.min(initial=0) < 0 or ids_mat.max(initial=0) >= channels.vocab_size:
-        raise DataError("token id out of range for the embedding tables")
 
     dtype = params.dtype
-    # a word's filter responses depend only on its id: one word-matrix row
-    # per distinct id, and index maps each token to its row
-    distinct, inverse = np.unique(ids_mat.ravel(), return_inverse=True)
-    index = inverse.reshape(ids_mat.shape)
-    # rows in (u, C, k) order, so the GEMM operand is a free reshape
-    words = np.empty((distinct.size, hyper.n_channels, hyper.k), dtype=dtype)
-    for c, ch in enumerate(channels.channels):
-        words[:, c] = ch.table[distinct]
-    words[distinct == PAD_ID] = 0.0
-    x = words.reshape(distinct.size, hyper.n_channels * hyper.k)
+    if table is None:
+        words, index = _word_rows(ids_mat, channels, dtype)
+        x = words.reshape(len(words), -1)
+
+        def responses(h):
+            y = x @ _filter_bank(params.conv_w[h], hyper.k)
+            return y.reshape(len(x), h, hyper.n_filters)
+    else:
+        words, index, slabs = table
+
+        def responses(h):
+            return slabs[h].transpose(1, 0, 2)
 
     def conv(h):
-        y = x @ _filter_bank(params.conv_w[h], hyper.k)
-        pre = spread(y.reshape(distinct.size, h, hyper.n_filters), index)
+        pre = spread(responses(h), index)
         pre += params.conv_b[h]
         f = np.maximum(pre, 0.0, out=pre)
         return f, f.mean(axis=1, dtype=np.float64).astype(dtype)
@@ -404,10 +436,34 @@ def forward(
 def infer(params: ModelParams, channels: ChannelConfig, id_seqs: Sequence):
     """Yield ``(start, trace)``: the infer-mode trace of the id sequences
     ``id_seqs[start : start + BATCH_SIZE]``, one chunk at a time, so only
-    one chunk's trace is alive at once."""
-    for start in range(0, len(id_seqs), BATCH_SIZE):
-        chunk = id_seqs[start : start + BATCH_SIZE]
-        yield start, forward(chunk, params, channels, mode="infer")
+    one chunk's trace is alive at once.
+
+    Before the first chunk, every id is checked and one response table is
+    made over the u distinct ids of all the sentences: for each height h
+    and filter row t, the (u, n) product of the word rows with that row of
+    the filter bank, on the height threads. It holds u*sum(h)*n values and
+    lives for the call; each chunk's ``forward`` reads its rows from it."""
+    if not len(id_seqs):
+        return
+    hyper = params.hyper
+    _check_fit(hyper, channels)
+    ids_mat, lengths = _as_batch(id_seqs, hyper.d)
+    words, index = _word_rows(ids_mat, channels, params.dtype)
+    x = words.reshape(len(words), -1)
+    n = hyper.n_filters
+
+    def slabs(h):
+        bank = _filter_bank(params.conv_w[h], hyper.k)
+        out = np.empty((h, len(x), n), dtype=params.dtype)
+        for t in range(h):
+            np.matmul(x, bank[:, t * n : (t + 1) * n], out=out[t])
+        return out
+
+    responses = _per_height(slabs, hyper.heights, len(ids_mat))
+    for start in range(0, len(ids_mat), BATCH_SIZE):
+        rows = slice(start, start + BATCH_SIZE)
+        yield start, forward(ids_mat[rows], params, channels, mode="infer",
+                             n_words=lengths[rows], table=(words, index[rows], responses))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -526,7 +582,15 @@ def save_checkpoint(
 ) -> None:
     """Versioned binary container (``write_container``): hyperparameters,
     input mode and vocabulary digest in the header (the mode's stack gives
-    each channel its role), then the parameter tensors and channel tables."""
+    each channel its role), then the parameter tensors and channel tables.
+
+    What ``load_checkpoint`` would refuse is not written: channels of
+    another count or width than the hyperparameters, or a parameter of
+    another shape, raise ConfigError before the file is opened."""
+    _check_fit(params.hyper, channels)
+    for (name, arr), (_, shape) in zip(params.named_arrays(), params.hyper.param_shapes()):
+        if arr.shape != shape:
+            raise ConfigError(f"{name} is {arr.shape}, not {shape}")
     header = {
         "hyper": asdict(params.hyper),
         "mode": channels.mode.value,

@@ -1035,6 +1035,17 @@ def _zero_width_channel(dirs):
     _rewrite_header(path, lambda h: None, table=np.zeros((v, 0), dtype="<f4"))
 
 
+def _edit_channels_k(k):
+    """channels.json's k set to ``k``, the tables left as they are."""
+    def edit(dirs):
+        assert _embed(dirs) == 0
+        path = dirs["channels"] / "channels.json"
+        meta = json.loads(path.read_text(encoding="utf-8"))
+        meta["k"] = k
+        path.write_text(json.dumps(meta), encoding="utf-8")
+    return edit
+
+
 def _old_three_field_line(line):
     label, tokens = line.split("\t")
     return f"{label}\t{','.join('1' for _ in tokens.split())}\t{tokens}"
@@ -1106,6 +1117,10 @@ _THREE_CLASSES = "checkpoint.ckpt: malformed header (ConfigError('n_classes must
     (_zero_width_channel, _TRAIN_FRESH, 3,
      "channel_0.emb: malformed header (ConfigError('embedding table must be (V, k) "
      "with V, k >= 1"),
+    (_edit_channels_k(8), _TRAIN_FRESH, 3,
+     "channels.json: k must be the channel tables' width, 12, got 8"),
+    (_edit_channels_k(12.0), _TRAIN_FRESH, 3,
+     "channels.json: k must be the channel tables' width, 12, got 12.0"),
 ], ids=["vocab-id", "vocab-count", "meta-not-json", "meta-no-seed", "no-vocab",
         "no-train", "config-value", "config-not-utf8", "attend-input-not-utf8",
         "csv-not-utf8", "test-excluded-label", "vocab-not-meta-digest", "no-embed-corpus",
@@ -1113,7 +1128,8 @@ _THREE_CLASSES = "checkpoint.ckpt: malformed header (ConfigError('n_classes must
         "meta-d-bool", "meta-seed-bool", "ckpt-k-float-attend", "ckpt-k-float-evaluate",
         "ckpt-k-float-topwords", "ckpt-d-bool", "emb-trainable-string",
         "ckpt-three-classes-attend", "ckpt-three-classes-evaluate",
-        "ckpt-three-classes-topwords", "emb-zero-width-train"])
+        "ckpt-three-classes-topwords", "emb-zero-width-train",
+        "channels-k-other-width", "channels-k-float"])
 def test_malformed_input_exits_without_traceback(
     pipeline_dirs, tmp_path, edit, argv, code, names
 ):

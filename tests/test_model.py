@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from oracles import (
@@ -717,6 +717,15 @@ def test_checkpoint_roundtrip(tmp_path, tiny_setup):
     assert (tmp_path / "model.ckpt").read_bytes() == (tmp_path / "again.ckpt").read_bytes()
 
 
+def test_save_checkpoint_refuses_a_parameter_of_another_shape(tmp_path, tiny_setup):
+    _, params, config = tiny_setup(dtype=np.float32)
+    params.fc_w = params.fc_w[:, :-1]
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(ConfigError, match=r"fc_w is \(2, 7\), not \(2, 8\)"):
+        save_checkpoint(path, params, config, vocab_hash="abc")
+    assert not path.exists()
+
+
 def _rewrite_header(path, change):
     """Rewrite a checkpoint's header through ``change``, arrays as they are."""
     header, arrays = read_container(path, model._CKPT_MAGIC, "a model checkpoint")
@@ -763,6 +772,89 @@ def test_checkpoint_rejects_junk(tmp_path):
     path.write_bytes(b"nonsense")
     with pytest.raises(DataError):
         load_checkpoint(path)
+
+
+def blas_rows_ignore_chunking(split_x, chunk_rows, params) -> bool:
+    """Whether the BLAS gives every word row the same bits in ``infer``'s
+    products over all the call's distinct rows ``split_x``, one per height
+    and filter row, as in the whole-bank product over each chunk's distinct
+    rows ``split_x[chunk_rows[i]]``. A one-row or one-column product goes to
+    gemv, which (like some small float64 GEMMs) changes a row's last bits
+    with the shape; there the two paths cannot agree bit for bit."""
+    n = params.hyper.n_filters
+    for w in params.conv_w.values():
+        bank = _filter_bank(w, params.hyper.k)
+        h = bank.shape[1] // n
+        table = np.concatenate([split_x @ bank[:, t * n : (t + 1) * n] for t in range(h)], axis=1)
+        if not all(np.array_equal(split_x[rows] @ bank, table[rows]) for rows in chunk_rows):
+            return False
+    return True
+
+
+_B = model.BATCH_SIZE
+
+
+@given(
+    st.sampled_from([1, 2]),  # channels
+    st.sampled_from([np.float32, np.float64]),
+    st.integers(1, 6),  # k
+    st.integers(1, 8),  # d
+    st.sets(st.integers(1, 4), min_size=1, max_size=3),  # heights
+    st.integers(1, 5),  # filters
+    st.integers(1, 12),  # vocabulary size; at 1 every word is OOV
+    st.integers(1, 2 * _B + 10),  # sentences
+    st.integers(0, 2**31),  # seed
+)
+@example(2, np.float32, 6, 8, {2, 3}, 4, 12, _B, 0)  # one whole chunk
+@example(1, np.float64, 4, 5, {1, 3}, 3, 12, _B + 1, 1)  # a last chunk of one
+@example(2, np.float32, 5, 8, {2, 3, 4}, 5, 12, 2 * _B + 9, 2)  # a short last chunk
+@example(1, np.float32, 3, 6, {2, 4}, 2, 1, _B + 6, 3)  # one distinct id
+def test_infer_traces_equal_a_forward_per_chunk(
+    n_channels, dtype, k, d, heights, n_filters, vocab, n, seed
+):
+    """``infer``'s table path gives each chunk the trace that ``forward``
+    of that chunk alone gives, bit for bit where the BLAS allows: ids 0
+    stand for OOV words inside sentences and for padding after them, and
+    the tables' pad rows are non-zero."""
+    rng = np.random.default_rng(seed)
+    hyper = ModelHyper(k=k, d=d, heights=tuple(heights), n_filters=n_filters,
+                       n_channels=n_channels)
+    tables = [np.zeros((vocab, k), dtype=dtype) for _ in range(n_channels)]
+    config = ChannelConfig.of(InputMode.RAND if n_channels == 1 else InputMode.TWO_CH, tables)
+    for table in tables:
+        table[:] = rng.normal(size=(vocab, k))  # row 0 too, after the pad-row check
+    params = ModelParams.init(hyper, seed=seed, w_scale=1.0, dtype=dtype)
+    id_seqs = [tuple(int(i) for i in rng.integers(0, vocab, size=rng.integers(0, d + 1)))
+               for _ in range(n)]
+
+    got = list(model.infer(params, config, id_seqs))
+    assert [s for s, _ in got] == list(range(0, n, _B))
+    wants = [forward(id_seqs[s : s + _B], params, config, mode="infer") for s, _ in got]
+    split = np.stack([model.pad_ids(ids, d) for ids in id_seqs])
+    distinct = np.unique(split)
+    split_x = np.stack([table[distinct] for table in tables], axis=1)
+    split_x[distinct == 0] = 0.0
+    split_x = split_x.reshape(distinct.size, -1)
+    chunk_rows = [np.searchsorted(distinct, np.unique(split[s : s + _B])) for s, _ in got]
+    same = equal_unless_blas_varies(blas_rows_ignore_chunking(split_x, chunk_rows, params), dtype)
+    for (_, trace), want in zip(got, wants):
+        assert np.array_equal(trace.ids, want.ids)
+        assert np.array_equal(trace.n_words, want.n_words)
+        assert np.array_equal(per_token_words(trace), per_token_words(want))
+        for h in hyper.heights:
+            assert same(trace.fmaps[h], want.fmaps[h])
+        assert same(trace.pooled, want.pooled)
+        assert same(trace.logits, want.logits)
+
+
+def test_infer_checks_every_id_before_any_chunk(tiny_setup):
+    # an out-of-range id in the last chunk is a DataError before the first
+    # chunk is yielded, not an IndexError from gathering its row
+    hyper, params, config = tiny_setup()
+    id_seqs = [(1, 2)] * _B + [(3, config.vocab_size)]
+    with pytest.raises(DataError, match="out of range"):
+        next(model.infer(params, config, id_seqs))
+    assert list(model.infer(params, config, [])) == []
 
 
 def test_infer_chunks_feed_attend_sentences_and_evaluate(tiny_setup):

@@ -152,6 +152,21 @@ def test_hyper_that_does_not_fit_the_channels_raises():
             train_epochs(examples, examples, config, hyper, cfg)
 
 
+def test_zero_epochs_with_a_hyper_that_does_not_fit_saves_nothing(tmp_path):
+    # no batch runs at 0 epochs, so nothing checks the fit before the save;
+    # save_checkpoint refuses what load_checkpoint would, before writing
+    examples = _separable_set()
+    _, config = _setup(k=8)
+    cfg = TrainConfig(batch_size=8, epochs=0, seed=0)
+    for i, hyper in enumerate((ModelHyper(k=8, d=6, heights=(2, 3), n_filters=4, n_channels=2),
+                               ModelHyper(k=4, d=6, heights=(2, 3), n_filters=4))):
+        result = train_epochs(examples, examples, config, hyper, cfg)
+        path = tmp_path / f"{i}.ckpt"
+        with pytest.raises(ConfigError, match="model expects"):
+            save_checkpoint(path, result.best_params, result.best_channels, "hash")
+        assert not path.exists()
+
+
 def test_frozen_channel_untouched_by_training():
     examples = _separable_set(vocab_size=12)
     sg = init_random(12, 8, seed=9)
