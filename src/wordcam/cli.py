@@ -143,7 +143,10 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             merged[name] = value
-    return RunConfig(**merged)
+    cfg = RunConfig(**merged)
+    if cfg.seed < 0:  # numpy's generators take no negative seed
+        raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
+    return cfg
 
 
 def _add(parser: argparse.ArgumentParser, name: str, help: str = "") -> None:
@@ -169,8 +172,15 @@ def _scheme_from_config(cfg: RunConfig) -> corpus_mod.LabelScheme:
     raise ConfigError(f"unknown rating scheme {cfg.scheme!r}")
 
 
-def _log_seed(cfg: RunConfig) -> None:
-    print(f"seed: {cfg.seed}")
+def _out_dir(cfg: RunConfig) -> Path:
+    """``cfg.out``, made with its parents. A path that is a file, lies under
+    one, or cannot be made is a ConfigError naming it."""
+    out = Path(cfg.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {cfg.out}: {exc.strerror}") from exc
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -182,7 +192,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
     if not cfg.data:
         raise ConfigError("--data is required")
     corpus_mod.check_prepare(cfg.d, cfg.ratio)
-    _log_seed(cfg)
+    print(f"seed: {cfg.seed}")
     scheme = _scheme_from_config(cfg)
     if cfg.data_format == "imdb":
         reviews = corpus_mod.load_imdb_dir(cfg.data)
@@ -194,7 +204,7 @@ def cmd_prepare(cfg: RunConfig) -> int:
     prepared = corpus_mod.prepare(
         reviews, scheme, d=cfg.d, ratio=cfg.ratio, seed=cfg.seed
     )
-    corpus_mod.save_prepared(prepared, cfg.out)
+    corpus_mod.save_prepared(prepared, _out_dir(cfg))
     s = prepared.stats
     print(f"reviews: {s['kept']} kept, {s['excluded']} excluded, {s['empty']} empty")
     print(f"train: {s['train']} ({s['train_pos']} pos / {s['train_neg']} neg)")
@@ -214,15 +224,14 @@ def cmd_embed(cfg: RunConfig) -> int:
         raise ConfigError("--corpus is required (output directory of prepare)")
     mode = InputMode.parse(cfg.mode)
     check_sources(cfg.k, cfg.embed_epochs)
-    _log_seed(cfg)
+    print(f"seed: {cfg.seed}")
     prepared = corpus_mod.load_prepared(cfg.corpus)
     sources = train_sources(
         prepared.train_sentences, prepared.vocab.id_to_token, [mode], k=cfg.k,
         epochs=cfg.embed_epochs, seed=cfg.seed,
     )
     config = assemble(mode, **sources)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     for i, ch in enumerate(config.channels):
         save_channel(ch, out / f"channel_{i}.emb")
         print(f"channel {i}: source={ch.source.value} trainable={ch.trainable} "
@@ -291,7 +300,7 @@ def cmd_train(cfg: RunConfig) -> int:
     # read; the channels and the corpus then give k, d and the channel count
     hyper = ModelHyper(k=1, d=1, heights=heights, n_filters=cfg.n_filters)
     tconfig = _train_config(cfg)
-    _log_seed(cfg)
+    print(f"seed: {cfg.seed}")
     prepared = corpus_mod.load_prepared(cfg.corpus)
     channels, channels_meta = load_channels_dir(cfg.channels)
     if channels_meta.get("vocab_sha256") != prepared.vocab.digest():
@@ -314,8 +323,7 @@ def cmd_train(cfg: RunConfig) -> int:
     }
     print("config: " + " ".join(f"{k}={v}" for k, v in echo.items()))
 
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     # written first, so an interrupted run's last.ckpt is usable without --vocab
     prepared.vocab.save(out / "vocab.tsv")
     vocab_hash = prepared.vocab.digest()
@@ -404,7 +412,7 @@ def cmd_attend(cfg: RunConfig) -> int:
     if cfg.bottom_fraction is not None and not 0.0 < cfg.bottom_fraction <= 1.0:
         raise ConfigError(f"--bottom-fraction must be in (0, 1], got {cfg.bottom_fraction}")
     params, channels, vocab = _load_model(cfg)
-    _log_seed(cfg)
+    print(f"seed: {cfg.seed}")
     if cfg.sentence is not None:
         lines = [cfg.sentence]
     else:
@@ -415,8 +423,7 @@ def cmd_attend(cfg: RunConfig) -> int:
         if not lines:
             raise DataError(f"input file has no sentences: {path}")
 
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     d = params.hyper.d
     sentences = []
     for i, line in enumerate(lines):
@@ -446,15 +453,14 @@ def cmd_attend(cfg: RunConfig) -> int:
 def cmd_topwords(cfg: RunConfig) -> int:
     check_top_k(cfg.top_k)
     params, channels, prepared = _load_model_and_corpus(cfg)
-    _log_seed(cfg)
+    print(f"seed: {cfg.seed}")
     if not prepared.test:
         raise DataError("prepared corpus has an empty test split")
     results = attend_sentences(
         params, channels, [(ex.tokens, ex.token_ids) for ex in prepared.test]
     )
     table = aggregate_top_words(results, k=cfg.top_k)
-    out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     (out / "topwords.txt").write_text(table.to_text(), encoding="utf-8")
     (out / "topwords.csv").write_text(table.to_csv(), encoding="utf-8")
     print(table.to_text(), end="")

@@ -498,11 +498,11 @@ def _read_lines(path: Path, what: str, parse) -> tuple:
     return tuple(out)
 
 
-def save_prepared(corpus: PreparedCorpus, out_dir: Path | str) -> dict[str, Path]:
-    """Tokens only: ids are derived from ``vocab.tsv`` when the corpus is
-    read back, so an id can never disagree with its token."""
+def save_prepared(corpus: PreparedCorpus, out_dir: Path | str) -> None:
+    """The corpus files, written into the existing directory ``out_dir``.
+    Tokens only: ids are derived from ``vocab.tsv`` when the corpus is read
+    back, so an id can never disagree with its token."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     paths = {
         "vocab": out / "vocab.tsv",
         "train": out / "train.tsv",
@@ -528,7 +528,6 @@ def save_prepared(corpus: PreparedCorpus, out_dir: Path | str) -> dict[str, Path
     paths["meta"].write_text(
         json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    return paths
 
 
 def load_prepared(out_dir: Path | str) -> PreparedCorpus:

@@ -14,11 +14,10 @@ Conventions used throughout:
   The frame is never built. A word's filter responses depend only on its
   id, so each height is one GEMM of the (u, C*k) matrix of the batch's u
   distinct ids with the (C*k, h*n) filter bank (Devlin et al. 2014's
-  precomputation). ``infer`` makes these products once per call, not once
-  per chunk: one response table over the distinct ids of all its
-  sentences, one (u, n) GEMM per height and filter row, each row's slab
-  contiguous, alive for the call (u*sum(h)*n values). Each chunk's
-  ``forward`` reads its tokens' rows from that table and makes no GEMM.
+  precomputation), made by ``_responses`` alone. ``infer`` makes it once
+  per call over the distinct ids of all its sentences, not once per chunk
+  (u*sum(h)*n values, alive for the call), and each chunk's ``forward``
+  reads its tokens' rows from that table in place and makes no GEMM.
   ``spread`` reads each token's responses through the token-to-row index
   into its windows, and its per-token transpose ``gather`` reads them back;
   they are the only code that knows the window rule, and the backward pass
@@ -42,6 +41,7 @@ import hashlib
 import numbers
 import os
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -246,14 +246,14 @@ def spread(y: np.ndarray, index: np.ndarray) -> np.ndarray:
     filter. index is (B, d): word p of sentence b is row index[b, p]. Word p
     sits in row t of window p+h-1-t, so the result is the (B, d+h-1, n)
     pre-activation with pre[:, p+h-1-t] += y[index[:, p], t], added in
-    ascending t. Each ``y[:, t]`` is read once, so a y whose (u, n) slabs
-    are contiguous (a transposed (h, u, n) array) gathers fastest.
+    ascending t. The indexing reads y where it lies, so y's layout may be
+    any strided view and no part of it is copied first.
     """
     _, h, n = y.shape
     batch, d = index.shape
     out = np.zeros((batch, d + h - 1, n), dtype=y.dtype)
     for t in range(h):
-        out[:, h - 1 - t : h - 1 - t + d] += y[:, t].take(index, axis=0)
+        out[:, h - 1 - t : h - 1 - t + d] += y[index, t]
     return out
 
 
@@ -271,6 +271,13 @@ def _filter_bank(w: np.ndarray, k: int) -> np.ndarray:
     return w.reshape(n_channels, n_filters, h, k).transpose(0, 3, 2, 1).reshape(
         n_channels * k, h * n_filters
     )
+
+
+def _responses(words: np.ndarray, params: ModelParams, h: int) -> np.ndarray:
+    """(u, h, n) responses of the (u, C, k) word rows to each row of each
+    height-h filter: one GEMM with the whole filter bank."""
+    y = words.reshape(len(words), -1) @ _filter_bank(params.conv_w[h], params.hyper.k)
+    return y.reshape(len(words), h, params.hyper.n_filters)
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +375,10 @@ def forward(
     train mode an inverted dropout mask with the given keep probability is
     applied to the pooled vector; infer mode is deterministic.
 
-    ``table`` is ``(words, index, slabs)`` from ``infer``'s response table:
-    the word rows, each token's row of them, and per height the (h, u, n)
-    responses. With it the ids have been checked already, and the forward
-    only spreads, adds the bias, applies ReLU and pools.
+    ``table`` is ``(words, index, responses)`` from ``infer``: the word
+    rows, each token's row of them, and per height their (u, h, n)
+    ``_responses``. With it the ids have been checked already, and the
+    forward only spreads, adds the bias, applies ReLU and pools.
     """
     hyper = params.hyper
     if mode not in ("train", "infer"):
@@ -388,16 +395,10 @@ def forward(
     dtype = params.dtype
     if table is None:
         words, index = _word_rows(ids_mat, channels, dtype)
-        x = words.reshape(len(words), -1)
-
-        def responses(h):
-            y = x @ _filter_bank(params.conv_w[h], hyper.k)
-            return y.reshape(len(x), h, hyper.n_filters)
+        responses = partial(_responses, words, params)
     else:
-        words, index, slabs = table
-
-        def responses(h):
-            return slabs[h].transpose(1, 0, 2)
+        words, index, ys = table
+        responses = ys.__getitem__
 
     def conv(h):
         pre = spread(responses(h), index)
@@ -439,27 +440,17 @@ def infer(params: ModelParams, channels: ChannelConfig, id_seqs: Sequence):
     one chunk's trace is alive at once.
 
     Before the first chunk, every id is checked and one response table is
-    made over the u distinct ids of all the sentences: for each height h
-    and filter row t, the (u, n) product of the word rows with that row of
-    the filter bank, on the height threads. It holds u*sum(h)*n values and
-    lives for the call; each chunk's ``forward`` reads its rows from it."""
+    made over the u distinct ids of all the sentences: for each height, the
+    ``_responses`` that ``forward`` makes for its own batch, on the height
+    threads. It holds u*sum(h)*n values and lives for the call; each
+    chunk's ``forward`` reads its rows from it in place."""
     if not len(id_seqs):
         return
     hyper = params.hyper
     _check_fit(hyper, channels)
     ids_mat, lengths = _as_batch(id_seqs, hyper.d)
     words, index = _word_rows(ids_mat, channels, params.dtype)
-    x = words.reshape(len(words), -1)
-    n = hyper.n_filters
-
-    def slabs(h):
-        bank = _filter_bank(params.conv_w[h], hyper.k)
-        out = np.empty((h, len(x), n), dtype=params.dtype)
-        for t in range(h):
-            np.matmul(x, bank[:, t * n : (t + 1) * n], out=out[t])
-        return out
-
-    responses = _per_height(slabs, hyper.heights, len(ids_mat))
+    responses = _per_height(partial(_responses, words, params), hyper.heights, len(ids_mat))
     for start in range(0, len(ids_mat), BATCH_SIZE):
         rows = slice(start, start + BATCH_SIZE)
         yield start, forward(ids_mat[rows], params, channels, mode="infer",

@@ -15,6 +15,10 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
     derandomize=True,
 )
+# the same, with many more examples, for the lowering properties alone:
+# pytest tests/test_model.py -k "per_token_lowering or infer_traces_equal or
+# adjoint" --hypothesis-profile=wordcam-deep
+settings.register_profile("wordcam-deep", settings.get_profile("wordcam"), max_examples=2000)
 settings.load_profile("wordcam")
 
 

@@ -1264,3 +1264,54 @@ def test_topwords_top_k_0_exits_2_before_any_forward_pass(pipeline_dirs, monkeyp
     with pytest.raises(AssertionError, match="forward pass"):
         run(argv + ["--top-k", "1"])
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["prepare", "--seed", "-1", "--data", "{nothere}", "--data-format", "csv"],
+    ["embed", "--seed", "-5", "--corpus", "{nothere}"],
+    ["train", "--seed", "-3", "--corpus", "{nothere}", "--channels", "{nothere}"],
+    ["prepare", "--config", "{config}", "--data", "{nothere}", "--data-format", "csv"],
+], ids=["prepare", "embed", "train", "config-file"])
+def test_negative_seed_exits_2_before_any_input_is_read(tmp_path, capsys, argv):
+    """numpy's generators take no negative seed. The missing inputs would
+    exit 3, so exit 2 shows the seed is checked before any is read."""
+    config = tmp_path / "run.cfg"
+    config.write_text("seed=-1\n", encoding="utf-8")
+    paths = {"nothere": tmp_path / "nothere", "config": config}
+    assert run([a.format(**paths) for a in argv] + ["--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed must be >= 0, got -" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+_TO_OUT = {
+    "prepare": ["prepare", "--data", "{data}", "--data-format", "csv", "--d", "12"],
+    "embed": ["embed", "--corpus", "{corpus}", "--k", "12", "--embed-epochs", "1"],
+    "train": ["train", "--corpus", "{corpus}", "--channels", "{channels}", "--epochs", "1",
+              "--heights", "2,3", "--n-filters", "4"],
+    "attend": ["attend", "--checkpoint", "{run}/checkpoint.ckpt", "--sentence", "a film"],
+    "topwords": ["topwords", "--checkpoint", "{run}/checkpoint.ckpt", "--corpus", "{corpus}"],
+}
+
+
+@pytest.mark.parametrize("under", [False, True], ids=["a-file", "under-a-file"])
+@pytest.mark.parametrize("command", list(_TO_OUT))
+def test_out_that_is_a_file_exits_2(pipeline_dirs, tmp_path, capsys, command, under):
+    """An --out that is an existing file, or lies under one, is a
+    configuration error naming the path, and the file is left as it was."""
+    dirs = dict(pipeline_dirs)
+    if command != "prepare":
+        assert _prepare(dirs) == 0
+    if command != "prepare" and command != "embed":
+        assert _embed(dirs) == 0
+    if command in ("attend", "topwords"):
+        assert _train(dirs, extra=["--epochs", "1"]) == 0
+    blocker = tmp_path / "blocker"
+    blocker.write_bytes(b"not a directory\n")
+    out = blocker / "out" if under else blocker
+    capsys.readouterr()
+    argv = [a.format(**dirs) for a in _TO_OUT[command]]
+    assert run(argv + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"cannot make output directory {out}" in err, err
+    assert blocker.read_bytes() == b"not a directory\n"

@@ -776,16 +776,14 @@ def test_checkpoint_rejects_junk(tmp_path):
 
 def blas_rows_ignore_chunking(split_x, chunk_rows, params) -> bool:
     """Whether the BLAS gives every word row the same bits in ``infer``'s
-    products over all the call's distinct rows ``split_x``, one per height
-    and filter row, as in the whole-bank product over each chunk's distinct
-    rows ``split_x[chunk_rows[i]]``. A one-row or one-column product goes to
-    gemv, which (like some small float64 GEMMs) changes a row's last bits
-    with the shape; there the two paths cannot agree bit for bit."""
-    n = params.hyper.n_filters
+    whole-bank product over all the call's distinct rows ``split_x`` as in
+    the whole-bank product over each chunk's distinct rows
+    ``split_x[chunk_rows[i]]``. A one-row product goes to gemv, which (like
+    some small float64 GEMMs) changes a row's last bits with the row count;
+    there the two paths cannot agree bit for bit."""
     for w in params.conv_w.values():
         bank = _filter_bank(w, params.hyper.k)
-        h = bank.shape[1] // n
-        table = np.concatenate([split_x @ bank[:, t * n : (t + 1) * n] for t in range(h)], axis=1)
+        table = split_x @ bank
         if not all(np.array_equal(split_x[rows] @ bank, table[rows]) for rows in chunk_rows):
             return False
     return True
@@ -809,6 +807,8 @@ _B = model.BATCH_SIZE
 @example(1, np.float64, 4, 5, {1, 3}, 3, 12, _B + 1, 1)  # a last chunk of one
 @example(2, np.float32, 5, 8, {2, 3, 4}, 5, 12, 2 * _B + 9, 2)  # a short last chunk
 @example(1, np.float32, 3, 6, {2, 4}, 2, 1, _B + 6, 3)  # one distinct id
+@example(1, np.float32, 3, 3, {4}, 1, 2, 102, 5)  # one filter
+@example(1, np.float64, 3, 6, {2, 4}, 1, 4, 20, 3)  # one filter, float64
 def test_infer_traces_equal_a_forward_per_chunk(
     n_channels, dtype, k, d, heights, n_filters, vocab, n, seed
 ):
